@@ -5,6 +5,12 @@ closed-form admission predicates; points exactly on a boundary count as
 infeasible because every condition is strict. Axis value 0 is included
 for plotting and is treated as the limit of a vanishing terminal, even
 though live scenarios require strictly positive targets.
+
+Every predicate except ``hanly`` is the leave-one-out kernel that backs
+``scenarios.feasibility_formula``, fed the targets as points, and the
+inequality export emits that kernel's coefficient rows. A grid point
+therefore gets the verdict ``check`` gives the scenario at those targets;
+the rule objects built by ``scenarios`` stay the independent reference.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InvalidInputError
+from .core import GainMatrix, InvalidInputError
+from .scenarios import _loo, _loo_sums, _matrix_rows, _mc_terms, _reference_gains
 
 PREDICATES = ("simple", "macro_div", "mc_exact", "mc_bounded", "hanly")
 
@@ -53,32 +60,24 @@ class RegionSpec:
             raise InvalidInputError("RegionSpec: resolution must be >= 2")
         if not math.isfinite(self.alpha_max) or self.alpha_max <= 0.0:
             raise InvalidInputError("RegionSpec: alpha_max must be > 0")
-        if self.gains is not None:
-            gains = tuple(tuple(float(v) for v in row) for row in self.gains)
-            object.__setattr__(self, "gains", gains)
         if self.d is not None:
             object.__setattr__(self, "d", tuple(int(v) for v in self.d))
 
         if self.predicate == "macro_div":
-            if self.gains is None or len(self.gains) != self.n:
+            if self.gains is None:
                 raise InvalidInputError("RegionSpec: macro_div needs one gain row per terminal")
-            for i, row in enumerate(self.gains):
-                if sum(row) <= 0.0 or any(v < 0.0 for v in row):
-                    raise InvalidInputError(f"RegionSpec: bad macro_div gain row {i + 1}")
+            gains = GainMatrix(self.gains)
+            if gains.n_terminals != self.n:
+                raise InvalidInputError("RegionSpec: macro_div needs one gain row per terminal")
+            object.__setattr__(self, "gains", gains.h)
         elif self.predicate in ("mc_exact", "mc_bounded"):
             if self.gains is None or self.d is None:
                 raise InvalidInputError(f"RegionSpec: {self.predicate} needs gains and d")
-            k = len(self.gains)
-            if any(len(row) != self.n for row in self.gains):
+            gains = _matrix_rows(self.gains, "RegionSpec gains")
+            if len(gains[0]) != self.n:
                 raise InvalidInputError("RegionSpec: mc gains must have one column per terminal")
-            if len(self.d) != self.n or any(not 1 <= dj <= k for dj in self.d):
-                raise InvalidInputError("RegionSpec: mc diversity orders out of range")
-            h = np.array(self.gains, dtype=float)
-            for j, dj in enumerate(self.d):
-                if np.sort(h[:, j])[k - dj] <= 0.0:
-                    raise InvalidInputError(
-                        f"RegionSpec: terminal {j + 1} is not in range of {dj} receivers"
-                    )
+            _reference_gains(gains, self.d, "RegionSpec")
+            object.__setattr__(self, "gains", gains)
         elif self.predicate == "hanly":
             if self.receivers is None or int(self.receivers) < 1:
                 raise InvalidInputError("RegionSpec: hanly needs the receiver count")
@@ -104,6 +103,15 @@ class RegionSpec:
         )
 
 
+def _kernel_terms(spec: RegionSpec):
+    """Kernel inputs (G, divisor, order) of a leave-one-out predicate; points are targets."""
+    if spec.predicate == "simple":
+        return np.ones((1, spec.n)), None, None
+    if spec.predicate == "macro_div":
+        return GainMatrix(spec.gains).relative_array().T, None, None
+    return _mc_terms(spec.gains, spec.d, noiseless=spec.predicate == "mc_exact")
+
+
 def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
     """Vectorised predicate over rows of ``alphas`` (shape (P, n))."""
     pts = np.atleast_2d(np.asarray(alphas, dtype=float))
@@ -114,38 +122,9 @@ def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
 
     if spec.predicate == "hanly":
         return pts.sum(axis=1) < spec.receivers
-
-    if spec.predicate == "simple":
-        loo = pts.sum(axis=1, keepdims=True) - pts
-        return (loo < 1.0).all(axis=1)
-
-    if spec.predicate == "macro_div":
-        h = np.array(spec.gains, dtype=float)
-        g = h / h.sum(axis=1, keepdims=True)
-        weighted = pts @ g  # (P, K): per receiver, sum over all terminals
-        per_ik = weighted[:, None, :] - pts[:, :, None] * g[None, :, :]
-        return (per_ik < 1.0).all(axis=(1, 2))
-
-    if spec.predicate == "mc_bounded":
-        h = np.array(spec.gains, dtype=float)  # (K, N)
-        k = h.shape[0]
-        ref = np.array([np.sort(h[:, j])[k - spec.d[j]] for j in range(spec.n)])
-        g = h / ref[None, :]
-        weighted = pts @ g.T  # (P, K)
-        per_jk = weighted[:, None, :] - pts[:, :, None] * g.T[None, :, :]
-        return (per_jk < 1.0).all(axis=(1, 2))
-
-    # mc_exact: for each terminal j, the d_j-th smallest per-receiver
-    # weighted sum (own gain in the denominator) must be below 1.
-    h = np.array(spec.gains, dtype=float)  # (K, N)
-    totals = pts @ h.T  # (P, K)
-    numer = totals[:, None, :] - pts[:, :, None] * h.T[None, :, :]  # (P, N, K)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(h.T[None, :, :] > 0.0, numer / h.T[None, :, :], np.inf)
-    ordered = np.sort(ratios, axis=2)
-    d_idx = np.array(spec.d) - 1
-    selected = ordered[:, np.arange(spec.n), d_idx]
-    return (selected < 1.0).all(axis=1)
+    G, divisor, order = _kernel_terms(spec)
+    moduli, _ = _loo(G, pts, divisor=divisor, order=order)
+    return (moduli < 1.0).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -178,7 +157,7 @@ def sample_region(spec: RegionSpec, *, allow_large: bool = False) -> RegionCloud
     if spec.n > MAX_GRID_DIM and not allow_large:
         raise InvalidInputError(
             f"sample_region: {spec.n} axes exceeds the cost guard of {MAX_GRID_DIM}; "
-            "pass allow_large=True to override"
+            "pass allow_large=True (CLI: --force-dim) to override"
         )
     pts = spec.grid()
     verdicts = evaluate_predicate(spec, pts)
@@ -244,39 +223,14 @@ def region_inequalities(spec: RegionSpec) -> list[tuple[tuple[float, ...], float
     """
     if spec.predicate == "hanly":
         return [((1.0,) * spec.n, float(spec.receivers))]
-    if spec.predicate == "simple":
-        rows = []
-        for i in range(spec.n):
-            coefs = [1.0] * spec.n
-            coefs[i] = 0.0
-            rows.append((tuple(coefs), 1.0))
-        return rows
-    if spec.predicate == "macro_div":
-        h = np.array(spec.gains, dtype=float)
-        g = h / h.sum(axis=1, keepdims=True)
-        rows = []
-        for i in range(spec.n):
-            for k in range(g.shape[1]):
-                coefs = [float(g[nn, k]) for nn in range(spec.n)]
-                coefs[i] = 0.0
-                rows.append((tuple(coefs), 1.0))
-        return rows
-    if spec.predicate == "mc_bounded":
-        h = np.array(spec.gains, dtype=float)
-        kk = h.shape[0]
-        ref = np.array([np.sort(h[:, j])[kk - spec.d[j]] for j in range(spec.n)])
-        g = h / ref[None, :]
-        rows = []
-        for j in range(spec.n):
-            for k in range(kk):
-                coefs = [float(g[k, i]) for i in range(spec.n)]
-                coefs[j] = 0.0
-                rows.append((tuple(coefs), 1.0))
-        return rows
-    raise InvalidInputError(
-        "region_inequalities: the exact multi-connection region is not a single "
-        "conjunction of linear inequalities"
-    )
+    if spec.predicate == "mc_exact":
+        raise InvalidInputError(
+            "region_inequalities: the exact multi-connection region is not a single "
+            "conjunction of linear inequalities"
+        )
+    G, _, _ = _kernel_terms(spec)
+    rows = _loo_sums(G, np.eye(spec.n)).reshape(-1, spec.n)  # the sums at the unit vectors
+    return [(tuple(row), 1.0) for row in rows.tolist()]
 
 
 def export_inequalities(spec: RegionSpec, path) -> None:

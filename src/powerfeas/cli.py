@@ -468,10 +468,6 @@ def cmd_solve(args) -> int:
 
 def cmd_region(args) -> int:
     config = load_config(args.config)
-    if config.n > 4 and not args.force_dim:
-        raise InvalidInputError(
-            f"region: {config.n} terminals exceeds the grid cost guard; use --force-dim"
-        )
     alpha_max = args.alpha_max if args.alpha_max is not None else float(config.receivers + 1)
     spec = config.region_spec(args.resolution, alpha_max)
     cloud = sample_region(spec, allow_large=args.force_dim)
@@ -625,7 +621,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

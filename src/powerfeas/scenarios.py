@@ -6,6 +6,15 @@ admission condition sharpest. ``feasibility_formula`` evaluates the same
 conditions in closed form, independently of the rule objects, so the two
 paths can cross-check each other.
 
+Every closed form is one kernel, ``_loo``: for each terminal j and
+receiver k the leave-one-out weighted sum over n != j of x_n * G[k, n],
+reduced over receivers by a max or by a d_j-th smallest. Scenarios differ
+only in the coefficients G, the point x, a per-terminal scale, an
+optional divisor and the reduction they pass in. The capacity module's
+region predicates and inequality export use the same kernel, so ``check``
+and ``region`` give the same verdict at the same targets; the rule
+objects stay the independent reference.
+
 Coordinate conventions:
 
 * single cell: "original" works on received powers P_i with update
@@ -24,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +63,31 @@ def kth_largest(values: Vector, m: int) -> float:
     if not 1 <= m <= arr.size:
         raise InvalidInputError(f"kth_largest: m={m} out of range for {arr.size} values")
     return float(arr[arr.size - m])
+
+
+def _reference_gains(gains, d, what: str) -> np.ndarray:
+    """d_j-th largest gain of each terminal j; ``gains`` is receiver-major (K x N).
+
+    The bounded multi-connection condition divides by these. Rejects orders
+    outside [1, K] and terminals in range of fewer than d_j receivers.
+    """
+    h = np.asarray(gains, dtype=float)
+    k, n = h.shape
+    order = np.asarray(d, dtype=int)
+    if order.shape != (n,):
+        raise InvalidInputError(f"{what}: one diversity order per terminal required")
+    bad = np.flatnonzero((order < 1) | (order > k))
+    if bad.size:
+        j = int(bad[0])
+        raise InvalidInputError(
+            f"{what}: diversity order {order[j]} for terminal {j + 1} must lie in [1, {k}]"
+        )
+    ref = np.sort(h, axis=0)[k - order, np.arange(n)]
+    bad = np.flatnonzero(ref <= 0.0)
+    if bad.size:
+        j = int(bad[0])
+        raise InvalidInputError(f"{what}: terminal {j + 1} is not in range of {order[j]} receivers")
+    return ref
 
 
 def _matrix_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
@@ -186,21 +219,9 @@ class MultiConnection:
         k = len(gains)
         if len(gains[0]) != n:
             raise InvalidInputError("MultiConnection: gain rows must have one column per terminal")
-        if len(d) != n:
-            raise InvalidInputError("MultiConnection: one diversity order per terminal required")
         if len(self.noise) != k:
             raise InvalidInputError("MultiConnection: one noise power per receiver required")
-        for j, dj in enumerate(d):
-            if not 1 <= dj <= k:
-                raise InvalidInputError(
-                    f"MultiConnection: diversity order {dj} for terminal {j + 1} "
-                    f"must lie in [1, {k}]"
-                )
-        for j in range(n):
-            if self.reference_gain(j) <= 0.0:
-                raise InvalidInputError(
-                    f"MultiConnection: terminal {j + 1} is not in range of {d[j]} receivers"
-                )
+        _reference_gains(gains, d, "MultiConnection")
 
     @property
     def n(self) -> int:
@@ -215,7 +236,7 @@ class MultiConnection:
 
     def reference_gain(self, j: int) -> float:
         """d_j-th largest gain of terminal j; the bounded mode divides by it."""
-        return kth_largest(self.column(j), self.d[j])
+        return float(_reference_gains(self.gains, self.d, "MultiConnection")[j])
 
 
 @dataclass(frozen=True)
@@ -366,10 +387,8 @@ def build_fixed_assignment(fa: FixedAssignment) -> System:
 
 def _mc_bounded_relative_gains(mc: MultiConnection) -> tuple[tuple[float, ...], np.ndarray]:
     """Reference gains h_j (d_j-th largest per terminal) and g_kj = h_kj / h_j."""
-    href = tuple(mc.reference_gain(j) for j in range(mc.n))
-    h = np.array(mc.gains, dtype=float)
-    g = h / np.array(href, dtype=float)[None, :]
-    return href, g
+    href = _reference_gains(mc.gains, mc.d, "MultiConnection")
+    return tuple(href.tolist()), np.array(mc.gains, dtype=float) / href
 
 
 def build_multi_connection(mc: MultiConnection, noiseless: bool) -> System:
@@ -455,7 +474,7 @@ def macro_diversity_exact_update(md: MacroDiversity, powers: Vector) -> np.ndarr
     if p.shape != (n,):
         raise InvalidInputError(f"macro_diversity_exact_update: expected {n} powers")
     h = md.gains.as_array()
-    interference = p @ h - p[:, None] * h  # Y_ik: leave-one-out received power
+    interference = _loo_sums(h.T, p[:, None])[:, :, 0]  # Y_ik: leave-one-out received power
     denom = interference + md.noise.as_array()[None, :]
     if np.any(denom <= 0.0):
         raise InvalidInputError(
@@ -471,16 +490,77 @@ def hanly(alphas: Vector, receivers: int) -> bool:
     return bool(arr.sum() < receivers)
 
 
-def _report(moduli: Sequence[float], receiver_of: Sequence[int | None]) -> FeasibilityReport:
-    vals = tuple(float(m) for m in moduli)
-    lam = max(vals)
-    term = vals.index(lam)
-    return FeasibilityReport(
-        per_terminal_modulus=vals,
-        modulus=lam,
-        feasible=lam < 1.0,
-        binding=(term, receiver_of[term]),
-    )
+_CHUNK = 1 << 19  # (terminal, receiver, point) sums the kernel holds at once
+
+
+def _loo_sums(G: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """s[j, k, p] = sum over n != j of G[k, n] * xt[n, p], shape (N, K, P).
+
+    The own term is left out, never subtracted from a total, and terms are
+    added in terminal order, so each entry rounds the same way whatever
+    else is in the batch. At the unit vectors (xt = I) s[j, :, m] is the
+    coefficient of x_m, exactly G[:, m] for m != j and 0 for m == j.
+    """
+    n = xt.shape[0]
+    sums = np.zeros((n, G.shape[0], xt.shape[1]))
+    for m in range(n):
+        term = G[:, m, None] * xt[m]
+        sums[:m] += term
+        sums[m + 1:] += term
+    return sums
+
+
+def _loo(G, x, scale=None, divisor=None, order=None):
+    """The leave-one-out kernel behind every closed-form admission condition.
+
+    ``G`` holds coefficients (K x N) and ``x`` is one point (N,) or a batch
+    (P, N). Per terminal j it reduces the sums s[j, k] of
+    :func:`_loo_sums` over receivers k, after dividing them by
+    ``divisor[j, k]`` (N x K) when given, a zero divisor making that
+    receiver's ratio infinite, never selected. Without ``order`` the
+    reduction is the max; with ``order`` (1-based ranks, one per terminal)
+    it is the order[j]-th smallest. The result is multiplied by ``scale``
+    (one factor per terminal) when given. Batches are evaluated ``_CHUNK``
+    sums at a time.
+
+    Returns (values, receivers), values shaped like ``x``. For one point
+    and the max reduction, receivers[j] is the argmax, terminal j's binding
+    receiver; otherwise receivers is None.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    p, n = pts.shape
+    values = np.empty((n, p))
+    step = max(1, _CHUNK // (n * G.shape[0]))
+    for start in range(0, p, step):
+        cols = slice(start, start + step)
+        sums = _loo_sums(G, pts[cols].T)
+        if divisor is not None:
+            div = divisor[:, :, None]
+            sums = np.divide(sums, div, out=np.full_like(sums, np.inf), where=div > 0.0)
+        if order is None:
+            values[:, cols] = sums.max(axis=1)
+        else:
+            values[:, cols] = np.sort(sums, axis=1)[np.arange(n), np.asarray(order) - 1]
+    if scale is not None:
+        values *= np.asarray(scale)[:, None]
+    if x.ndim == 2:
+        return values.T, None
+    # one point is one chunk, so ``sums`` still holds all of its sums
+    return values[:, 0], None if order is not None else sums[:, :, 0].argmax(axis=1)
+
+
+def _mc_terms(gains, d, noiseless: bool):
+    """Kernel inputs (G, divisor, order) of a multi-connection condition in the targets.
+
+    Exact noiseless: G = h, each sum divided by the terminal's own gain at
+    that receiver, d_j-th smallest. Bounded: G = h / (d_j-th largest gain
+    of each terminal), max over receivers.
+    """
+    h = np.array(gains, dtype=float)
+    if noiseless:
+        return h, h.T, np.asarray(d)
+    return h / _reference_gains(h, d, "MultiConnection"), None, None
 
 
 def feasibility_formula(
@@ -498,69 +578,34 @@ def feasibility_formula(
     """
     if coordinates not in ("original", "transformed"):
         raise InvalidInputError(f"feasibility_formula: unknown coordinates {coordinates!r}")
+    if not isinstance(scenario, (SingleCell, MacroDiversity, FixedAssignment, MultiConnection)):
+        raise InvalidInputError(
+            f"feasibility_formula: unsupported scenario {type(scenario).__name__}"
+        )
 
+    alphas = scenario.alphas.as_array()
+    ones = np.ones(scenario.n)
+    transformed = coordinates == "transformed"
+    divisor = order = None
     if isinstance(scenario, SingleCell):
-        alphas = scenario.alphas.as_array()
-        n = scenario.n
-        if coordinates == "transformed":
-            moduli = alphas.sum() - alphas
-        else:
-            moduli = alphas * (n - 1)
-        return _report(moduli.tolist(), [None] * n)
+        G = np.ones((1, scenario.n))
+        x, scale = (alphas, None) if transformed else (ones, alphas)
+    elif isinstance(scenario, MacroDiversity):
+        if transformed:  # alpha_n * g_nk
+            G, x, scale = scenario.gains.relative_array().T, alphas, None
+        else:  # (alpha_i / h_i) * h_nk
+            G, x, scale = scenario.gains.as_array().T, ones, alphas / scenario.gains.row_sums
+    elif isinstance(scenario, FixedAssignment):
+        # only the assigned receiver has a non-zero divisor, so the smallest
+        # ratio is alpha_j * (sum of other gains there) / own gain there
+        G, x, scale = np.array(scenario.gains, dtype=float), ones, alphas
+        served = np.arange(scenario.receivers) == np.array(scenario.assignment)[:, None]
+        divisor, order = np.where(served, G.T, 0.0), np.ones(scenario.n, dtype=int)
+    else:
+        G, divisor, order = _mc_terms(scenario.gains, scenario.d, noiseless)
+        x, scale = alphas, None
 
-    if isinstance(scenario, MacroDiversity):
-        alphas = scenario.alphas.as_array()
-        n, k = scenario.n, scenario.receivers
-        per_ik = np.empty((n, k))
-        # direct leave-one-out sums, not total-minus-own: keeps the exact
-        # float values of the per-terminal conditions
-        if coordinates == "transformed":
-            weights = alphas[:, None] * scenario.gains.relative_array()  # alpha_n * g_nk
-            for i in range(n):
-                per_ik[i] = np.delete(weights, i, axis=0).sum(axis=0)
-        else:
-            h = scenario.gains.as_array()
-            scale = alphas / np.array(scenario.gains.row_sums)
-            for i in range(n):
-                per_ik[i] = np.delete(scale[i] * h, i, axis=0).sum(axis=0)
-        moduli = per_ik.max(axis=1)
-        receivers = per_ik.argmax(axis=1)
-        return _report(moduli.tolist(), [int(r) for r in receivers])
-
-    if isinstance(scenario, FixedAssignment):
-        n = scenario.n
-        moduli = []
-        for j in range(n):
-            a = scenario.assignment[j]
-            own = scenario.gains[a][j]
-            total = sum(scenario.gains[a][i] for i in range(n) if i != j)
-            moduli.append(scenario.alphas[j] * total / own)
-        return _report(moduli, [None] * n)
-
-    if isinstance(scenario, MultiConnection):
-        n, k = scenario.n, scenario.receivers
-        alphas = scenario.alphas.as_array()
-        h = np.array(scenario.gains, dtype=float)
-        if noiseless:
-            moduli = []
-            for j in range(n):
-                ratios = []
-                for kk in range(k):
-                    if h[kk, j] > 0.0:
-                        ratios.append(
-                            sum(alphas[i] * h[kk, i] for i in range(n) if i != j) / h[kk, j]
-                        )
-                    else:
-                        ratios.append(math.inf)
-                moduli.append(kth_smallest(ratios, scenario.d[j]))
-            return _report(moduli, [None] * n)
-        _, g = _mc_bounded_relative_gains(scenario)
-        weights = g * alphas[None, :]  # gamma_i * g_ki
-        per_jk = np.empty((n, k))
-        for j in range(n):
-            per_jk[j] = np.delete(weights, j, axis=1).sum(axis=1)
-        moduli = per_jk.max(axis=1)
-        receivers = per_jk.argmax(axis=1)
-        return _report(moduli.tolist(), [int(r) for r in receivers])
-
-    raise InvalidInputError(f"feasibility_formula: unsupported scenario {type(scenario).__name__}")
+    moduli, receivers = _loo(G, x, scale, divisor, order)
+    term = int(np.argmax(moduli))
+    named = receivers is not None and not isinstance(scenario, SingleCell)
+    return FeasibilityReport.from_moduli(moduli, int(receivers[term]) if named else None, term)

@@ -1,5 +1,10 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from powerfeas import scenarios
 
 from powerfeas.capacity import (
     RegionSpec,
@@ -24,6 +29,7 @@ from powerfeas.scenarios import (
     build_macro_diversity_transformed,
     build_multi_connection,
     build_single_cell_transformed,
+    feasibility_formula,
 )
 
 SYMMETRIC_GAINS = ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
@@ -85,8 +91,13 @@ class TestPredicates:
     def test_symmetric_macro_div_equals_leave_one_out_below_receivers(self):
         spec = spec_macro(SYMMETRIC_GAINS)
         cloud = sample_region(spec)
-        loo = cloud.alphas.sum(axis=1, keepdims=True) - cloud.alphas
-        assert np.array_equal(cloud.feasible, (loo < 2.0).all(axis=1))
+        # exact rational sums: a float total-minus-own rounds some grid points
+        # that sit exactly on the boundary (0.5 + 1.5 = 2) to just inside it
+        exact = [
+            all(sum(map(Fraction, row)) - Fraction(v) < 2 for v in row)
+            for row in cloud.alphas.tolist()
+        ]
+        assert np.array_equal(cloud.feasible, exact)
         assert evaluate_predicate(spec, np.array([[0.99, 0.99, 0.99]]))[0]
 
     def test_asymmetric_boundary_points(self):
@@ -139,6 +150,26 @@ class TestPredicates:
             feas_shrunk = evaluate_predicate(spec, shrink)
             assert np.all(feas_shrunk[feas])  # shrinking targets keeps feasibility
 
+    def test_mc_exact_memory_bounded_across_chunks(self):
+        rng = np.random.default_rng(17)
+        gains = tuple(map(tuple, rng.uniform(0.1, 2.0, size=(16, 4))))
+        spec = RegionSpec("mc_exact", n=4, resolution=21, alpha_max=0.06,
+                          gains=gains, d=(1, 4, 8, 16))
+        pts = spec.grid()
+        tracemalloc.start()
+        try:
+            feas = evaluate_predicate(spec, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert 0 < feas.sum() < feas.size
+        step = scenarios._CHUNK // (4 * 16)  # points per chunk at N=4, K=16
+        edges = [i for c in range(step, len(pts), step) for i in (c - 1, c)]
+        by_point = [evaluate_predicate(spec, pts[i])[0] for i in edges]
+        assert by_point == feas[edges].tolist()
+        assert len(set(by_point)) == 2
+
 
 class TestEngineAgreement:
     def test_macro_div_one_percent_subsample(self):
@@ -190,6 +221,45 @@ class TestEngineAgreement:
                 )
                 engine = contraction_modulus(build_multi_connection(mc, noiseless=noiseless))
                 assert engine.feasible == bool(cloud.feasible[i])
+
+
+def boundary_cases(predicate, rng, n=4, k=3):
+    """A spec and targets scaled onto its float boundary, with a scenario maker per point."""
+    gains, d, kwargs = None, None, {}
+    if predicate == "simple":
+        def make(a):
+            return SingleCell(alphas=QosVector(tuple(a)), gains=(1.0,) * n, sigma=1.0)
+    elif predicate == "macro_div":
+        gains = tuple(map(tuple, rng.uniform(0.05, 2.0, size=(n, k))))
+
+        def make(a):
+            return MacroDiversity(alphas=QosVector(tuple(a)), gains=GainMatrix(gains),
+                                  noise=NoiseVector((1.0,) * k))
+    else:
+        gains = tuple(map(tuple, rng.uniform(0.05, 2.0, size=(k, n))))
+        d = tuple(int(v) for v in rng.integers(1, k + 1, size=n))
+        kwargs = {"noiseless": predicate == "mc_exact"}
+
+        def make(a):
+            return MultiConnection(alphas=QosVector(tuple(a)), gains=gains, d=d,
+                                   noise=NoiseVector((1.0,) * k))
+    spec = RegionSpec(predicate, n=n, resolution=2, alpha_max=1.0, gains=gains, d=d)
+    raw = rng.uniform(0.1, 1.0, size=(50, n))
+    pts = np.array([a / feasibility_formula(make(a), **kwargs).modulus for a in raw])
+    return spec, pts, lambda a: feasibility_formula(make(a), **kwargs)
+
+
+class TestFormulaAgreement:
+    @pytest.mark.parametrize("predicate", ["simple", "macro_div", "mc_bounded", "mc_exact"])
+    def test_check_and_region_verdicts_agree_on_the_boundary(self, predicate):
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for _ in range(10):
+            spec, pts, formula = boundary_cases(predicate, rng)
+            feas = evaluate_predicate(spec, pts)
+            assert feas.tolist() == [formula(p).feasible for p in pts]
+            verdicts.update(feas.tolist())
+        assert verdicts == {True, False}  # the draws straddle the boundary
 
 
 class TestCompare:

@@ -74,6 +74,18 @@ class TestCheck:
         assert payload["modulus"] == pytest.approx(0.99)
         assert payload["binding"]["terminal"] == 1
 
+    @pytest.mark.parametrize("key", ["n", "k", "max_iter"])
+    def test_overflowing_integer_exit_one(self, tmp_path, capsys, key):
+        doc = symmetric_doc()
+        if key == "max_iter":
+            doc["solver"] = {"max_iter": 1e400}
+        else:
+            doc[key] = 1e400
+        code = main(["check", write_config(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_multi_connection_reports_both_conditions(self, capsys):
         code = main(["check", str(REPO_CONFIGS / "multi_connection.json")])
         out = capsys.readouterr().out
@@ -177,7 +189,7 @@ class TestRegion:
         assert lines[0] == "coef_1,coef_2,coef_3,rhs,relation"
         assert len(lines) == 7  # 3 terminals x 2 receivers
 
-    def test_dimension_guard(self, tmp_path):
+    def test_dimension_guard(self, tmp_path, capsys):
         doc = {
             "scenario": "single_cell",
             "alphas": [0.1] * 5,
@@ -187,8 +199,33 @@ class TestRegion:
         path = write_config(tmp_path, doc)
         assert main(["region", path, "--resolution", "2",
                      "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "allow_large" in err and "--force-dim" in err
         assert main(["region", path, "--resolution", "2",
                      "--out", str(tmp_path / "c.csv"), "--force-dim"]) == 0
+        doc.update(alphas=[0.1] * 4, gains=[1.0] * 4)
+        assert main(["region", write_config(tmp_path, doc), "--resolution", "2",
+                     "--out", str(tmp_path / "c.csv")]) == 0
+
+    @pytest.mark.parametrize("doc", [
+        dict(symmetric_doc(), gains=[[1.0, float("nan")], [1.0, 1.0], [1.0, 1.0]]),
+        {
+            "scenario": "multi_connection",
+            "alphas": [0.3, 0.3],
+            "gains": [[1.0, float("inf")], [0.5, 1.0]],
+            "sigma": [1.0, 1.0],
+            "d": [1, 1],
+        },
+    ], ids=["macro_diversity_nan", "multi_connection_infinity"])
+    def test_non_finite_gains_rejected(self, tmp_path, capsys, doc):
+        path = write_config(tmp_path, doc)
+        assert main(["region", path, "--resolution", "2",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+        assert main(["check", path]) == 1
 
 
 class TestAxioms:
