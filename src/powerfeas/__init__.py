@@ -52,6 +52,7 @@ from .engine import (
 )
 from .scenarios import (
     FixedAssignment,
+    LeaveOneOutMap,
     MacroDiversity,
     MinSelectionRule,
     MultiConnection,
@@ -66,6 +67,7 @@ from .scenarios import (
     hanly,
     kth_largest,
     kth_smallest,
+    leave_one_out_map,
     macro_diversity_exact_update,
     mc_exact_rules_in_bounded_coords,
 )

@@ -29,6 +29,8 @@ PREDICATES = ("simple", "macro_div", "mc_exact", "mc_bounded", "hanly")
 
 MAX_GRID_DIM = 4
 
+_EXPORT_ROWS = 1 << 16  # cloud CSV rows formatted at once
+
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -204,13 +206,25 @@ def compare_regions(a: RegionCloud, b: RegionCloud) -> RegionComparison:
 
 
 def export_cloud(cloud: RegionCloud, path) -> None:
-    """CSV dump: alpha_1..alpha_N,feasible with full-precision values."""
+    """CSV dump: alpha_1..alpha_N,feasible with full-precision values.
+
+    Each distinct value is formatted once (by bit pattern, so -0.0 keeps
+    its sign) and rows are joined ``_EXPORT_ROWS`` at a time; the bytes are
+    those of ``csv.writer`` with one ``repr`` per value.
+    """
     n = cloud.spec.n
+    values = np.asarray(cloud.alphas, dtype=float)
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()] + ["0", "1"], dtype=object)
+    index = index.reshape(values.shape)
+    flags = cloud.feasible.astype(np.intp) + bits.size
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"alpha_{i + 1}" for i in range(n)] + ["feasible"])
-        for row, flag in zip(cloud.alphas, cloud.feasible):
-            writer.writerow([repr(float(v)) for v in row] + [int(flag)])
+        csv.writer(fh).writerow([f"alpha_{i + 1}" for i in range(n)] + ["feasible"])
+        for start in range(0, len(flags), _EXPORT_ROWS):
+            rows = slice(start, start + _EXPORT_ROWS)
+            cols = [text[index[rows, i]].tolist() for i in range(n)]
+            cols.append(text[flags[rows]].tolist())
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 def region_inequalities(spec: RegionSpec) -> list[tuple[tuple[float, ...], float]]:

@@ -3,6 +3,10 @@
 Configs are JSON documents; see the README for the schema. Exit codes are
 a stable contract: 0 ok/feasible, 1 input error, 2 infeasible or axiom
 failure, 3 non-convergence of a (typically forced) iteration run.
+
+``check`` certifies a config with the closed form and ``solve`` iterates
+the array update map (``scenarios.leave_one_out_map``); neither builds
+rule objects, which stay the library's independent reference.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .engine import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOLERANCE,
     SolveConfig,
-    System,
     contraction_modulus,
     solve,
     write_trace_csv,
@@ -48,16 +51,12 @@ from .engine import (
 from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
 from .scenarios import (
     FixedAssignment,
+    LeaveOneOutMap,
     MacroDiversity,
     MultiConnection,
     SingleCell,
-    build_fixed_assignment,
-    build_macro_diversity,
-    build_macro_diversity_transformed,
-    build_multi_connection,
-    build_single_cell_received,
-    build_single_cell_transformed,
     feasibility_formula,
+    leave_one_out_map,
 )
 
 EXIT_OK = 0
@@ -214,6 +213,8 @@ class ScenarioConfig:
         solver = SolverSettings()
         if "solver" in doc:
             sdoc = doc["solver"]
+            if not isinstance(sdoc, dict):
+                raise InvalidInputError("config: solver must be an object")
             unknown = set(sdoc) - {"tolerance", "max_iter", "initial"}
             if unknown:
                 raise InvalidInputError(f"config: unknown solver keys {sorted(unknown)}")
@@ -289,26 +290,19 @@ class ScenarioConfig:
             alphas=qos, gains=self.gains, d=self.d, noise=NoiseVector(self.sigma)
         )
 
-    def build(self) -> System:
-        sc = self.scenario()
-        if self.kind == "single_cell":
-            if self.coordinates == "original":
-                return build_single_cell_received(sc)
-            return build_single_cell_transformed(sc)
-        if self.kind == "macro_diversity":
-            if self.coordinates == "original":
-                return build_macro_diversity(sc)
-            return build_macro_diversity_transformed(sc)
-        if self.kind == "fixed_assignment":
-            return build_fixed_assignment(sc)
-        return build_multi_connection(sc, noiseless=self.mode == "exact_noiseless")
+    def _map_options(self) -> dict:
+        return {
+            "coordinates": self.coordinates or "transformed",
+            "noiseless": self.mode == "exact_noiseless",
+        }
+
+    def build(self) -> LeaveOneOutMap:
+        """The update map ``solve`` iterates, in array form."""
+        return leave_one_out_map(self.scenario(), **self._map_options())
 
     def formula(self) -> FeasibilityReport:
-        return feasibility_formula(
-            self.scenario(),
-            coordinates=self.coordinates or "transformed",
-            noiseless=self.mode == "exact_noiseless",
-        )
+        """The admission certificate ``check`` reports: the map at the all-ones vector."""
+        return feasibility_formula(self.scenario(), **self._map_options())
 
     def region_spec(self, resolution: int, alpha_max: float) -> RegionSpec:
         if self.kind == "single_cell":
@@ -383,14 +377,7 @@ def _report_json(report: FeasibilityReport) -> dict:
 
 def cmd_check(args) -> int:
     config = load_config(args.config)
-    report = contraction_modulus(config.build())
-    formula = config.formula()
-    if abs(formula.modulus - report.modulus) > 1e-12:
-        print(
-            f"warning: closed-form modulus {_fmt(formula.modulus)} deviates from "
-            f"rule evaluation {_fmt(report.modulus)}",
-            file=sys.stderr,
-        )
+    report = config.formula()
     if args.json:
         print(json.dumps(_report_json(report)))
     else:

@@ -5,6 +5,10 @@ applies every rule synchronously to the previous iterate; when each rule's
 function evaluates below 1 at the all-ones vector, the map is a contraction
 in the sup norm with modulus equal to the largest such value, so Picard
 iteration converges to the unique fixed point from any starting vector.
+
+``contraction_modulus`` and ``solve`` take any update map with ``n``,
+``step(x)`` and ``certificate()``: a :class:`System` of rule objects, or
+the array form ``scenarios.LeaveOneOutMap`` that the CLI iterates.
 """
 
 from __future__ import annotations
@@ -67,6 +71,29 @@ class System:
             out[i] = rule.f(remove_component(x, i)) + rule.offset
         return out
 
+    def certificate(self) -> FeasibilityReport:
+        """Every rule at the all-ones vector; see :func:`contraction_modulus`."""
+        ones = np.ones(self.n - 1)
+        moduli = []
+        for rule in self.rules:
+            value = float(rule.f(ones))
+            if not math.isfinite(value):
+                raise InvalidFunctionError(
+                    f"contraction_modulus: rule for terminal {rule.terminal_index + 1} "
+                    f"is {value} at the all-ones vector"
+                )
+            moduli.append(value)
+        lam = max(moduli)
+        term = moduli.index(lam)
+        binder = getattr(self.rules[term].f, "binding_inner", None)
+        receiver = binder(ones) if binder is not None else None
+        return FeasibilityReport(
+            per_terminal_modulus=tuple(moduli),
+            modulus=lam,
+            feasible=lam < 1.0,
+            binding=(term, receiver),
+        )
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -94,42 +121,24 @@ def lift_rule(f: Callable[[np.ndarray], float], i: int) -> Callable[[np.ndarray]
     return lifted
 
 
-def contraction_modulus(system: System) -> FeasibilityReport:
-    """Evaluate every rule at the all-ones vector and report the maximum.
+def contraction_modulus(system) -> FeasibilityReport:
+    """Evaluate every terminal's rule at the all-ones vector and report the maximum.
 
     The system is feasible exactly when the maximum is below 1 (strictly);
     the binding entry names the terminal attaining it, plus the receiver
-    when the rule exposes one.
+    when the rule exposes one. A :class:`System` calls its rules one by
+    one; an array map evaluates the same values in closed form.
     """
-    ones = np.ones(system.n - 1)
-    moduli = []
-    for rule in system.rules:
-        value = float(rule.f(ones))
-        if not math.isfinite(value):
-            raise InvalidFunctionError(
-                f"contraction_modulus: rule for terminal {rule.terminal_index + 1} "
-                f"is {value} at the all-ones vector"
-            )
-        moduli.append(value)
-    lam = max(moduli)
-    term = moduli.index(lam)
-    binder = getattr(system.rules[term].f, "binding_inner", None)
-    receiver = binder(ones) if binder is not None else None
-    return FeasibilityReport(
-        per_terminal_modulus=tuple(moduli),
-        modulus=lam,
-        feasible=lam < 1.0,
-        binding=(term, receiver),
-    )
+    return system.certificate()
 
 
 def solve(
-    system: System,
+    system,
     config: SolveConfig = SolveConfig(),
     *,
     force: bool = False,
 ) -> tuple[PowerVector, IterationTrace]:
-    """Run synchronous Picard iteration to the fixed point.
+    """Run synchronous Picard iteration of an update map to the fixed point.
 
     Refuses to start when the contraction modulus is >= 1 unless ``force``
     is set; forced runs are annotated ``certified=False`` in the trace and

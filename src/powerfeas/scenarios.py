@@ -2,9 +2,10 @@
 
 Each builder turns a scenario description into a :class:`System` whose
 rules come from the norm-like family, in the coordinates that make the
-admission condition sharpest. ``feasibility_formula`` evaluates the same
-conditions in closed form, independently of the rule objects, so the two
-paths can cross-check each other.
+admission condition sharpest. ``leave_one_out_map`` builds the same update
+map as arrays, a :class:`LeaveOneOutMap`, straight from numpy: that is the
+map the CLI iterates, and ``feasibility_formula`` is its certificate. The
+rule objects stay the independent reference the tests compare it with.
 
 Every closed form is one kernel, ``_loo``: for each terminal j and
 receiver k the leave-one-out weighted sum over n != j of x_n * G[k, n],
@@ -12,8 +13,7 @@ reduced over receivers by a max or by a d_j-th smallest. Scenarios differ
 only in the coefficients G, the point x, a per-terminal scale, an
 optional divisor and the reduction they pass in. The capacity module's
 region predicates and inequality export use the same kernel, so ``check``
-and ``region`` give the same verdict at the same targets; the rule
-objects stay the independent reference.
+and ``region`` give the same verdict at the same targets.
 
 Coordinate conventions:
 
@@ -563,6 +563,136 @@ def _mc_terms(gains, d, noiseless: bool):
     return h / _reference_gains(h, d, "MultiConnection"), None, None
 
 
+@dataclass(frozen=True, eq=False)
+class LeaveOneOutMap:
+    """A scenario's update map as arrays: one leave-one-out sum per terminal and receiver.
+
+    ``step(x)[j] = scale[j] * reduce over k of (sum over n != j of
+    G[k, n] * x_n) / divisor[j, k] + c[j]``. ``G`` (K x N) holds the
+    coefficients in the iterate's coordinates; ``scale`` (N), ``divisor``
+    (N x K) and ``order`` (N, 1-based ranks) are optional. The reduction is
+    the max, or the order[j]-th smallest when ``order`` is given; a zero
+    divisor makes that receiver's ratio infinite, never selected.
+
+    The map is the same one the ``build_*`` rule objects apply, one call per
+    terminal, and its certificate is the map at the all-ones vector without
+    ``c``. ``names_receiver`` is False for a single cell, which has no
+    receiver to name in the binding pair.
+    """
+
+    G: np.ndarray
+    c: np.ndarray
+    scale: np.ndarray | None = None
+    divisor: np.ndarray | None = None
+    order: np.ndarray | None = None
+    names_receiver: bool = True
+
+    def __post_init__(self):
+        k, n = np.shape(self.G)
+        if n < 2:
+            raise InvalidInputError("LeaveOneOutMap: need at least two terminals")
+        for name, shape, dtype in (("G", (k, n), float), ("c", (n,), float), ("scale", (n,), float),
+                                   ("divisor", (n, k), float), ("order", (n,), int)):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            arr = np.array(value, dtype=dtype)
+            if arr.shape != shape:
+                raise InvalidInputError(f"LeaveOneOutMap: {name} must have shape {shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.order is not None and np.any((self.order < 1) | (self.order > k)):
+            raise InvalidInputError(f"LeaveOneOutMap: orders must lie in [1, {k}]")
+
+    @property
+    def n(self) -> int:
+        return self.G.shape[1]
+
+    def step(self, x: Vector) -> np.ndarray:
+        """One synchronous update in O(N*K): the total per receiver minus each own term.
+
+        Each sum's rounding error is then relative to its receiver's total,
+        at most twice the largest leave-one-out sum there, so a sum much
+        smaller than its own term carries a larger relative error.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise InvalidInputError(f"LeaveOneOutMap: expected {self.n} powers, got shape {x.shape}")
+        # with x >= 0 the rounded total is never below an own term, so sums >= 0
+        sums = (self.G @ x)[:, None] - self.G * x  # (K, N)
+        if self.divisor is not None:
+            div = self.divisor.T
+            sums = np.divide(sums, div, out=np.full_like(sums, np.inf), where=div > 0.0)
+        if self.order is None:
+            out = sums.max(axis=0)
+        else:
+            out = np.sort(sums, axis=0)[self.order - 1, np.arange(self.n)]
+        if self.scale is not None:
+            out *= self.scale
+        return out + self.c
+
+    def certificate(self) -> FeasibilityReport:
+        """The map without offsets at the all-ones vector, by the :func:`_loo` kernel."""
+        moduli, receivers = _loo(self.G, np.ones(self.n), self.scale, self.divisor, self.order)
+        term = int(np.argmax(moduli))
+        named = receivers is not None and self.names_receiver
+        return FeasibilityReport.from_moduli(moduli, int(receivers[term]) if named else None, term)
+
+
+def leave_one_out_map(
+    scenario,
+    *,
+    coordinates: str = "transformed",
+    noiseless: bool = False,
+) -> LeaveOneOutMap:
+    """The scenario's update map in array form, no rule objects involved.
+
+    ``coordinates`` selects the original or transformed map for the
+    single-cell and macro-diversity scenarios; ``noiseless`` selects the
+    exact (order-statistic) versus bounded map for multi-connection. The
+    coordinates are those of the matching ``build_*`` system.
+    """
+    if coordinates not in ("original", "transformed"):
+        raise InvalidInputError(f"leave_one_out_map: unknown coordinates {coordinates!r}")
+    if not isinstance(scenario, (SingleCell, MacroDiversity, FixedAssignment, MultiConnection)):
+        raise InvalidInputError(
+            f"leave_one_out_map: unsupported scenario {type(scenario).__name__}"
+        )
+
+    # Coefficients fold the targets in as G[k, n] * alpha_n, the product the
+    # kernel forms at x = alpha, so the certificate at x = 1 rounds alike.
+    alphas = scenario.alphas.as_array()
+    n = scenario.n
+    transformed = coordinates == "transformed"
+    scale = divisor = order = None
+    if isinstance(scenario, SingleCell):
+        if transformed:  # alpha_n
+            G, c = alphas[None, :], np.full(n, scenario.sigma)
+        else:  # scale alpha_i, coefficients 1
+            G, scale, c = np.ones((1, n)), alphas, scenario.sigma * alphas
+    elif isinstance(scenario, MacroDiversity):
+        sigma_hat = scenario.noise.max()
+        if transformed:  # alpha_n * g_nk
+            G, c = scenario.gains.relative_array().T * alphas, np.full(n, sigma_hat)
+        else:  # (alpha_i / h_i) * h_nk
+            scale = alphas / np.array(scenario.gains.row_sums)
+            G, c = scenario.gains.as_array().T, scale * sigma_hat
+    elif isinstance(scenario, FixedAssignment):
+        # only the assigned receiver has a non-zero divisor, so the smallest
+        # ratio is alpha_j * (sum of other gains there) / own gain there
+        G, scale = np.array(scenario.gains, dtype=float), alphas
+        assigned = np.array(scenario.assignment)
+        served = np.arange(scenario.receivers) == assigned[:, None]
+        divisor, order = np.where(served, G.T, 0.0), np.ones(n, dtype=int)
+        c = alphas * scenario.noise.as_array()[assigned] / G[assigned, np.arange(n)]
+    else:  # alpha_i * h_ki, over h_kj (exact) or over the d_i-th largest gain (bounded)
+        G, divisor, order = _mc_terms(scenario.gains, scenario.d, noiseless)
+        G = G * alphas
+        c = np.zeros(n) if noiseless else np.full(n, scenario.noise.max())
+    named = not isinstance(scenario, SingleCell)
+    return LeaveOneOutMap(G, c, scale, divisor, order, names_receiver=named)
+
+
 def feasibility_formula(
     scenario,
     *,
@@ -571,41 +701,7 @@ def feasibility_formula(
 ) -> FeasibilityReport:
     """Closed-form admission condition for a scenario, no rule objects involved.
 
-    ``coordinates`` selects the original or transformed condition for the
-    single-cell and macro-diversity scenarios; ``noiseless`` selects the
-    exact (order-statistic) versus bounded condition for multi-connection.
+    The certificate of :func:`leave_one_out_map` with the same arguments.
     Must agree with ``contraction_modulus`` of the matching build to 1e-12.
     """
-    if coordinates not in ("original", "transformed"):
-        raise InvalidInputError(f"feasibility_formula: unknown coordinates {coordinates!r}")
-    if not isinstance(scenario, (SingleCell, MacroDiversity, FixedAssignment, MultiConnection)):
-        raise InvalidInputError(
-            f"feasibility_formula: unsupported scenario {type(scenario).__name__}"
-        )
-
-    alphas = scenario.alphas.as_array()
-    ones = np.ones(scenario.n)
-    transformed = coordinates == "transformed"
-    divisor = order = None
-    if isinstance(scenario, SingleCell):
-        G = np.ones((1, scenario.n))
-        x, scale = (alphas, None) if transformed else (ones, alphas)
-    elif isinstance(scenario, MacroDiversity):
-        if transformed:  # alpha_n * g_nk
-            G, x, scale = scenario.gains.relative_array().T, alphas, None
-        else:  # (alpha_i / h_i) * h_nk
-            G, x, scale = scenario.gains.as_array().T, ones, alphas / scenario.gains.row_sums
-    elif isinstance(scenario, FixedAssignment):
-        # only the assigned receiver has a non-zero divisor, so the smallest
-        # ratio is alpha_j * (sum of other gains there) / own gain there
-        G, x, scale = np.array(scenario.gains, dtype=float), ones, alphas
-        served = np.arange(scenario.receivers) == np.array(scenario.assignment)[:, None]
-        divisor, order = np.where(served, G.T, 0.0), np.ones(scenario.n, dtype=int)
-    else:
-        G, divisor, order = _mc_terms(scenario.gains, scenario.d, noiseless)
-        x, scale = alphas, None
-
-    moduli, receivers = _loo(G, x, scale, divisor, order)
-    term = int(np.argmax(moduli))
-    named = receivers is not None and not isinstance(scenario, SingleCell)
-    return FeasibilityReport.from_moduli(moduli, int(receivers[term]) if named else None, term)
+    return leave_one_out_map(scenario, coordinates=coordinates, noiseless=noiseless).certificate()

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from powerfeas import scenarios
 
 from powerfeas.capacity import (
+    RegionCloud,
     RegionSpec,
     compare_regions,
     evaluate_predicate,
@@ -335,6 +337,24 @@ class TestExport:
         with open(path) as fh:
             rows = sum(1 for _ in fh)
         assert rows == 61**3 + 1  # header + one row per grid point
+
+    @pytest.mark.parametrize("which", ["grid", "odd_values"])
+    def test_bytes_equal_csv_writer_with_repr(self, tmp_path, which):
+        if which == "grid":  # 61^3 rows: several export chunks
+            cloud = sample_region(spec_macro(ASYMMETRIC_GAINS, resolution=61))
+        else:  # signed zeros, non-finite and subnormal values, each kept as repr shows it
+            values = np.array([[-0.0, 0.0], [np.nan, np.inf], [5e-324, -np.inf],
+                               [0.1, 0.30000000000000004]])
+            cloud = RegionCloud(RegionSpec("simple", n=2, resolution=2, alpha_max=1.0),
+                                values, np.array([True, False, False, True]))
+        path, reference = tmp_path / "cloud.csv", tmp_path / "reference.csv"
+        export_cloud(cloud, path)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"alpha_{i + 1}" for i in range(cloud.spec.n)] + ["feasible"])
+            for row, flag in zip(cloud.alphas, cloud.feasible):
+                writer.writerow([repr(float(v)) for v in row] + [int(flag)])
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_inequalities_simple(self, tmp_path):
         rows = region_inequalities(RegionSpec("simple", n=3, resolution=2, alpha_max=1.0))

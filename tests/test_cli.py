@@ -1,6 +1,8 @@
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from powerfeas.cli import load_config, main, save_config
@@ -74,17 +76,45 @@ class TestCheck:
         assert payload["modulus"] == pytest.approx(0.99)
         assert payload["binding"]["terminal"] == 1
 
-    @pytest.mark.parametrize("key", ["n", "k", "max_iter"])
+    @pytest.mark.parametrize("key", ["n", "k", "max_iter", "solver_list", "solver_key_list"])
     def test_overflowing_integer_exit_one(self, tmp_path, capsys, key):
         doc = symmetric_doc()
         if key == "max_iter":
             doc["solver"] = {"max_iter": 1e400}
+        elif key == "solver_list":
+            doc["solver"] = []
+        elif key == "solver_key_list":
+            doc["solver"] = ["tolerance"]
         else:
             doc[key] = 1e400
-        code = main(["check", write_config(tmp_path, doc)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+        path = write_config(tmp_path, doc)
+        for command in ("check", "solve"):
+            code = main([command, path])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_check_memory_stays_linear(self, tmp_path, capsys):
+        # the certificate needs O(N*K) memory; N*K rule objects would take
+        # about 100 MB here
+        rng = np.random.default_rng(17)
+        n, k = 400, 16
+        doc = {
+            "scenario": "macro_diversity",
+            "alphas": (rng.uniform(0.5, 1.0, n) * 8.0 / n).tolist(),
+            "gains": rng.uniform(0.1, 2.0, (n, k)).tolist(),
+            "sigma": [1.0] * k,
+        }
+        path = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            code = main(["check", path, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 2)
+        assert json.loads(capsys.readouterr().out)["binding"]["receiver"] is not None
+        assert peak < 32 * 2**20
 
     def test_multi_connection_reports_both_conditions(self, capsys):
         code = main(["check", str(REPO_CONFIGS / "multi_connection.json")])

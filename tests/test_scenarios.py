@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from powerfeas.scenarios import (
     hanly,
     kth_largest,
     kth_smallest,
+    leave_one_out_map,
     macro_diversity_exact_update,
     mc_exact_rules_in_bounded_coords,
 )
@@ -502,6 +505,103 @@ class TestFormulaEngineAgreement:
         )
         # while the gain-blind baseline even admits target sums up to 3
         assert hanly(degenerate.alphas.as_array(), 3)
+
+
+def random_fa(rng):
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(1, 5))
+    gains = rng.uniform(0.05, 2.0, size=(k, n))
+    return FixedAssignment(
+        alphas=QosVector(tuple(rng.uniform(0.2, 1.0, size=n))),
+        gains=tuple(map(tuple, gains)),
+        assignment=tuple(int(a) for a in rng.integers(0, k, size=n)),
+        noise=NoiseVector(tuple(rng.uniform(0.1, 1.0, size=k))),
+    )
+
+
+def random_sc(rng):
+    n = int(rng.integers(2, 7))
+    return SingleCell(
+        alphas=QosVector(tuple(rng.uniform(0.2, 1.0, size=n))),
+        gains=tuple(rng.uniform(0.5, 2.0, size=n)),
+        sigma=float(rng.uniform(0.1, 2.0)),
+    )
+
+
+# (scenario draw, map options, independent rule-object build) per coordinate system / mode
+MAP_CASES = {
+    "single_cell-transformed": (random_sc, {}, build_single_cell_transformed),
+    "single_cell-original": (random_sc, {"coordinates": "original"}, build_single_cell_received),
+    "macro_diversity-transformed": (
+        lambda rng: random_md(rng, 0.5), {}, build_macro_diversity_transformed),
+    "macro_diversity-original": (
+        lambda rng: random_md(rng, 0.5), {"coordinates": "original"}, build_macro_diversity),
+    "fixed_assignment": (random_fa, {}, build_fixed_assignment),
+    "multi_connection-bounded": (
+        lambda rng: random_mc(rng, 0.5), {},
+        lambda mc: build_multi_connection(mc, noiseless=False)),
+    "multi_connection-exact_noiseless": (
+        lambda rng: random_mc(rng, 0.5), {"noiseless": True},
+        lambda mc: build_multi_connection(mc, noiseless=True)),
+}
+
+
+class TestLeaveOneOutMap:
+    """The array map against the rule objects, which stay an independent reference."""
+
+    @staticmethod
+    def draws(case, count=8):
+        draw, options, build = MAP_CASES[case]
+        rng = np.random.default_rng(sorted(MAP_CASES).index(case) + 71)
+        for _ in range(count):
+            scenario = draw(rng)
+            # every modulus is linear in the targets: rescale to lambda in [0.3, 0.95]
+            lam = feasibility_formula(scenario, **options).modulus
+            target = float(rng.uniform(0.3, 0.95))
+            alphas = QosVector(tuple(a * target / lam for a in scenario.alphas))
+            scenario = dataclasses.replace(scenario, alphas=alphas)
+            yield rng, scenario, leave_one_out_map(scenario, **options), build(scenario), options
+
+    @pytest.mark.parametrize("case", sorted(MAP_CASES))
+    def test_step_matches_rule_objects(self, case):
+        for rng, _, array_map, system, _ in self.draws(case):
+            n = array_map.n
+            points = [np.zeros(n), np.ones(n), *np.eye(n)]
+            for _ in range(6):
+                x = rng.uniform(0.5, 5.0, size=n)
+                x[rng.random(n) < 0.4] = 0.0
+                points.append(x)
+            for x in points:
+                step = array_map.step(x)
+                np.testing.assert_allclose(step, system.step(x), rtol=1e-12, atol=0.0)
+                assert np.all(step >= 0.0)
+
+    @pytest.mark.parametrize("case", sorted(MAP_CASES))
+    def test_certificate_is_the_formula_and_the_rule_modulus(self, case):
+        for _, scenario, array_map, system, options in self.draws(case):
+            certificate = contraction_modulus(array_map)
+            assert certificate == feasibility_formula(scenario, **options)
+            rules = contraction_modulus(system)
+            np.testing.assert_allclose(
+                certificate.per_terminal_modulus, rules.per_terminal_modulus, rtol=0.0, atol=1e-12
+            )
+            assert certificate.feasible == rules.feasible
+
+    @pytest.mark.parametrize("case", sorted(MAP_CASES))
+    def test_solve_matches_rule_objects(self, case):
+        config = SolveConfig(tolerance=1e-10)
+        for _, _, array_map, system, _ in self.draws(case, count=4):
+            p_map, trace = solve(array_map, config)
+            p_rules, _ = solve(system, config)
+            assert trace.converged and trace.certified
+            np.testing.assert_allclose(
+                p_map.as_array(), p_rules.as_array(), rtol=0.0, atol=2 * config.tolerance
+            )
+
+    def test_rejects_wrong_length(self):
+        sc = SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
+        with pytest.raises(InvalidInputError):
+            leave_one_out_map(sc).step(np.ones(3))
 
 
 def random_single_cell_feasible_both(rng, target):
