@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import EvaluationError
+from .core import EvaluationError, InvalidInputError
 
 RuleFunction = Callable[[np.ndarray], float]
 
@@ -45,19 +45,12 @@ class Counterexample:
     lhs: float
     rhs: float
 
-    @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs
-
 
 @dataclass(frozen=True)
 class CheckVerdict:
     axiom: str
     passed: bool
     counterexample: Optional[Counterexample] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 @dataclass(frozen=True)
@@ -265,6 +258,8 @@ def check_extended_subhom(
 
 def check_all(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int) -> AxiomReport:
     """Run every check with the same seed and collect the verdicts."""
+    if dim < 1 or samples < 1:
+        raise InvalidInputError(f"check_all: need dim >= 1 and samples >= 1, got {dim} and {samples}")
     return AxiomReport(
         dim=dim,
         samples=samples,

@@ -11,25 +11,24 @@ Every predicate except ``hanly`` is the leave-one-out kernel that backs
 inequality export emits that kernel's coefficient rows. A grid point
 therefore gets the verdict ``check`` gives the scenario at those targets;
 the rule objects built by ``scenarios`` stay the independent reference.
+Both exports write through ``core.write_csv``, the encoder the trace CSV
+uses too.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import GainMatrix, InvalidInputError
+from .core import GainMatrix, InvalidInputError, write_csv
 from .scenarios import _loo, _loo_sums, _matrix_rows, _mc_terms, _reference_gains
 
 PREDICATES = ("simple", "macro_div", "mc_exact", "mc_bounded", "hanly")
 
 MAX_GRID_DIM = 4
-
-_EXPORT_ROWS = 1 << 16  # cloud CSV rows formatted at once
 
 
 @dataclass(frozen=True)
@@ -149,10 +148,6 @@ class RegionCloud:
             for row, flag in zip(self.alphas, self.feasible)
         ]
 
-    @property
-    def feasible_count(self) -> int:
-        return int(self.feasible.sum())
-
 
 def sample_region(spec: RegionSpec, *, allow_large: bool = False) -> RegionCloud:
     """Evaluate the predicate on the full grid, lexicographic point order."""
@@ -206,25 +201,12 @@ def compare_regions(a: RegionCloud, b: RegionCloud) -> RegionComparison:
 
 
 def export_cloud(cloud: RegionCloud, path) -> None:
-    """CSV dump: alpha_1..alpha_N,feasible with full-precision values.
-
-    Each distinct value is formatted once (by bit pattern, so -0.0 keeps
-    its sign) and rows are joined ``_EXPORT_ROWS`` at a time; the bytes are
-    those of ``csv.writer`` with one ``repr`` per value.
-    """
-    n = cloud.spec.n
-    values = np.asarray(cloud.alphas, dtype=float)
-    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()] + ["0", "1"], dtype=object)
-    index = index.reshape(values.shape)
-    flags = cloud.feasible.astype(np.intp) + bits.size
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([f"alpha_{i + 1}" for i in range(n)] + ["feasible"])
-        for start in range(0, len(flags), _EXPORT_ROWS):
-            rows = slice(start, start + _EXPORT_ROWS)
-            cols = [text[index[rows, i]].tolist() for i in range(n)]
-            cols.append(text[flags[rows]].tolist())
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+    """CSV dump: alpha_1..alpha_N,feasible with full-precision values (``core.write_csv``)."""
+    write_csv(
+        path,
+        [f"alpha_{i + 1}" for i in range(cloud.spec.n)] + ["feasible"],
+        [*cloud.alphas.T, cloud.feasible.astype(np.int8)],
+    )
 
 
 def region_inequalities(spec: RegionSpec) -> list[tuple[tuple[float, ...], float]]:
@@ -250,8 +232,9 @@ def region_inequalities(spec: RegionSpec) -> list[tuple[tuple[float, ...], float
 def export_inequalities(spec: RegionSpec, path) -> None:
     """CSV dump of the H-representation: coef_1..coef_N,rhs,relation."""
     rows = region_inequalities(spec)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"coef_{i + 1}" for i in range(spec.n)] + ["rhs", "relation"])
-        for coefs, rhs in rows:
-            writer.writerow([repr(v) for v in coefs] + [repr(rhs), "<"])
+    coefs = np.array([c for c, _ in rows], dtype=float)
+    write_csv(
+        path,
+        [f"coef_{i + 1}" for i in range(spec.n)] + ["rhs", "relation"],
+        [*coefs.T, np.array([rhs for _, rhs in rows]), ["<"] * len(rows)],
+    )

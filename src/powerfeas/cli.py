@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -88,13 +88,6 @@ def _fmt12(value: float) -> str:
 
 
 @dataclass
-class SolverSettings:
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iter: int = DEFAULT_MAX_ITER
-    initial: Optional[tuple[float, ...]] = None
-
-
-@dataclass
 class ScenarioConfig:
     """Validated, round-trippable mirror of a config document.
 
@@ -110,7 +103,7 @@ class ScenarioConfig:
     d: Optional[tuple[int, ...]] = None
     mode: Optional[str] = None
     coordinates: Optional[str] = None
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    solver: SolveConfig = field(default_factory=SolveConfig)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -210,7 +203,7 @@ class ScenarioConfig:
         elif "coordinates" in doc:
             raise InvalidInputError(f"config: coordinates is not used by {kind}")
 
-        solver = SolverSettings()
+        solver = SolveConfig()
         if "solver" in doc:
             sdoc = doc["solver"]
             if not isinstance(sdoc, dict):
@@ -218,10 +211,10 @@ class ScenarioConfig:
             unknown = set(sdoc) - {"tolerance", "max_iter", "initial"}
             if unknown:
                 raise InvalidInputError(f"config: unknown solver keys {sorted(unknown)}")
-            solver = SolverSettings(
+            solver = SolveConfig(
                 tolerance=float(sdoc.get("tolerance", DEFAULT_TOLERANCE)),
                 max_iter=int(sdoc.get("max_iter", DEFAULT_MAX_ITER)),
-                initial=tuple(float(v) for v in sdoc["initial"]) if "initial" in sdoc else None,
+                initial=PowerVector(sdoc["initial"]) if "initial" in sdoc else None,
             )
             if solver.initial is not None and len(solver.initial) != n:
                 raise InvalidInputError("config: solver.initial needs one power per terminal")
@@ -251,12 +244,9 @@ class ScenarioConfig:
             doc["mode"] = self.mode
         if self.coordinates is not None:
             doc["coordinates"] = self.coordinates
-        doc["solver"] = {
-            "tolerance": self.solver.tolerance,
-            "max_iter": self.solver.max_iter,
-        }
+        doc["solver"] = {"tolerance": self.solver.tolerance, "max_iter": self.solver.max_iter}
         if self.solver.initial is not None:
-            doc["solver"]["initial"] = list(self.solver.initial)
+            doc["solver"]["initial"] = list(self.solver.initial.p)
         return doc
 
     @property
@@ -417,16 +407,9 @@ def cmd_solve(args) -> int:
         print("refusing to iterate an uncertified system (use --force to override)")
         return EXIT_INFEASIBLE
 
-    initial = None
+    solve_config = config.solver
     if args.init is not None:
-        initial = _parse_initial(args.init, config.n)
-    elif config.solver.initial is not None:
-        initial = PowerVector(config.solver.initial)
-    solve_config = SolveConfig(
-        tolerance=config.solver.tolerance,
-        max_iter=config.solver.max_iter,
-        initial=initial,
-    )
+        solve_config = replace(solve_config, initial=_parse_initial(args.init, config.n))
     try:
         fixed_point, trace = solve(system, solve_config, force=args.force)
     except NonConvergenceError as exc:
@@ -605,7 +588,7 @@ def main(argv=None) -> int:
     except InfeasibleSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (json.JSONDecodeError, ValueError, KeyError, TypeError, OverflowError) as exc:

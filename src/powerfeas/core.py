@@ -2,7 +2,8 @@
 
 Everything here is immutable after construction and safe to share across
 threads. Algorithms live in the engine, scenarios and capacity modules;
-this module only defines the vocabulary they exchange.
+this module defines the vocabulary they exchange, plus :func:`write_csv`,
+the one CSV encoder behind every file the package writes.
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.
@@ -317,19 +318,26 @@ class FeasibilityReport:
 class IterationTrace:
     """Record of one successive-approximation run.
 
+    ``iterates`` is a read-only ``(steps + 1, N)`` float array, row t holding
+    iterate t (any sequence of equal-length power vectors is accepted);
     ``deltas[t]`` is the sup-norm distance between iterates t and t+1;
     ``certified`` is False when the run was forced despite a modulus >= 1.
     """
 
-    iterates: tuple[PowerVector, ...]
+    iterates: np.ndarray
     deltas: tuple[float, ...]
     converged: bool
-    iterations_used: int
     tolerance: float
     certified: bool = True
 
     def __post_init__(self):
-        if len(self.deltas) != len(self.iterates) - 1:
+        iterates = np.array(self.iterates, dtype=float)
+        if iterates.ndim != 2 or iterates.shape[1] < 1:
+            raise InvalidInputError("IterationTrace: iterates must be a non-empty (steps + 1, N) array")
+        iterates.flags.writeable = False
+        object.__setattr__(self, "iterates", iterates)
+        object.__setattr__(self, "deltas", tuple(self.deltas))
+        if len(self.deltas) != len(iterates) - 1:
             raise InvalidInputError("IterationTrace: need exactly one delta per step")
         if any(d < 0.0 for d in self.deltas):
             raise InvalidInputError("IterationTrace: deltas must be >= 0")
@@ -337,5 +345,43 @@ class IterationTrace:
             raise InvalidInputError("IterationTrace: converged trace must end within tolerance")
 
     @property
+    def iterations_used(self) -> int:
+        return len(self.deltas)
+
+    @property
     def final(self) -> PowerVector:
-        return self.iterates[-1]
+        return PowerVector(tuple(self.iterates[-1]))
+
+
+_CSV_CELLS = 1 << 18  # cells formatted and joined at once
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header`` and equal-length ``columns`` as CSV rows ending in CRLF.
+
+    A column is a numeric array, whose values are written as ``repr`` with
+    each distinct value formatted once (floats by bit pattern, so -0.0 keeps
+    its sign), or a list of strings, written as they are, and numbers,
+    written as ``repr`` of their float value. The bytes equal those of
+    ``csv.writer`` fed the same strings; strings must need no quoting. Rows
+    are joined about ``_CSV_CELLS`` cells at a time.
+    """
+    cells = []  # per column (text, index): text[index[r]] is the cell of row r
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            floats = column.dtype.kind == "f"
+            distinct, index = np.unique(
+                np.asarray(column, dtype=float).view(np.uint64) if floats else column,
+                return_inverse=True,
+            )
+            text = list(map(repr, (distinct.view(float) if floats else distinct).tolist()))
+        else:
+            text = [v if isinstance(v, str) else repr(float(v)) for v in column]
+            index = np.arange(len(text))
+        cells.append((np.array(text, dtype=object), index))
+    step = max(1, _CSV_CELLS // len(cells))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cells[0][1]), step):
+            chunk = [text[index[start:start + step]].tolist() for text, index in cells]
+            fh.write("\r\n".join(map(",".join, zip(*chunk, strict=True))) + "\r\n")

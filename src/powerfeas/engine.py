@@ -8,12 +8,13 @@ iteration converges to the unique fixed point from any starting vector.
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
 ``step(x)`` and ``certificate()``: a :class:`System` of rule objects, or
-the array form ``scenarios.LeaveOneOutMap`` that the CLI iterates.
+the array form ``scenarios.LeaveOneOutMap`` that the CLI iterates. ``solve``
+stacks each step's own output array once into the trace's ``(steps + 1, N)``
+array, which ``write_trace_csv`` writes through ``core.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -31,6 +32,7 @@ from .core import (
     PowerVector,
     remove_component,
     sup_norm,
+    write_csv,
 )
 from .rules import WeightedAbsSum
 
@@ -83,16 +85,8 @@ class System:
                     f"is {value} at the all-ones vector"
                 )
             moduli.append(value)
-        lam = max(moduli)
-        term = moduli.index(lam)
-        binder = getattr(self.rules[term].f, "binding_inner", None)
-        receiver = binder(ones) if binder is not None else None
-        return FeasibilityReport(
-            per_terminal_modulus=tuple(moduli),
-            modulus=lam,
-            feasible=lam < 1.0,
-            binding=(term, receiver),
-        )
+        binder = getattr(self.rules[moduli.index(max(moduli))].f, "binding_inner", None)
+        return FeasibilityReport.from_moduli(moduli, binder(ones) if binder is not None else None)
 
 
 @dataclass(frozen=True)
@@ -168,29 +162,28 @@ def solve(
             )
         x = config.initial.as_array()
 
-    iterates = [PowerVector(tuple(x))]
+    iterates = [x]  # each step's own output array, stacked once into the trace
     deltas: list[float] = []
 
     def build_trace(converged: bool) -> IterationTrace:
-        return IterationTrace(
-            iterates=tuple(iterates),
-            deltas=tuple(deltas),
-            converged=converged,
-            iterations_used=len(deltas),
-            tolerance=config.tolerance,
-            certified=certified,
-        )
+        return IterationTrace(iterates=iterates, deltas=deltas, converged=converged,
+                              tolerance=config.tolerance, certified=certified)
 
     for _ in range(config.max_iter):
-        nxt = system.step(x)
-        if not np.all(np.isfinite(nxt)):
+        nxt = np.asarray(system.step(x), dtype=float)
+        if not np.isfinite(nxt).all():
             raise NonConvergenceError(
                 "solve: iterates left the finite range (diverging run)",
                 trace=build_trace(False),
             )
+        if (nxt < 0.0).any():
+            i = int(np.argmax(nxt < 0.0))
+            raise InvalidInputError(
+                f"solve: the update gives terminal {i + 1} the negative power {float(nxt[i])!r}"
+            )
         delta = sup_norm(nxt - x)
         deltas.append(delta)
-        iterates.append(PowerVector(tuple(nxt)))
+        iterates.append(nxt)
         x = nxt
         if delta <= threshold:
             trace = build_trace(True)
@@ -264,10 +257,9 @@ def affine_parts(system: System) -> tuple[np.ndarray, np.ndarray]:
 
 def write_trace_csv(trace: IterationTrace, path) -> None:
     """Dump a trace as CSV: iter, p_1..p_N, delta (delta blank on row 0)."""
-    n = len(trace.iterates[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter"] + [f"p_{i + 1}" for i in range(n)] + ["delta"])
-        for t, pv in enumerate(trace.iterates):
-            delta = "" if t == 0 else repr(trace.deltas[t - 1])
-            writer.writerow([t] + [repr(v) for v in pv] + [delta])
+    rows, n = trace.iterates.shape
+    write_csv(
+        path,
+        ["iter"] + [f"p_{i + 1}" for i in range(n)] + ["delta"],
+        [np.arange(rows), *trace.iterates.T, ["", *trace.deltas]],
+    )

@@ -12,7 +12,13 @@ from powerfeas.axioms import (
     check_subadd,
     check_subhom_at_one,
 )
-from powerfeas.core import EvaluationError, GainMatrix, NoiseVector, QosVector
+from powerfeas.core import (
+    EvaluationError,
+    GainMatrix,
+    InvalidInputError,
+    NoiseVector,
+    QosVector,
+)
 from powerfeas.engine import lift_rule
 from powerfeas.rules import HolderNorm, WeightedAbsSum
 from powerfeas.scenarios import MacroDiversity, build_macro_diversity_transformed
@@ -166,6 +172,12 @@ class TestReportMachinery:
     def test_all_passed_flag(self):
         assert check_all(HolderNorm(2), 3, samples=300, seed=1).all_passed
         assert not check_all(squared_l1, 2, samples=300, seed=1).all_passed
+
+    @pytest.mark.parametrize("dim,samples", [(1, 0), (1, -5), (0, 100), (-1, 100)])
+    def test_empty_sampling_rejected(self, dim, samples):
+        # with no samples every verdict would PASS vacuously
+        with pytest.raises(InvalidInputError):
+            check_all(squared_l1, dim, samples=samples, seed=SEED)
 
 
 class TestLiftingConsistency:

@@ -94,6 +94,16 @@ class TestCheck:
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("solver", [
+        {"tolerance": 0}, {"max_iter": 0}, {"initial": [-1, 0, 0]},
+    ], ids=["tolerance", "max_iter", "initial"])
+    def test_invalid_solver_settings_exit_one(self, tmp_path, capsys, solver):
+        path = write_config(tmp_path, dict(symmetric_doc(), solver=solver))
+        for command in ("check", "solve"):
+            assert main([command, path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_check_memory_stays_linear(self, tmp_path, capsys):
         # the certificate needs O(N*K) memory; N*K rule objects would take
         # about 100 MB here
@@ -289,6 +299,17 @@ class TestAxioms:
     def test_unknown_spec(self):
         assert main(["axioms", "--function", "mystery", "--dim", "2"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "1", "--samples", "0"],
+        ["--dim", "1", "--samples", "-5"],
+        ["--dim", "0"],
+    ], ids=["samples_zero", "samples_negative", "dim_zero"])
+    def test_empty_sampling_rejected(self, capsys, flags):
+        assert main(["axioms", "--function", "squared-l1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert "all axioms hold" not in captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["axioms"]) == 1  # --function is required
         assert "usage error" in capsys.readouterr().err
@@ -316,3 +337,22 @@ class TestConfigRoundTrip:
         path = tmp_path / "copy.json"
         save_config(config, path)
         assert load_config(path).scenario() == config.scenario()
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("case", ["check", "solve_trace", "region_out", "region_inequalities"])
+    def test_directory_as_file_exit_one(self, tmp_path, capsys, case):
+        config = write_config(tmp_path, symmetric_doc())
+        folder = str(tmp_path)
+        cloud = str(tmp_path / "cloud.csv")
+        argv = {
+            "check": ["check", folder],
+            "solve_trace": ["solve", config, "--trace", folder],
+            "region_out": ["region", config, "--resolution", "2", "--out", folder],
+            "region_inequalities": ["region", config, "--resolution", "2", "--out", cloud,
+                                    "--inequalities", folder],
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

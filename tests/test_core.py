@@ -160,7 +160,6 @@ class TestIterationTrace:
                 iterates=(PowerVector.zeros(2),),
                 deltas=(0.1,),
                 converged=False,
-                iterations_used=1,
                 tolerance=1e-10,
             )
 
@@ -170,6 +169,5 @@ class TestIterationTrace:
                 iterates=(PowerVector.zeros(2), PowerVector.full(2, 1.0)),
                 deltas=(1.0,),
                 converged=True,
-                iterations_used=1,
                 tolerance=1e-10,
             )

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from powerfeas.core import (
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
+    IterationTrace,
     NoiseVector,
     NonConvergenceError,
     PowerVector,
@@ -95,7 +97,7 @@ class TestSolve:
         fixed_point, trace = solve(system)
         assert fixed_point.p == pytest.approx((0.3, 0.7, 0.1), abs=1e-15)
         # first application already lands on the fixed point
-        assert trace.iterates[1].p == pytest.approx((0.3, 0.7, 0.1), abs=1e-15)
+        assert trace.iterates[1] == pytest.approx((0.3, 0.7, 0.1), abs=1e-15)
 
     def test_initial_point_does_not_matter(self):
         system = build_single_cell_received(PAIR_CELL)
@@ -253,6 +255,51 @@ class TestTraceCsv:
         assert len(lines) == len(trace.iterates) + 1
         first = lines[1].split(",")
         assert first[0] == "0" and first[-1] == ""
+
+    @pytest.mark.parametrize("which", ["converged", "partial", "signed_zero"])
+    def test_bytes_equal_csv_writer_with_repr(self, tmp_path, which):
+        if which == "signed_zero":  # one column holding 0.0 and -0.0
+            trace = IterationTrace(iterates=[[0.0, 1.0], [-0.0, 1.0], [0.0, 5e-324]],
+                                   deltas=(0.0, 5e-324), converged=False, tolerance=1e-10)
+        elif which == "converged":
+            _, trace = solve(build_macro_diversity_transformed(symmetric_3x2(0.9)),
+                             SolveConfig(initial=PowerVector((0.0, -0.0, 3.5))))
+        else:
+            with pytest.raises(NonConvergenceError) as excinfo:
+                solve(build_macro_diversity_transformed(symmetric_3x2(1.5)),
+                      SolveConfig(max_iter=40), force=True)
+            trace = excinfo.value.trace
+        path, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+        write_trace_csv(trace, path)
+        n = trace.iterates.shape[1]
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iter"] + [f"p_{i + 1}" for i in range(n)] + ["delta"])
+            for t, row in enumerate(trace.iterates):
+                delta = "" if t == 0 else repr(trace.deltas[t - 1])
+                writer.writerow([t] + [repr(float(v)) for v in row] + [delta])
+        assert path.read_bytes() == reference.read_bytes()
+
+
+class TestTraceArray:
+    def test_iterates_are_one_read_only_float_array(self):
+        system = build_macro_diversity_transformed(symmetric_3x2(0.9))
+        fixed_point, trace = solve(system)
+        assert isinstance(trace.iterates, np.ndarray)
+        assert trace.iterates.dtype == np.float64
+        assert trace.iterates.shape == (trace.iterations_used + 1, 3)
+        assert trace.iterations_used == len(trace.deltas)
+        assert not trace.iterates.flags.writeable
+        with pytest.raises(ValueError):
+            trace.iterates[0, 0] = 1.0
+        assert trace.final == fixed_point
+        assert fixed_point.p == tuple(trace.iterates[-1].tolist())
+
+    def test_negative_rule_output_rejected(self):
+        ok = AdjustmentRule(f=WeightedAbsSum((0.5,)), offset=1.0, terminal_index=0)
+        negative = AdjustmentRule(f=lambda x: 0.5 - float(x[0]), offset=0.0, terminal_index=1)
+        with pytest.raises(InvalidInputError, match="terminal 2"):
+            solve(System((ok, negative)))
 
 
 class TestSystemValidation:
