@@ -4,9 +4,11 @@ Configs are JSON documents; see the README for the schema. Exit codes are
 a stable contract: 0 ok/feasible, 1 input error, 2 infeasible or axiom
 failure, 3 non-convergence of a (typically forced) iteration run.
 
-``check`` certifies a config with the closed form and ``solve`` iterates
-the array update map (``scenarios.leave_one_out_map``); neither builds
-rule objects, which stay the library's independent reference.
+``check`` certifies a config with the closed form and ``solve`` computes
+the fixed point of the array update map (``scenarios.leave_one_out_map``):
+Picard iteration with ``--trace``, ``--force`` or in ``exact_noiseless``
+mode, policy iteration otherwise. Neither builds rule objects, which stay
+the library's independent reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import axioms as axioms_mod
 from .capacity import (
     RegionSpec,
     compare_regions,
@@ -48,7 +49,6 @@ from .engine import (
     solve,
     write_trace_csv,
 )
-from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
 from .scenarios import (
     FixedAssignment,
     LeaveOneOutMap,
@@ -411,7 +411,8 @@ def cmd_solve(args) -> int:
     if args.init is not None:
         solve_config = replace(solve_config, initial=_parse_initial(args.init, config.n))
     try:
-        fixed_point, trace = solve(system, solve_config, force=args.force)
+        fixed_point, trace = solve(system, solve_config, force=args.force,
+                                   trace=args.trace is not None)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.trace and exc.trace is not None:
@@ -472,6 +473,8 @@ def _squared_l1(x: np.ndarray) -> float:
 
 def _parse_function_spec(spec: str, dim: Optional[int]):
     """Returns (callable, dim, label) for the axiom checker."""
+    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
+
     if spec == "squared-l1":
         if dim is None:
             raise InvalidInputError("axioms: --dim is required for squared-l1")
@@ -519,9 +522,12 @@ def _fmt_witness(counterexample) -> str:
 
 
 def cmd_axioms(args) -> int:
+    from . import axioms
+
     f, dim, label = _parse_function_spec(args.function, args.dim)
-    report = axioms_mod.check_all(f, dim, samples=args.samples, seed=args.seed)
-    print(f"function: {label} (dim {dim}, samples {args.samples}, seed {args.seed})")
+    samples = axioms.DEFAULT_SAMPLES if args.samples is None else args.samples
+    report = axioms.check_all(f, dim, samples=samples, seed=args.seed)
+    print(f"function: {label} (dim {dim}, samples {samples}, seed {args.seed})")
     print(f"{'axiom':<22}verdict")
     for verdict in report.verdicts():
         line = f"{verdict.axiom:<22}{'PASS' if verdict.passed else 'FAIL'}"
@@ -567,7 +573,8 @@ def build_parser() -> _Parser:
     p_axioms.add_argument("--function", required=True,
                           help="holder:p | weighted:a1,a2,... | norm-of-norms:file.json | squared-l1")
     p_axioms.add_argument("--dim", type=int, default=None)
-    p_axioms.add_argument("--samples", type=int, default=axioms_mod.DEFAULT_SAMPLES)
+    p_axioms.add_argument("--samples", type=int, default=None,
+                          help="random samples per axiom (default 2000)")
     p_axioms.add_argument("--seed", type=int, default=0)
     p_axioms.set_defaults(func=cmd_axioms)
 

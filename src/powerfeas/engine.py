@@ -8,9 +8,13 @@ iteration converges to the unique fixed point from any starting vector.
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
 ``step(x)`` and ``certificate()``: a :class:`System` of rule objects, or
-the array form ``scenarios.LeaveOneOutMap`` that the CLI iterates. ``solve``
-stacks each step's own output array once into the trace's ``(steps + 1, N)``
-array, which ``write_trace_csv`` writes through ``core.write_csv``.
+the array form ``scenarios.LeaveOneOutMap`` that the CLI solves. Traced,
+``solve`` is Picard iteration and stacks each step's own output array once
+into the trace's ``(steps + 1, N)`` array, which ``write_trace_csv`` writes
+through ``core.write_csv``. Untraced, it keeps no iterates; a certified map
+that picks one receiver per terminal (``receiver_weights``) is then solved
+by :func:`policy_iteration`, a few K x K Woodbury solves whatever the
+modulus, and every other map by the same Picard loop.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .core import (
     sup_norm,
     write_csv,
 )
-from .rules import WeightedAbsSum
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -126,23 +129,54 @@ def contraction_modulus(system) -> FeasibilityReport:
     return system.certificate()
 
 
+@dataclass(frozen=True)
+class SolveRun:
+    """Outcome of an untraced :func:`solve`: the step sizes, no iterates.
+
+    ``deltas[t]`` is the sup-norm step of Picard step t, or, for policy
+    iteration, the residual ``sup_norm(T(p) - p)`` at the point reached by
+    evaluation or polish step t. ``solver`` is ``"policy"`` or ``"picard"``.
+    """
+
+    deltas: tuple[float, ...]
+    converged: bool
+    tolerance: float
+    certified: bool
+    solver: str
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.deltas)
+
+
 def solve(
     system,
     config: SolveConfig = SolveConfig(),
     *,
     force: bool = False,
-) -> tuple[PowerVector, IterationTrace]:
-    """Run synchronous Picard iteration of an update map to the fixed point.
+    trace: bool = True,
+) -> tuple[PowerVector, IterationTrace | SolveRun]:
+    """Compute the fixed point of an update map.
 
     Refuses to start when the contraction modulus is >= 1 unless ``force``
-    is set; forced runs are annotated ``certified=False`` in the trace and
-    may legitimately end in :class:`NonConvergenceError` (carrying the
-    partial trace) when the iterates diverge or stall.
+    is set; forced runs are annotated ``certified=False`` and may
+    legitimately end in :class:`NonConvergenceError` when the iterates
+    diverge or stall.
 
+    With ``trace`` (the default) this is synchronous Picard iteration and
+    the second element is the :class:`IterationTrace` of every iterate.
     Stopping: with modulus ``lam < 1``, iteration stops once the step size
     drops below ``tolerance * (1 - lam)``. By the standard a-posteriori
     bound this puts the returned vector within ``tolerance`` of the exact
     fixed point and leaves a residual ``sup_norm(T(p*) - p*) <= tolerance``.
+
+    With ``trace=False`` no iterates are kept and the second element is a
+    :class:`SolveRun`. A certified, unforced map whose ``receiver_weights``
+    name one chosen receiver per terminal (``scenarios.LeaveOneOutMap`` with
+    a max reduction or one positive divisor) is then solved by
+    :func:`policy_iteration`, which returns a p with
+    ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``, the same guarantee.
+    Every other map runs the Picard loop above.
     """
     report = contraction_modulus(system)
     if not report.feasible and not force:
@@ -162,10 +196,18 @@ def solve(
             )
         x = config.initial.as_array()
 
+    if not trace and not force and getattr(system, "receiver_weights", None) is not None:
+        p, deltas = policy_iteration(system, x, report.modulus, config)
+        run = SolveRun(tuple(deltas), converged=True, tolerance=config.tolerance, certified=True,
+                       solver="policy")
+        return PowerVector(tuple(p)), run
+
     iterates = [x]  # each step's own output array, stacked once into the trace
     deltas: list[float] = []
 
-    def build_trace(converged: bool) -> IterationTrace:
+    def build_trace(converged: bool) -> IterationTrace | SolveRun:
+        if not trace:
+            return SolveRun(tuple(deltas), converged, config.tolerance, certified, solver="picard")
         return IterationTrace(iterates=iterates, deltas=deltas, converged=converged,
                               tolerance=config.tolerance, certified=certified)
 
@@ -183,17 +225,94 @@ def solve(
             )
         delta = sup_norm(nxt - x)
         deltas.append(delta)
-        iterates.append(nxt)
+        if trace:
+            iterates.append(nxt)
         x = nxt
         if delta <= threshold:
-            trace = build_trace(True)
-            return trace.final, trace
+            return PowerVector(tuple(x)), build_trace(True)
 
     raise NonConvergenceError(
         f"solve: no convergence within {config.max_iter} iterations "
         f"(last step {deltas[-1] if deltas else 'n/a'})",
         trace=build_trace(False),
     )
+
+
+def policy_iteration(system, x0: np.ndarray, lam: float, config: SolveConfig):
+    """Howard's policy iteration for ``T(x) = max over policies of A_pi x + c``.
+
+    ``system`` exposes ``G`` (K x N), ``c`` (N), ``step`` and
+    ``receiver_weights`` W (N x K): ``T(x)[j]`` is the largest
+    ``W[j, k] * (sum over n != j of G[k, n] * x_n)`` over receivers k with
+    ``W[j, k] > 0``, plus ``c[j]``. A policy pi picks one such receiver per
+    terminal; it starts greedy at ``x0`` and each evaluation solves
+    ``x = A_pi x + c`` exactly (:func:`_evaluate_policy`). A terminal
+    switches receiver only when another one is strictly larger at the
+    current point, so in exact arithmetic no policy repeats and the loop
+    ends; a repeat (rounding ties) ends it too. ``lam < 1`` is the
+    certified modulus.
+
+    Accepts a point p only if ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``,
+    which bounds ``sup_norm(p - p*)`` by the tolerance. Failing that, it
+    takes Picard steps from the last point while the step shrinks. Returns
+    (p, residuals), one residual per evaluation and polish step; raises
+    :class:`InvalidInputError` naming the smallest tolerance float64
+    certifies here when the bound stays out of reach, and
+    :class:`NonConvergenceError` when ``max_iter`` runs out first.
+    """
+    threshold = config.tolerance * (1.0 - lam)
+    weights = system.receiver_weights.T  # (K, N)
+    cols = np.arange(system.n)
+
+    def values(x):
+        sums = (system.G @ x)[:, None] - system.G * x
+        return np.where(weights > 0.0, weights * sums, -np.inf)
+
+    residuals: list[float] = []
+    policy = values(x0).argmax(axis=0)
+    seen = {policy.tobytes()}
+    improving = True
+    while len(residuals) < config.max_iter:
+        # evaluate the policy, or, once it is stable, polish with a Picard step
+        x = _evaluate_policy(system.G, weights[policy, cols], policy, system.c) if improving else tx
+        tx = system.step(x)
+        residuals.append(sup_norm(tx - x))
+        if residuals[-1] <= threshold:
+            return x, residuals
+        if improving:
+            v = values(x)
+            better = v.max(axis=0) > v[policy, cols]
+            policy = np.where(better, v.argmax(axis=0), policy)
+            improving = bool(better.any()) and policy.tobytes() not in seen
+            seen.add(policy.tobytes())
+        elif not residuals[-1] < residuals[-2]:
+            floor = min(residuals) / (1.0 - lam)
+            unit = 10.0 ** (math.floor(math.log10(floor)) - 2)  # round up to 3 digits
+            raise InvalidInputError(
+                f"solve: tolerance {config.tolerance!r} is below what float64 certifies here; "
+                f"the smallest attainable tolerance is {math.ceil(floor / unit) * unit:.3g} "
+                f"(residual {min(residuals):.3g} / (1 - lambda))"
+            )
+    raise NonConvergenceError(f"solve: no convergence within {config.max_iter} iterations")
+
+
+def _evaluate_policy(G: np.ndarray, w: np.ndarray, policy: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve ``x = A x + c`` with ``A = diag(w) E G`` minus its diagonal, E selecting ``policy``.
+
+    Row j of ``A x`` is ``w[j] * (t[policy[j]] - G[policy[j], j] * x_j)``
+    with receiver totals ``t = G x``, so ``x = (c + w * t[policy]) / m``
+    with ``m = 1 + w * G[policy, j]``. Substituting into ``t = G x`` leaves
+    the K x K system ``(I - S) t = G (c / m)``, ``S = G diag(w / m) E``:
+    the Sherman-Morrison-Woodbury capacitance matrix of the rank-K part.
+    O(N * K^2 + K^3); no N x N matrix is formed.
+    """
+    n = G.shape[1]
+    cols = np.arange(n)
+    m = 1.0 + w * G[policy, cols]
+    select = np.zeros((n, G.shape[0]))
+    select[cols, policy] = w / m
+    t = np.linalg.solve(np.eye(G.shape[0]) - G @ select, G @ (c / m))
+    return (c + w * t[policy]) / m
 
 
 def linear_oracle(A: Sequence[Sequence[float]], c: Sequence[float]) -> PowerVector:
@@ -240,6 +359,8 @@ def affine_parts(system: System) -> tuple[np.ndarray, np.ndarray]:
     Valid on the non-negative orthant, where the weighted absolute sums are
     plain linear forms. Raises for systems built from other rule families.
     """
+    from .rules import WeightedAbsSum
+
     n = system.n
     A = np.zeros((n, n))
     c = np.zeros(n)

@@ -46,7 +46,6 @@ from .core import (
     Vector,
 )
 from .engine import System
-from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
 
 
 def kth_smallest(values: Vector, m: int) -> float:
@@ -55,14 +54,6 @@ def kth_smallest(values: Vector, m: int) -> float:
     if not 1 <= m <= arr.size:
         raise InvalidInputError(f"kth_smallest: m={m} out of range for {arr.size} values")
     return float(arr[m - 1])
-
-
-def kth_largest(values: Vector, m: int) -> float:
-    """m-th largest component, 1-based; duplicates count separately."""
-    arr = np.sort(np.asarray(values, dtype=float))
-    if not 1 <= m <= arr.size:
-        raise InvalidInputError(f"kth_largest: m={m} out of range for {arr.size} values")
-    return float(arr[arr.size - m])
 
 
 def _reference_gains(gains, d, what: str) -> np.ndarray:
@@ -310,6 +301,8 @@ def _others(n: int, i: int) -> list[int]:
 
 def build_single_cell_received(sc: SingleCell) -> System:
     """Received-power update P_i = alpha_i * (sum of other P_n + sigma)."""
+    from .rules import WeightedAbsSum
+
     n = sc.n
     rules = []
     for i in range(n):
@@ -325,6 +318,8 @@ def build_single_cell_transformed(sc: SingleCell) -> System:
     sharper admission condition: targets may individually exceed 1/(N-1)
     and still certify here.
     """
+    from .rules import WeightedAbsSum
+
     n = sc.n
     rules = []
     for i in range(n):
@@ -335,6 +330,8 @@ def build_single_cell_transformed(sc: SingleCell) -> System:
 
 def build_macro_diversity(md: MacroDiversity) -> System:
     """Received-power update P_i = (alpha_i/h_i) * (max_k interference_k + max noise)."""
+    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
+
     n = md.n
     h = md.gains.h
     row_sums = md.gains.row_sums
@@ -357,6 +354,8 @@ def build_macro_diversity_transformed(md: MacroDiversity) -> System:
     q_i = h_i * P_i / alpha_i; the per-terminal modulus is then exactly the
     largest leave-one-out weighted target sum over receivers.
     """
+    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
+
     n = md.n
     g = md.gains.relative
     sigma_hat = md.noise.max()
@@ -373,6 +372,8 @@ def build_macro_diversity_transformed(md: MacroDiversity) -> System:
 
 def build_fixed_assignment(fa: FixedAssignment) -> System:
     """Transmit-power update at each terminal's assigned receiver only."""
+    from .rules import WeightedAbsSum
+
     n = fa.n
     rules = []
     for j in range(n):
@@ -404,6 +405,8 @@ def build_multi_connection(mc: MultiConnection, noiseless: bool) -> System:
       coordinates with h_j the d_j-th largest gain of terminal j:
       q_j = max_k sum of other gamma_i * g_ki * q_i + max noise.
     """
+    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
+
     n = mc.n
     k = mc.receivers
     rules = []
@@ -482,12 +485,6 @@ def macro_diversity_exact_update(md: MacroDiversity, powers: Vector) -> np.ndarr
         )
     totals = (h / denom).sum(axis=1)
     return np.asarray(md.alphas.as_array() / totals, dtype=float)
-
-
-def hanly(alphas: Vector, receivers: int) -> bool:
-    """Gain-independent baseline admission test: total target sum below K."""
-    arr = np.asarray(alphas, dtype=float)
-    return bool(arr.sum() < receivers)
 
 
 _CHUNK = 1 << 19  # (terminal, receiver, point) sums the kernel holds at once
@@ -577,7 +574,8 @@ class LeaveOneOutMap:
     The map is the same one the ``build_*`` rule objects apply, one call per
     terminal, and its certificate is the map at the all-ones vector without
     ``c``. ``names_receiver`` is False for a single cell, which has no
-    receiver to name in the binding pair.
+    receiver to name in the binding pair. ``receiver_weights`` gives the
+    one-receiver-per-terminal form that ``engine.policy_iteration`` solves.
     """
 
     G: np.ndarray
@@ -632,11 +630,41 @@ class LeaveOneOutMap:
         return out + self.c
 
     def certificate(self) -> FeasibilityReport:
-        """The map without offsets at the all-ones vector, by the :func:`_loo` kernel."""
+        """The map without offsets at the all-ones vector, by the :func:`_loo` kernel.
+
+        Computed once per map: the map is immutable, so ``check``'s and
+        ``solve``'s certifications of it share one kernel evaluation.
+        """
+        return self._certificate
+
+    @cached_property
+    def _certificate(self) -> FeasibilityReport:
         moduli, receivers = _loo(self.G, np.ones(self.n), self.scale, self.divisor, self.order)
         term = int(np.argmax(moduli))
         named = receivers is not None and self.names_receiver
         return FeasibilityReport.from_moduli(moduli, int(receivers[term]) if named else None, term)
+
+    @cached_property
+    def receiver_weights(self) -> np.ndarray | None:
+        """W (N x K) when the map picks one receiver per terminal, else None.
+
+        Then ``step(x)[j]`` is the largest ``W[j, k] * s[j, k]`` over the
+        receivers with ``W[j, k] > 0``, plus ``c[j]``, where s[j, k] is the
+        leave-one-out sum: a max reduction, or a smallest ratio with one
+        positive divisor per terminal (fixed assignment). A d-th smallest
+        over several receivers has no such form and gives None.
+        """
+        scale = (np.ones(self.n) if self.scale is None else self.scale)[:, None]
+        if self.order is None and self.divisor is None:
+            weights = np.repeat(scale, self.G.shape[0], axis=1)
+        elif (self.order is not None and self.divisor is not None and np.all(self.order == 1)
+              and np.all((self.divisor > 0.0).sum(axis=1) == 1)):
+            weights = np.divide(scale, self.divisor, out=np.zeros_like(self.divisor),
+                                where=self.divisor > 0.0)
+        else:
+            return None
+        weights.flags.writeable = False
+        return weights
 
 
 def leave_one_out_map(

@@ -45,7 +45,6 @@ from powerfeas.scenarios import (
     build_single_cell_received,
     build_single_cell_transformed,
     feasibility_formula,
-    hanly,
     mc_exact_rules_in_bounded_coords,
 )
 
@@ -163,13 +162,15 @@ def test_symmetric_macro_diversity_exact():
     md = symmetric_md(0.99)
     system = build_macro_diversity_transformed(md)
     # warm-up so the timed section measures the checks, not import costs
+    baseline = RegionSpec("hanly", n=3, resolution=2, alpha_max=1.0, receivers=2)
+    targets = np.array([[0.99, 0.99, 0.99]])
     feasibility_formula(md)
     contraction_modulus(system)
-    hanly((0.99, 0.99, 0.99), 2)
+    evaluate_predicate(baseline, targets)
 
     start = time.perf_counter()
     formula = feasibility_formula(md)
-    baseline_admits = hanly((0.99, 0.99, 0.99), 2)
+    baseline_admits = evaluate_predicate(baseline, targets)[0]
     elapsed = time.perf_counter() - start
 
     engine = contraction_modulus(system)
@@ -177,7 +178,7 @@ def test_symmetric_macro_diversity_exact():
     assert engine.modulus == 0.99  # exact
     assert all(m == 0.99 for m in formula.per_terminal_modulus)
     assert formula.feasible and engine.feasible
-    assert baseline_admits is False  # 2.97 is nowhere near < 2
+    assert not baseline_admits  # 2.97 is nowhere near < 2
     assert elapsed < 1e-3
 
 
@@ -203,8 +204,7 @@ def test_degenerate_third_receiver():
 
     # the named separating point, verified by predicate evaluation
     point = np.array([[1.4, 1.4, 0.1]])
-    assert hanly(point[0], 3)  # 2.9 < 3
-    assert evaluate_predicate(inflated.spec, point)[0]
+    assert evaluate_predicate(inflated.spec, point)[0]  # 2.9 < 3
     assert not evaluate_predicate(spec_true, point)[0]  # (1.4 + 1.4)/2 = 1.4 >= 1
 
 

@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from powerfeas.cli import load_config, main, save_config
+from powerfeas.cli import ScenarioConfig, load_config, main, save_config
 
-REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+REPO_CONFIGS = REPO / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -175,6 +180,48 @@ class TestSolve:
     def test_bad_init_rejected(self, tmp_path):
         code = main(["solve", write_config(tmp_path, pair_doc()), "--init", "1,2,3"])
         assert code == 1
+
+    @staticmethod
+    def sweep_doc(lam):
+        """Macro diversity, N=1000, K=16, gains U(0.1, 1) (seed 0), equal targets at modulus lam."""
+        gains = np.random.default_rng(0).uniform(0.1, 1.0, size=(1000, 16))
+        doc = {"scenario": "macro_diversity", "alphas": [1.0] * 1000,
+               "gains": gains.tolist(), "sigma": [1.0] * 16}
+        unit = ScenarioConfig.from_dict(doc).formula().modulus
+        return dict(doc, alphas=[lam / unit] * 1000)
+
+    def test_policy_iteration_at_high_modulus(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.sweep_doc(0.99))
+        start = time.perf_counter()
+        code = main(["solve", path, "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < 1.0
+        out = json.loads(capsys.readouterr().out)
+        assert out["converged"] and out["certified"] and out["iterations"] < 20
+
+    def test_unattainable_tolerance_exit_one(self, tmp_path, capsys):
+        # at lambda = 0.999 the stop threshold 1e-13 lies below float64 resolution at p*
+        path = write_config(tmp_path, self.sweep_doc(0.999))
+        start = time.perf_counter()
+        code = main(["solve", path, "--json"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and elapsed < 1.0
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "smallest attainable tolerance" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--force"], []], ids=["forced", "exact_noiseless"])
+    def test_picard_runs_report_alike_with_and_without_trace(self, tmp_path, capsys, flags):
+        doc = json.loads((REPO_CONFIGS / "multi_connection.json").read_text())
+        if not flags:
+            doc["mode"] = "exact_noiseless"
+        path = write_config(tmp_path, doc)
+        outputs = []
+        for trace in ([], ["--trace", str(tmp_path / "trace.csv")]):
+            assert main(["solve", path, "--json", *flags, *trace]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestRegion:
@@ -356,3 +403,19 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_cli_import_loads_only_what_subcommands_run():
+    # check, solve and region never call the axiom checker or the rule objects
+    script = (
+        "import sys, powerfeas.cli\n"
+        "loaded = sorted(m for m in ('powerfeas.axioms', 'powerfeas.rules') if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "import powerfeas\n"
+        "missing = [n for n in powerfeas.__all__ if getattr(powerfeas, n, None) is None]\n"
+        "assert not missing, missing\n"
+        "assert {'check_all', 'WeightedAbsSum', 'solve'} <= set(dir(powerfeas))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert result.returncode == 0, result.stderr

@@ -7,10 +7,13 @@ from powerfeas.core import (
     GainMatrix,
     InvalidInputError,
     NoiseVector,
+    NonConvergenceError,
     PowerVector,
     QosVector,
+    sup_norm,
 )
-from powerfeas.engine import SolveConfig, contraction_modulus, solve
+from powerfeas.capacity import RegionSpec, evaluate_predicate
+from powerfeas.engine import SolveConfig, affine_parts, contraction_modulus, linear_oracle, solve
 from powerfeas.scenarios import (
     FixedAssignment,
     MacroDiversity,
@@ -24,8 +27,6 @@ from powerfeas.scenarios import (
     build_single_cell_received,
     build_single_cell_transformed,
     feasibility_formula,
-    hanly,
-    kth_largest,
     kth_smallest,
     leave_one_out_map,
     macro_diversity_exact_update,
@@ -82,7 +83,6 @@ class TestOrderStatistics:
 
     def test_duplicates_count_separately(self):
         assert kth_smallest((2.0, 2.0, 7.0), 2) == 2.0
-        assert kth_largest((2.0, 2.0, 7.0), 2) == 2.0
 
     def test_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -412,6 +412,12 @@ class TestMinSelectionRule:
             MinSelectionRule(weight_rows=((1.0,), (1.0,)), divisors=(0.0, 1.0), order=2)
 
 
+def hanly(alphas, receivers):
+    """The gain-blind baseline region predicate at one target vector."""
+    spec = RegionSpec("hanly", n=len(alphas), resolution=2, alpha_max=1.0, receivers=receivers)
+    return bool(evaluate_predicate(spec, np.array([alphas]))[0])
+
+
 class TestHanly:
     def test_boundary_strict(self):
         assert hanly((0.9, 0.9), 2)
@@ -653,3 +659,101 @@ class TestTransformConsistency:
                 ]
             for qi, mi in zip(q, mapped):
                 assert qi == pytest.approx(mi, rel=1e-8)
+
+
+POLICY_CASES = [case for case in sorted(MAP_CASES) if case != "multi_connection-exact_noiseless"]
+AFFINE_CASES = ("fixed_assignment", "single_cell-original", "single_cell-transformed")
+MAX_CASES = ("macro_diversity-original", "macro_diversity-transformed", "multi_connection-bounded")
+
+
+class TestPolicyIteration:
+    """Untraced ``solve`` of a map that picks one receiver per terminal runs policy iteration."""
+
+    config = SolveConfig(tolerance=1e-10)
+
+    @staticmethod
+    def draws(case, count=6):
+        draw, options, build = MAP_CASES[case]
+        rng = np.random.default_rng(sorted(MAP_CASES).index(case) + 113)
+        for target in np.linspace(0.3, 0.99, count):
+            scenario = draw(rng)
+            lam = feasibility_formula(scenario, **options).modulus
+            alphas = QosVector(tuple(a * target / lam for a in scenario.alphas))
+            scenario = dataclasses.replace(scenario, alphas=alphas)
+            yield leave_one_out_map(scenario, **options), build(scenario)
+
+    def policy_solve(self, array_map, config=None):
+        p, run = solve(array_map, config or self.config, trace=False)
+        assert run.solver == "policy" and run.converged and run.certified
+        assert run.iterations_used == len(run.deltas) >= 1
+        return p.as_array()
+
+    @pytest.mark.parametrize("case", AFFINE_CASES)
+    def test_affine_maps_match_linear_oracle(self, case):
+        for array_map, system in self.draws(case):
+            exact = linear_oracle(*affine_parts(system)).as_array()
+            np.testing.assert_allclose(self.policy_solve(array_map), exact, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", MAX_CASES)
+    def test_max_maps_match_picard(self, case):
+        for array_map, _ in self.draws(case):
+            picard, trace = solve(array_map, self.config)
+            assert isinstance(trace.iterates, np.ndarray)
+            np.testing.assert_allclose(self.policy_solve(array_map), picard.as_array(),
+                                       rtol=0.0, atol=2 * self.config.tolerance)
+
+    @pytest.mark.parametrize("case", POLICY_CASES)
+    def test_start_point_does_not_matter(self, case):
+        for array_map, _ in self.draws(case, count=3):
+            from_zero = self.policy_solve(array_map)
+            above = PowerVector.full(array_map.n, 2.0 * float(from_zero.max()) + 1.0)
+            from_above = self.policy_solve(array_map, dataclasses.replace(self.config, initial=above))
+            np.testing.assert_allclose(from_above, from_zero, rtol=0.0,
+                                       atol=2 * self.config.tolerance)
+
+    @pytest.mark.parametrize("case", POLICY_CASES)
+    def test_residual_bound_holds(self, case):
+        for array_map, system in self.draws(case):
+            lam = contraction_modulus(array_map).modulus
+            p = self.policy_solve(array_map)
+            assert sup_norm(array_map.step(p) - p) <= self.config.tolerance * (1.0 - lam)
+            # the rule objects, rounding their own way, agree within the tolerance
+            assert sup_norm(system.step(p) - p) <= self.config.tolerance
+
+    def test_order_statistics_and_forced_runs_keep_picard(self):
+        for case, force in (("multi_connection-exact_noiseless", False),
+                            ("macro_diversity-transformed", True)):
+            for array_map, _ in self.draws(case, count=2):
+                traced_p, trace = solve(array_map, self.config, force=force)
+                p, run = solve(array_map, self.config, force=force, trace=False)
+                assert run.solver == "picard" and not hasattr(run, "iterates")
+                assert p == traced_p and run.deltas == trace.deltas
+                assert (run.converged, run.certified) == (trace.converged, trace.certified)
+        assert leave_one_out_map(random_mc(np.random.default_rng(1), 0.5),
+                                 noiseless=True).receiver_weights is None
+
+    def test_untraced_divergence_keeps_no_iterates(self):
+        array_map = leave_one_out_map(symmetric_md(1.5))
+        with pytest.raises(NonConvergenceError) as excinfo:
+            solve(array_map, SolveConfig(max_iter=300), force=True, trace=False)
+        run = excinfo.value.trace
+        assert run.solver == "picard" and not run.converged and not run.certified
+        assert run.iterations_used == 300
+
+    def test_certified_once_per_map(self):
+        array_map = leave_one_out_map(symmetric_md(0.9))
+        assert contraction_modulus(array_map) is array_map.certificate()
+
+    def test_unattainable_tolerance_names_the_floor(self):
+        rng = np.random.default_rng(5)
+        md = random_md(rng, 0.5)
+        lam = feasibility_formula(md).modulus
+        md = dataclasses.replace(md, alphas=QosVector(tuple(a * 0.9999 / lam for a in md.alphas)))
+        array_map = leave_one_out_map(md)
+        with pytest.raises(InvalidInputError) as excinfo:
+            solve(array_map, SolveConfig(tolerance=1e-15), trace=False)
+        message = str(excinfo.value)
+        assert "\n" not in message and "smallest attainable tolerance" in message
+        floor = float(message.split("smallest attainable tolerance is ")[1].split()[0])
+        assert 1e-15 < floor < 1e-9
+        self.policy_solve(array_map, SolveConfig(tolerance=floor))
