@@ -6,11 +6,12 @@ infeasible because every condition is strict. Axis value 0 is included
 for plotting and is treated as the limit of a vanishing terminal, even
 though live scenarios require strictly positive targets.
 
-Every predicate except ``hanly`` is the leave-one-out kernel that backs
-``scenarios.feasibility_formula``, fed the targets as points, and the
-inequality export emits that kernel's coefficient rows. A grid point
-therefore gets the verdict ``check`` gives the scenario at those targets;
-the rule objects built by ``scenarios`` stay the independent reference.
+Every predicate except ``hanly`` is the leave-one-out kernel behind
+``scenarios.feasibility_formula``, fed the targets as points: the same
+coefficients and, bit for bit, the same prefix/suffix sums. The inequality
+export emits the kernel's sums at the unit vectors. A grid point therefore
+gets the verdict ``check`` gives the scenario at those targets; the rule
+objects built by ``scenarios`` stay the independent reference.
 Both exports write through ``core.write_csv``, the encoder the trace CSV
 uses too.
 """
@@ -21,10 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .core import GainMatrix, InvalidInputError, write_csv
-from .scenarios import _loo, _loo_sums, _matrix_rows, _mc_terms, _reference_gains
+from .core import GainMatrix, InvalidInputError, NoiseVector, QosVector, np, write_csv
+from .scenarios import (MacroDiversity, MultiConnection, SingleCell, _coefficients, _loo,
+                        _loo_sums, _matrix_rows, _reference_gains)
 
 PREDICATES = ("simple", "macro_div", "mc_exact", "mc_bounded", "hanly")
 
@@ -105,12 +105,16 @@ class RegionSpec:
 
 
 def _kernel_terms(spec: RegionSpec):
-    """Kernel inputs (G, divisor, order) of a leave-one-out predicate; points are targets."""
+    """Kernel inputs (G, divisor, order) of a predicate: ``check``'s coefficients at unit targets."""
+    ones = QosVector((1.0,) * spec.n)
     if spec.predicate == "simple":
-        return np.ones((1, spec.n)), None, None
-    if spec.predicate == "macro_div":
-        return GainMatrix(spec.gains).relative_array().T, None, None
-    return _mc_terms(spec.gains, spec.d, noiseless=spec.predicate == "mc_exact")
+        scenario = SingleCell(ones, ones.alphas, 0.0)
+    elif spec.predicate == "macro_div":
+        scenario = MacroDiversity(ones, GainMatrix(spec.gains), NoiseVector((0.0,) * len(spec.gains[0])))
+    else:
+        scenario = MultiConnection(ones, spec.gains, spec.d, NoiseVector((0.0,) * len(spec.gains)))
+    G, _, _, divisor, order, _ = _coefficients(scenario, noiseless=spec.predicate == "mc_exact")
+    return np.array(G, dtype=float), None if divisor is None else np.array(divisor), order
 
 
 def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
@@ -124,8 +128,7 @@ def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
     if spec.predicate == "hanly":
         return pts.sum(axis=1) < spec.receivers
     G, divisor, order = _kernel_terms(spec)
-    moduli, _ = _loo(G, pts, divisor=divisor, order=order)
-    return (moduli < 1.0).all(axis=1)
+    return (_loo(G, pts, divisor, order) < 1.0).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,20 @@ def export_cloud(cloud: RegionCloud, path) -> None:
     )
 
 
+def _inequality_arrays(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (rows x N) and right-hand sides of :func:`region_inequalities`."""
+    if spec.predicate == "hanly":
+        return np.ones((1, spec.n)), np.array([float(spec.receivers)])
+    if spec.predicate == "mc_exact":
+        raise InvalidInputError(
+            "region_inequalities: the exact multi-connection region is not a single "
+            "conjunction of linear inequalities"
+        )
+    G, _, _ = _kernel_terms(spec)
+    rows = _loo_sums(G, np.eye(spec.n)).reshape(-1, spec.n)  # the sums at the unit vectors
+    return rows, np.ones(len(rows))
+
+
 def region_inequalities(spec: RegionSpec) -> list[tuple[tuple[float, ...], float]]:
     """H-representation: (coefficients, rhs) rows with relation '<'.
 
@@ -217,24 +234,15 @@ def region_inequalities(spec: RegionSpec) -> list[tuple[tuple[float, ...], float
     order statistic and is a union of such systems, so its feasible set has
     no single inequality list and this raises instead.
     """
-    if spec.predicate == "hanly":
-        return [((1.0,) * spec.n, float(spec.receivers))]
-    if spec.predicate == "mc_exact":
-        raise InvalidInputError(
-            "region_inequalities: the exact multi-connection region is not a single "
-            "conjunction of linear inequalities"
-        )
-    G, _, _ = _kernel_terms(spec)
-    rows = _loo_sums(G, np.eye(spec.n)).reshape(-1, spec.n)  # the sums at the unit vectors
-    return [(tuple(row), 1.0) for row in rows.tolist()]
+    coefs, rhs = _inequality_arrays(spec)
+    return [(tuple(row), b) for row, b in zip(coefs.tolist(), rhs.tolist())]
 
 
 def export_inequalities(spec: RegionSpec, path) -> None:
     """CSV dump of the H-representation: coef_1..coef_N,rhs,relation."""
-    rows = region_inequalities(spec)
-    coefs = np.array([c for c, _ in rows], dtype=float)
+    coefs, rhs = _inequality_arrays(spec)
     write_csv(
         path,
         [f"coef_{i + 1}" for i in range(spec.n)] + ["rhs", "relation"],
-        [*coefs.T, np.array([rhs for _, rhs in rows]), ["<"] * len(rows)],
+        [*coefs.T, rhs, ["<"] * len(rhs)],
     )

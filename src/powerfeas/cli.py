@@ -4,11 +4,11 @@ Configs are JSON documents; see the README for the schema. Exit codes are
 a stable contract: 0 ok/feasible, 1 input error, 2 infeasible or axiom
 failure, 3 non-convergence of a (typically forced) iteration run.
 
-``check`` certifies a config with the closed form and ``solve`` computes
-the fixed point of the array update map (``scenarios.leave_one_out_map``):
-Picard iteration with ``--trace``, ``--force`` or in ``exact_noiseless``
-mode, policy iteration otherwise. Neither builds rule objects, which stay
-the library's independent reference.
+``check`` certifies a config with the closed form, in pure Python: it never
+imports numpy. ``solve`` computes the fixed point of the array update map
+(``scenarios.leave_one_out_map``): Picard iteration with ``--trace``,
+``--force`` or in ``exact_noiseless`` mode, policy iteration otherwise.
+Neither builds rule objects, which stay the library's independent reference.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 from .capacity import (
     RegionSpec,
@@ -40,6 +38,7 @@ from .core import (
     PowerVector,
     QosVector,
     GainMatrix,
+    np,
 )
 from .engine import (
     DEFAULT_MAX_ITER,
@@ -87,6 +86,24 @@ def _fmt12(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _field(value, name: str, kind: type):
+    """A config value of JSON type ``kind``: ``int``, or ``float`` for any number; bools are neither."""
+    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
+        wanted = "an integer" if kind is int else "a number"
+        raise InvalidInputError(f"config: {name} must be {wanted}, got {type(value).__name__}")
+    return kind(value)
+
+
+def _fields(values, name: str, kind: type) -> tuple:
+    """A config list whose entries are :func:`_field` values of type ``kind``."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidInputError(f"config: {name} must be a list, got {type(values).__name__}")
+    if not set(map(type, values)) <= ({int} if kind is int else {int, float}):
+        for i, v in enumerate(values):  # raises naming the first bad entry
+            _field(v, f"{name}[{i}]", kind)
+    return tuple(map(kind, values))
+
+
 @dataclass
 class ScenarioConfig:
     """Validated, round-trippable mirror of a config document.
@@ -120,22 +137,21 @@ class ScenarioConfig:
         if "alphas" not in doc or "gains" not in doc or "sigma" not in doc:
             raise InvalidInputError("config: alphas, gains and sigma are required")
 
-        alphas = tuple(float(v) for v in doc["alphas"])
+        alphas = _fields(doc["alphas"], "alphas", float)
         n = len(alphas)
-        if "n" in doc and int(doc["n"]) != n:
+        if "n" in doc and _field(doc["n"], "n", int) != n:
             raise InvalidInputError(f"config: n={doc['n']} but alphas has {n} entries")
 
         gains_doc = doc["gains"]
         if kind == "single_cell":
-            gains = tuple(float(v) for v in gains_doc)
+            gains = _fields(gains_doc, "gains", float)
             if len(gains) != n:
                 raise InvalidInputError("config: single_cell gains must list one gain per terminal")
             k = 1
         else:
-            try:
-                gains = tuple(tuple(float(v) for v in row) for row in gains_doc)
-            except TypeError as exc:
-                raise InvalidInputError("config: gains must be a matrix (list of rows)") from exc
+            if not isinstance(gains_doc, (list, tuple)):
+                raise InvalidInputError("config: gains must be a matrix (list of rows)")
+            gains = tuple(_fields(row, f"gains[{r}]", float) for r, row in enumerate(gains_doc))
             if not gains or not gains[0]:
                 raise InvalidInputError("config: gains matrix is empty")
             widths = {len(row) for row in gains}
@@ -151,18 +167,18 @@ class ScenarioConfig:
                 if len(gains[0]) != n:
                     raise InvalidInputError(f"config: {kind} gain rows need one column per terminal")
                 k = len(gains)
-        if "k" in doc and int(doc["k"]) != k:
+        if "k" in doc and _field(doc["k"], "k", int) != k:
             raise InvalidInputError(f"config: k={doc['k']} but gains imply {k} receivers")
 
         sigma_doc = doc["sigma"]
         if kind == "single_cell":
             if isinstance(sigma_doc, (list, tuple)):
                 raise InvalidInputError("config: single_cell sigma is a scalar")
-            sigma: tuple[float, ...] | float = float(sigma_doc)
+            sigma: tuple[float, ...] | float = _field(sigma_doc, "sigma", float)
         else:
             if not isinstance(sigma_doc, (list, tuple)):
                 raise InvalidInputError(f"config: {kind} sigma must list one value per receiver")
-            sigma = tuple(float(v) for v in sigma_doc)
+            sigma = _fields(sigma_doc, "sigma", float)
             if len(sigma) != k:
                 raise InvalidInputError(f"config: sigma has {len(sigma)} entries, expected {k}")
 
@@ -170,7 +186,7 @@ class ScenarioConfig:
         if kind == "fixed_assignment":
             if "assignment" not in doc:
                 raise InvalidInputError("config: fixed_assignment requires an assignment list")
-            assignment = tuple(int(v) for v in doc["assignment"])
+            assignment = _fields(doc["assignment"], "assignment", int)
             if len(assignment) != n:
                 raise InvalidInputError("config: assignment needs one receiver per terminal")
             if any(not 1 <= a <= k for a in assignment):
@@ -183,7 +199,7 @@ class ScenarioConfig:
         if kind == "multi_connection":
             if "d" not in doc:
                 raise InvalidInputError("config: multi_connection requires diversity orders d")
-            d = tuple(int(v) for v in doc["d"])
+            d = _fields(doc["d"], "d", int)
             mode = doc.get("mode", "bounded")
             if mode not in MC_MODES:
                 raise InvalidInputError(f"config: mode must be one of {MC_MODES}, got {mode!r}")
@@ -211,10 +227,11 @@ class ScenarioConfig:
             unknown = set(sdoc) - {"tolerance", "max_iter", "initial"}
             if unknown:
                 raise InvalidInputError(f"config: unknown solver keys {sorted(unknown)}")
+            initial = _fields(sdoc["initial"], "solver.initial", float) if "initial" in sdoc else None
             solver = SolveConfig(
-                tolerance=float(sdoc.get("tolerance", DEFAULT_TOLERANCE)),
-                max_iter=int(sdoc.get("max_iter", DEFAULT_MAX_ITER)),
-                initial=PowerVector(sdoc["initial"]) if "initial" in sdoc else None,
+                tolerance=_field(sdoc.get("tolerance", DEFAULT_TOLERANCE), "solver.tolerance", float),
+                max_iter=_field(sdoc.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter", int),
+                initial=None if initial is None else PowerVector(initial),
             )
             if solver.initial is not None and len(solver.initial) != n:
                 raise InvalidInputError("config: solver.initial needs one power per terminal")

@@ -7,18 +7,32 @@ the one CSV encoder behind every file the package writes.
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.
+``np`` is numpy, imported on first use: a command without array work
+(``check``) never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
 
-Vector = Union[Sequence[float], np.ndarray]
+class _DeferredModule(types.ModuleType):
+    """A module imported on first attribute access, which copies its namespace in."""
+
+    def __getattr__(self, name):
+        module = __import__(self.__name__)
+        self.__dict__.update(module.__dict__)
+        self.__class__ = types.ModuleType  # a plain module again: later lookups cost nothing extra
+        return getattr(module, name)
+
+
+np = _DeferredModule("numpy")
+
+Vector = Union[Sequence[float], "np.ndarray"]
 
 
 class InvalidInputError(ValueError):
@@ -170,9 +184,6 @@ class GainMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.h, dtype=float)
-
-    def relative_array(self) -> np.ndarray:
-        return np.array(self.relative, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     AdjustmentRule,
     FeasibilityReport,
@@ -34,6 +32,7 @@ from .core import (
     IterationTrace,
     NonConvergenceError,
     PowerVector,
+    np,
     remove_component,
     sup_norm,
     write_csv,

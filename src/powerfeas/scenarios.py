@@ -3,17 +3,17 @@
 Each builder turns a scenario description into a :class:`System` whose
 rules come from the norm-like family, in the coordinates that make the
 admission condition sharpest. ``leave_one_out_map`` builds the same update
-map as arrays, a :class:`LeaveOneOutMap`, straight from numpy: that is the
-map the CLI iterates, and ``feasibility_formula`` is its certificate. The
-rule objects stay the independent reference the tests compare it with.
+map as arrays, a :class:`LeaveOneOutMap`: that is the map the CLI iterates,
+and ``feasibility_formula`` is its certificate. The rule objects stay the
+independent reference the tests compare it with.
 
-Every closed form is one kernel, ``_loo``: for each terminal j and
-receiver k the leave-one-out weighted sum over n != j of x_n * G[k, n],
-reduced over receivers by a max or by a d_j-th smallest. Scenarios differ
-only in the coefficients G, the point x, a per-terminal scale, an
-optional divisor and the reduction they pass in. The capacity module's
-region predicates and inequality export use the same kernel, so ``check``
-and ``region`` give the same verdict at the same targets.
+Every closed form is one leave-one-out sum: for each terminal j and
+receiver k the weighted sum over n != j of x_n * G[k, n], reduced over
+receivers by a max or by a d_j-th smallest. Scenarios differ only in the
+coefficients, which ``_coefficients`` builds in pure Python. Each sum is a
+prefix (n < j, left to right) plus a suffix (n > j, right to left), run in
+pure Python for ``check`` (so it loads no numpy) and as two ``cumsum``
+passes over ``region``'s batches, bit for bit alike.
 
 Coordinate conventions:
 
@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from itertools import accumulate
+from operator import add, mul, truediv
 
 from .core import (
     AdjustmentRule,
@@ -44,6 +44,7 @@ from .core import (
     NoiseVector,
     QosVector,
     Vector,
+    np,
 )
 from .engine import System
 
@@ -56,28 +57,23 @@ def kth_smallest(values: Vector, m: int) -> float:
     return float(arr[m - 1])
 
 
-def _reference_gains(gains, d, what: str) -> np.ndarray:
+def _reference_gains(gains, d, what: str) -> list[float]:
     """d_j-th largest gain of each terminal j; ``gains`` is receiver-major (K x N).
 
     The bounded multi-connection condition divides by these. Rejects orders
     outside [1, K] and terminals in range of fewer than d_j receivers.
     """
-    h = np.asarray(gains, dtype=float)
-    k, n = h.shape
-    order = np.asarray(d, dtype=int)
-    if order.shape != (n,):
+    k = len(gains)
+    if len(d) != len(gains[0]):
         raise InvalidInputError(f"{what}: one diversity order per terminal required")
-    bad = np.flatnonzero((order < 1) | (order > k))
-    if bad.size:
-        j = int(bad[0])
-        raise InvalidInputError(
-            f"{what}: diversity order {order[j]} for terminal {j + 1} must lie in [1, {k}]"
-        )
-    ref = np.sort(h, axis=0)[k - order, np.arange(n)]
-    bad = np.flatnonzero(ref <= 0.0)
-    if bad.size:
-        j = int(bad[0])
-        raise InvalidInputError(f"{what}: terminal {j + 1} is not in range of {order[j]} receivers")
+    for j, order in enumerate(d):
+        if not 1 <= order <= k:
+            raise InvalidInputError(f"{what}: diversity order {order} for terminal {j + 1} "
+                                    f"must lie in [1, {k}]")
+    ref = [sorted(column)[k - order] for column, order in zip(zip(*gains), d)]
+    for j, h in enumerate(ref):
+        if h <= 0.0:
+            raise InvalidInputError(f"{what}: terminal {j + 1} is not in range of {d[j]} receivers")
     return ref
 
 
@@ -389,7 +385,7 @@ def build_fixed_assignment(fa: FixedAssignment) -> System:
 def _mc_bounded_relative_gains(mc: MultiConnection) -> tuple[tuple[float, ...], np.ndarray]:
     """Reference gains h_j (d_j-th largest per terminal) and g_kj = h_kj / h_j."""
     href = _reference_gains(mc.gains, mc.d, "MultiConnection")
-    return tuple(href.tolist()), np.array(mc.gains, dtype=float) / href
+    return tuple(href), np.array(mc.gains, dtype=float) / href
 
 
 def build_multi_connection(mc: MultiConnection, noiseless: bool) -> System:
@@ -487,51 +483,56 @@ def macro_diversity_exact_update(md: MacroDiversity, powers: Vector) -> np.ndarr
     return np.asarray(md.alphas.as_array() / totals, dtype=float)
 
 
-_CHUNK = 1 << 19  # (terminal, receiver, point) sums the kernel holds at once
+_CHUNK = 1 << 16  # (terminal, receiver, point) sums the kernel holds at once: 0.5 MB, cache-sized
 
 
-def _loo_sums(G: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """s[j, k, p] = sum over n != j of G[k, n] * xt[n, p], shape (N, K, P).
-
-    The own term is left out, never subtracted from a total, and terms are
-    added in terminal order, so each entry rounds the same way whatever
-    else is in the batch. At the unit vectors (xt = I) s[j, :, m] is the
-    coefficient of x_m, exactly G[:, m] for m != j and 0 for m == j.
-    """
-    n = xt.shape[0]
-    sums = np.zeros((n, G.shape[0], xt.shape[1]))
-    for m in range(n):
-        term = G[:, m, None] * xt[m]
-        sums[:m] += term
-        sums[m + 1:] += term
+def _point_sums(G, x) -> list[list[float]]:
+    """s[k][j] = sum over n != j of G[k][n] * x[n]: :func:`_loo_sums` at one point, in pure Python."""
+    sums = []
+    for row in G:
+        terms = list(map(mul, row, x))
+        suffix = list(accumulate(reversed(terms), initial=0.0))[-2::-1]
+        sums.append(list(map(add, accumulate(terms, initial=0.0), suffix)))
     return sums
 
 
-def _loo(G, x, scale=None, divisor=None, order=None):
-    """The leave-one-out kernel behind every closed-form admission condition.
+def _loo_sums(G: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """s[j, k, p] = sum over n != j of G[k, n] * xt[n, p], shape (N, K, P), in O(N*K*P).
 
-    ``G`` holds coefficients (K x N) and ``x`` is one point (N,) or a batch
-    (P, N). Per terminal j it reduces the sums s[j, k] of
-    :func:`_loo_sums` over receivers k, after dividing them by
+    :func:`_point_sums`'s recipe as two passes over the terminals, each step
+    one array operation over (K, P); ``cumsum`` along the first axis would
+    run one short loop per (k, p) instead, several times slower. Each entry
+    rounds alike whatever else is in the batch and, the terms being
+    non-negative, within gamma_{N-2} times the sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 4.2). At the unit vectors
+    (xt = I) s[j, :, m] is exactly G[:, m] for m != j and 0 for m == j.
+    """
+    n, shape = len(xt), (len(G), xt.shape[1])
+    sums, suffix, term = np.zeros((n, *shape)), np.zeros(shape), np.empty(shape)
+    for j in range(1, n):  # prefix: terms n < j, left to right
+        np.add(sums[j - 1], np.multiply(G[:, j - 1, None], xt[j - 1], out=term), out=sums[j])
+    for j in range(n - 1, -1, -1):  # plus suffix: terms n > j, right to left
+        sums[j] += suffix
+        suffix += np.multiply(G[:, j, None], xt[j], out=term)
+    return sums
+
+
+def _loo(G, pts, divisor=None, order=None) -> np.ndarray:
+    """The leave-one-out kernel over a batch of points (P x N), one value per point and terminal.
+
+    ``G`` holds coefficients (K x N). Per terminal j it reduces the sums
+    s[j, k] of :func:`_loo_sums` over receivers k, after dividing them by
     ``divisor[j, k]`` (N x K) when given, a zero divisor making that
     receiver's ratio infinite, never selected. Without ``order`` the
     reduction is the max; with ``order`` (1-based ranks, one per terminal)
-    it is the order[j]-th smallest. The result is multiplied by ``scale``
-    (one factor per terminal) when given. Batches are evaluated ``_CHUNK``
-    sums at a time.
-
-    Returns (values, receivers), values shaped like ``x``. For one point
-    and the max reduction, receivers[j] is the argmax, terminal j's binding
-    receiver; otherwise receivers is None.
+    it is the order[j]-th smallest, ``_CHUNK`` sums at a time.
     """
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
     p, n = pts.shape
     values = np.empty((n, p))
     step = max(1, _CHUNK // (n * G.shape[0]))
     for start in range(0, p, step):
         cols = slice(start, start + step)
-        sums = _loo_sums(G, pts[cols].T)
+        sums = _loo_sums(G, np.ascontiguousarray(pts[cols].T))
         if divisor is not None:
             div = divisor[:, :, None]
             sums = np.divide(sums, div, out=np.full_like(sums, np.inf), where=div > 0.0)
@@ -539,25 +540,32 @@ def _loo(G, x, scale=None, divisor=None, order=None):
             values[:, cols] = sums.max(axis=1)
         else:
             values[:, cols] = np.sort(sums, axis=1)[np.arange(n), np.asarray(order) - 1]
-    if scale is not None:
-        values *= np.asarray(scale)[:, None]
-    if x.ndim == 2:
-        return values.T, None
-    # one point is one chunk, so ``sums`` still holds all of its sums
-    return values[:, 0], None if order is not None else sums[:, :, 0].argmax(axis=1)
+    return values.T
 
 
-def _mc_terms(gains, d, noiseless: bool):
-    """Kernel inputs (G, divisor, order) of a multi-connection condition in the targets.
+def _certify(G, scale=None, divisor=None, order=None, names_receiver=True) -> FeasibilityReport:
+    """The paper's admission test, the map without offsets at the all-ones vector, in pure Python.
 
-    Exact noiseless: G = h, each sum divided by the terminal's own gain at
-    that receiver, d_j-th smallest. Bounded: G = h / (d_j-th largest gain
-    of each terminal), max over receivers.
+    The coefficients are lists (see :class:`LeaveOneOutMap`), reduced as
+    ``_loo`` reduces. A max reduction's binding pair names the receiver too.
     """
-    h = np.array(gains, dtype=float)
-    if noiseless:
-        return h, h.T, np.asarray(d)
-    return h / _reference_gains(h, d, "MultiConnection"), None, None
+    n = len(G[0])
+    if n < 2:
+        raise InvalidInputError("admission test: need at least two terminals")
+    by_terminal = list(zip(*_point_sums(G, [1.0] * n)))
+    if divisor is not None:
+        by_terminal = [[s / d if d > 0.0 else math.inf for s, d in zip(sums, row)]
+                       for sums, row in zip(by_terminal, divisor)]
+    if order is None:
+        moduli = list(map(max, by_terminal))
+    else:
+        moduli = [sorted(sums)[rank - 1] for sums, rank in zip(by_terminal, order)]
+    if scale is not None:
+        moduli = list(map(mul, moduli, scale))
+    term = moduli.index(max(moduli))
+    named = order is None and names_receiver
+    receiver = by_terminal[term].index(max(by_terminal[term])) if named else None
+    return FeasibilityReport.from_moduli(moduli, receiver, term)
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,8 +595,6 @@ class LeaveOneOutMap:
 
     def __post_init__(self):
         k, n = np.shape(self.G)
-        if n < 2:
-            raise InvalidInputError("LeaveOneOutMap: need at least two terminals")
         for name, shape, dtype in (("G", (k, n), float), ("c", (n,), float), ("scale", (n,), float),
                                    ("divisor", (n, k), float), ("order", (n,), int)):
             value = getattr(self, name)
@@ -630,7 +636,7 @@ class LeaveOneOutMap:
         return out + self.c
 
     def certificate(self) -> FeasibilityReport:
-        """The map without offsets at the all-ones vector, by the :func:`_loo` kernel.
+        """The map without offsets at the all-ones vector, by :func:`_certify`.
 
         Computed once per map: the map is immutable, so ``check``'s and
         ``solve``'s certifications of it share one kernel evaluation.
@@ -639,10 +645,8 @@ class LeaveOneOutMap:
 
     @cached_property
     def _certificate(self) -> FeasibilityReport:
-        moduli, receivers = _loo(self.G, np.ones(self.n), self.scale, self.divisor, self.order)
-        term = int(np.argmax(moduli))
-        named = receivers is not None and self.names_receiver
-        return FeasibilityReport.from_moduli(moduli, int(receivers[term]) if named else None, term)
+        arrays = (self.G, self.scale, self.divisor, self.order)
+        return _certify(*(None if a is None else a.tolist() for a in arrays), self.names_receiver)
 
     @cached_property
     def receiver_weights(self) -> np.ndarray | None:
@@ -667,18 +671,12 @@ class LeaveOneOutMap:
         return weights
 
 
-def leave_one_out_map(
-    scenario,
-    *,
-    coordinates: str = "transformed",
-    noiseless: bool = False,
-) -> LeaveOneOutMap:
-    """The scenario's update map in array form, no rule objects involved.
+def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False):
+    """The fields (G, c, scale, divisor, order, names_receiver) of a scenario's map, as lists.
 
-    ``coordinates`` selects the original or transformed map for the
-    single-cell and macro-diversity scenarios; ``noiseless`` selects the
-    exact (order-statistic) versus bounded map for multi-connection. The
-    coordinates are those of the matching ``build_*`` system.
+    Unused fields are None. ``coordinates`` selects the original or
+    transformed single-cell and macro-diversity map, ``noiseless`` the exact
+    or bounded multi-connection map, each as the matching ``build_*`` system.
     """
     if coordinates not in ("original", "transformed"):
         raise InvalidInputError(f"leave_one_out_map: unknown coordinates {coordinates!r}")
@@ -687,49 +685,56 @@ def leave_one_out_map(
             f"leave_one_out_map: unsupported scenario {type(scenario).__name__}"
         )
 
-    # Coefficients fold the targets in as G[k, n] * alpha_n, the product the
-    # kernel forms at x = alpha, so the certificate at x = 1 rounds alike.
-    alphas = scenario.alphas.as_array()
+    # Coefficients fold the targets in as G[k][n] * alpha_n, the product the
+    # batch kernel forms at x = alpha, so the certificate at x = 1 rounds alike.
+    alphas = scenario.alphas.alphas
     n = scenario.n
     transformed = coordinates == "transformed"
     scale = divisor = order = None
     if isinstance(scenario, SingleCell):
         if transformed:  # alpha_n
-            G, c = alphas[None, :], np.full(n, scenario.sigma)
+            G, c = [alphas], [scenario.sigma] * n
         else:  # scale alpha_i, coefficients 1
-            G, scale, c = np.ones((1, n)), alphas, scenario.sigma * alphas
+            G, scale, c = [[1.0] * n], alphas, [scenario.sigma * a for a in alphas]
     elif isinstance(scenario, MacroDiversity):
         sigma_hat = scenario.noise.max()
         if transformed:  # alpha_n * g_nk
-            G, c = scenario.gains.relative_array().T * alphas, np.full(n, sigma_hat)
+            G = [list(map(mul, column, alphas)) for column in zip(*scenario.gains.relative)]
+            c = [sigma_hat] * n
         else:  # (alpha_i / h_i) * h_nk
-            scale = alphas / np.array(scenario.gains.row_sums)
-            G, c = scenario.gains.as_array().T, scale * sigma_hat
+            scale = list(map(truediv, alphas, scenario.gains.row_sums))
+            G, c = list(zip(*scenario.gains.h)), [v * sigma_hat for v in scale]
     elif isinstance(scenario, FixedAssignment):
         # only the assigned receiver has a non-zero divisor, so the smallest
         # ratio is alpha_j * (sum of other gains there) / own gain there
-        G, scale = np.array(scenario.gains, dtype=float), alphas
-        assigned = np.array(scenario.assignment)
-        served = np.arange(scenario.receivers) == assigned[:, None]
-        divisor, order = np.where(served, G.T, 0.0), np.ones(n, dtype=int)
-        c = alphas * scenario.noise.as_array()[assigned] / G[assigned, np.arange(n)]
-    else:  # alpha_i * h_ki, over h_kj (exact) or over the d_i-th largest gain (bounded)
-        G, divisor, order = _mc_terms(scenario.gains, scenario.d, noiseless)
-        G = G * alphas
-        c = np.zeros(n) if noiseless else np.full(n, scenario.noise.max())
-    named = not isinstance(scenario, SingleCell)
-    return LeaveOneOutMap(G, c, scale, divisor, order, names_receiver=named)
+        G, scale, order = scenario.gains, alphas, [1] * n
+        noise, served = scenario.noise.sigma_sq, tuple(enumerate(scenario.assignment))
+        divisor = [[G[a][j] if k == a else 0.0 for k in range(len(G))] for j, a in served]
+        c = [alphas[j] * noise[a] / G[a][j] for j, a in served]
+    elif noiseless:  # alpha_i * h_ki over h_kj, d_j-th smallest
+        G = [list(map(mul, row, alphas)) for row in scenario.gains]
+        divisor, order, c = list(zip(*scenario.gains)), scenario.d, [0.0] * n
+    else:  # alpha_i * h_ki over the d_i-th largest gain h_i, max
+        ref = _reference_gains(scenario.gains, scenario.d, "MultiConnection")
+        G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
+        c = [scenario.noise.max()] * n
+    return G, c, scale, divisor, order, not isinstance(scenario, SingleCell)
 
 
-def feasibility_formula(
-    scenario,
-    *,
-    coordinates: str = "transformed",
-    noiseless: bool = False,
-) -> FeasibilityReport:
-    """Closed-form admission condition for a scenario, no rule objects involved.
+def leave_one_out_map(scenario, *, coordinates: str = "transformed",
+                      noiseless: bool = False) -> LeaveOneOutMap:
+    """The scenario's update map in array form (:func:`_coefficients`), no rule objects involved."""
+    *fields, named = _coefficients(scenario, coordinates, noiseless)
+    return LeaveOneOutMap(*fields, names_receiver=named)
 
-    The certificate of :func:`leave_one_out_map` with the same arguments.
-    Must agree with ``contraction_modulus`` of the matching build to 1e-12.
+
+def feasibility_formula(scenario, *, coordinates: str = "transformed",
+                        noiseless: bool = False) -> FeasibilityReport:
+    """Closed-form admission condition for a scenario, no rule objects and no numpy involved.
+
+    The certificate of :func:`leave_one_out_map` with the same arguments, by
+    :func:`_certify` on the same coefficients. Must agree with
+    ``contraction_modulus`` of the matching build to 1e-12.
     """
-    return leave_one_out_map(scenario, coordinates=coordinates, noiseless=noiseless).certificate()
+    G, _, scale, divisor, order, named = _coefficients(scenario, coordinates, noiseless)
+    return _certify(G, scale, divisor, order, named)

@@ -389,6 +389,33 @@ class TestExport:
         with pytest.raises(InvalidInputError):
             region_inequalities(spec)
 
+    @pytest.mark.parametrize("predicate", ["macro_div", "mc_bounded"])
+    def test_inequality_rows_are_the_coefficients_with_the_own_column_zeroed(self, predicate, tmp_path):
+        # built here without the kernel: row (j, k) is receiver k's coefficients, 0 at j
+        rng = np.random.default_rng(23)
+        n, k = 12, 4
+        if predicate == "macro_div":
+            gains = rng.uniform(0.0, 2.0, size=(n, k))
+            spec = RegionSpec(predicate, n=n, resolution=2, alpha_max=1.0,
+                              gains=tuple(map(tuple, gains)))
+            G = np.array([[v / sum(row) for v in row] for row in gains.tolist()]).T
+        else:
+            gains = rng.uniform(0.0, 2.0, size=(k, n))
+            d = rng.integers(1, k + 1, size=n)
+            spec = RegionSpec(predicate, n=n, resolution=2, alpha_max=1.0,
+                              gains=tuple(map(tuple, gains)), d=tuple(d.tolist()))
+            G = gains / np.sort(gains, axis=0)[k - d, np.arange(n)]
+        expected = np.repeat(G[None], n, axis=0)  # (terminal left out, receiver, coefficient)
+        expected[np.arange(n), :, np.arange(n)] = 0.0
+        rows = region_inequalities(spec)
+        coefs = np.array([c for c, _ in rows])
+        assert coefs.tobytes() == expected.reshape(n * k, n).tobytes()
+        assert [rhs for _, rhs in rows] == [1.0] * (n * k)
+        path = tmp_path / "ineq.csv"
+        export_inequalities(spec, path)
+        lines = path.read_text().splitlines()
+        assert lines[1:] == [",".join(map(repr, row)) + ",1.0,<" for row in coefs.tolist()]
+
     def test_inequalities_mc_bounded_match_predicate(self):
         spec = RegionSpec("mc_bounded", n=2, resolution=2, alpha_max=1.0,
                           gains=((1.0, 0.5), (0.4, 1.2)), d=(2, 1))

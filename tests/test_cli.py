@@ -1,14 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from powerfeas import capacity, cli
 from powerfeas.cli import ScenarioConfig, load_config, main, save_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -136,6 +143,145 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "exact_noiseless condition" in out
+
+
+def fixed_assignment_doc():
+    return {
+        "scenario": "fixed_assignment",
+        "alphas": [0.2, 0.3, 0.25],
+        "gains": [[1.0, 0.2, 0.1], [0.3, 1.0, 0.8]],
+        "sigma": [1.0, 0.5],
+        "assignment": [1, 2, 2],
+    }
+
+
+def multi_connection_doc(mode="bounded"):
+    return {
+        "scenario": "multi_connection",
+        "alphas": [0.1, 0.2, 0.15],
+        "gains": [[1.0, 0.5, 0.2], [0.3, 1.0, 1.0]],
+        "sigma": [1.0, 1.0],
+        "d": [1, 2, 1],
+        "mode": mode,
+    }
+
+
+class TestConfigTypes:
+    """Integer fields take JSON integers only, number fields ints or floats; bools are neither."""
+
+    @pytest.mark.parametrize("doc, field", [
+        (dict(multi_connection_doc(), d="12"), "config: d must be a list"),
+        (dict(fixed_assignment_doc(), assignment=[1.9, 2, 2]), "config: assignment[0] must be an integer"),
+        (dict(symmetric_doc(), n=2.7), "config: n must be an integer"),
+        (dict(symmetric_doc(), k=True), "config: k must be an integer"),
+        (dict(multi_connection_doc(), alphas=[True, 0.2, 0.15]), "config: alphas[0] must be a number"),
+        (dict(pair_doc(), sigma="1.0"), "config: sigma must be a number"),
+        (dict(symmetric_doc(), gains=[[1.0, 1.0], [1.0, "1"], [1.0, 1.0]]), "config: gains[1][1] must be a number"),
+        (dict(symmetric_doc(), solver={"max_iter": 10.0}), "config: solver.max_iter must be an integer"),
+        (dict(symmetric_doc(), solver={"tolerance": False}), "config: solver.tolerance must be a number"),
+        (dict(symmetric_doc(), solver={"initial": [1, None, 1]}), "config: solver.initial[1] must be a number"),
+    ], ids=["d_string", "assignment_float", "n_float", "k_bool", "alphas_bool", "sigma_string",
+            "gain_string", "max_iter_float", "tolerance_bool", "initial_null"])
+    def test_wrong_type_exit_one_naming_the_field(self, tmp_path, capsys, doc, field):
+        path = write_config(tmp_path, doc)
+        for command in ("check", "solve"):
+            assert main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {field}, got ")
+            assert captured.err.count("\n") == 1
+
+    def test_integral_floats_stay_numbers(self, tmp_path, capsys):
+        doc = dict(symmetric_doc(), alphas=[1, 0.5, 0.5], sigma=[1, 2])
+        assert main(["check", write_config(tmp_path, doc), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["modulus"] == 1.0 * 0.5 + 0.5 * 0.5
+
+
+ONE_TERMINAL = {
+    "single_cell": {"scenario": "single_cell", "alphas": [0.5], "gains": [1.0], "sigma": 1.0},
+    "macro_diversity": {"scenario": "macro_diversity", "alphas": [0.5], "gains": [[1.0, 0.5]],
+                        "sigma": [1.0, 1.0]},
+    "fixed_assignment": {"scenario": "fixed_assignment", "alphas": [0.5], "gains": [[1.0], [0.5]],
+                         "sigma": [1.0, 1.0], "assignment": [2]},
+    "multi_connection": {"scenario": "multi_connection", "alphas": [0.5], "gains": [[1.0], [0.5]],
+                         "sigma": [1.0, 1.0], "d": [2]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_TERMINAL))
+def test_one_terminal_exit_one(tmp_path, capsys, kind):
+    path = write_config(tmp_path, ONE_TERMINAL[kind])
+    for command in ("check", "solve"):
+        assert main([command, path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: admission test: need at least two terminals\n"
+
+
+FUZZ_BASES = (pair_doc(), symmetric_doc(0.4), dict(symmetric_doc(0.4), coordinates="original"),
+              fixed_assignment_doc(), multi_connection_doc(), multi_connection_doc("exact_noiseless"))
+FUZZ_KEYS = ("scenario", "n", "k", "alphas", "gains", "sigma", "assignment", "d", "mode",
+             "coordinates", "solver")
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.floats(0.0, 3.0),
+    st.sampled_from(["", "12", "x"]),
+    st.just([]), st.just({}), st.lists(st.floats(0.0, 2.0), max_size=3),
+    st.just([[0.5], [0.5, 1.0]]), st.fixed_dictionaries({"max_iter": st.integers(-1, 3)}),
+)
+
+
+def one_terminal(doc):
+    """``doc`` cut down to its first terminal."""
+    doc = dict(doc, alphas=doc["alphas"][:1])
+    if doc["scenario"] in ("single_cell", "macro_diversity"):
+        doc["gains"] = doc["gains"][:1]
+    else:
+        doc["gains"] = [row[:1] for row in doc["gains"]]
+    for key in ("assignment", "d"):
+        if key in doc:
+            doc[key] = doc[key][:1]
+    return doc
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid config with one to three fields, entries or rows replaced, dropped or cut short."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    if draw(st.booleans()):
+        doc = one_terminal(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(FUZZ_KEYS))
+        value = doc.get(key)
+        action = draw(st.sampled_from(["replace", "delete", "entry", "drop_entry", "row"]))
+        if action == "delete":
+            doc.pop(key, None)
+        elif isinstance(value, list) and value and action != "replace":
+            i = draw(st.integers(0, len(value) - 1))
+            if action == "entry":
+                value[i] = copy.deepcopy(draw(JUNK))
+            elif action == "drop_entry":
+                del value[i]
+            elif isinstance(value[i], list) and value[i]:
+                del value[i][-1]  # a ragged matrix
+        else:
+            doc[key] = copy.deepcopy(draw(JUNK))  # later draws may edit it in place
+    return doc
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_docs())
+def test_fuzzed_configs_end_in_an_exit_code_and_one_line(tmp_path_factory, command, doc):
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{command}.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity become JSON tokens json.load accepts
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, str(path), "--json"])
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
 
 
 class TestSolve:
@@ -405,12 +551,24 @@ class TestFileErrors:
         assert "Traceback" not in err
 
 
-def test_cli_import_loads_only_what_subcommands_run():
-    # check, solve and region never call the axiom checker or the rule objects
+def test_cli_import_loads_only_what_subcommands_run(tmp_path):
+    # check, solve and region never call the axiom checker or the rule
+    # objects, and check does no array work: numpy stays unloaded through it
+    configs = []
+    for name, doc in [("sc_t", pair_doc() | {"coordinates": "transformed"}), ("sc_o", pair_doc()),
+                      ("md_t", symmetric_doc()), ("md_o", symmetric_doc() | {"coordinates": "original"}),
+                      ("fa", fixed_assignment_doc()), ("mc_b", multi_connection_doc()),
+                      ("mc_e", multi_connection_doc("exact_noiseless"))]:
+        configs.append(write_config(tmp_path, doc, f"{name}.json"))
     script = (
         "import sys, powerfeas.cli\n"
         "loaded = sorted(m for m in ('powerfeas.axioms', 'powerfeas.rules') if m in sys.modules)\n"
         "assert not loaded, loaded\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"for path in {configs!r}:\n"
+        "    for flags in (['--json'], []):\n"
+        "        assert powerfeas.cli.main(['check', path, *flags]) == 0, path\n"
+        "        assert 'numpy' not in sys.modules, path\n"
         "import powerfeas\n"
         "missing = [n for n in powerfeas.__all__ if getattr(powerfeas, n, None) is None]\n"
         "assert not missing, missing\n"
@@ -419,3 +577,13 @@ def test_cli_import_loads_only_what_subcommands_run():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
     assert result.returncode == 0, result.stderr
+
+
+def test_every_name_the_benchmark_wraps_is_in_cli():
+    # bench/spans.py times each layer by rebinding these names in place
+    for owner_path, attr, _ in runpy.run_path(str(REPO / "bench" / "spans.py"))["WRAPPED"]:
+        head, *rest = owner_path.split(".")
+        owner = {"cli": cli, "capacity": capacity}[head]
+        for part in rest:
+            owner = getattr(owner, part)
+        assert attr in owner.__dict__, (owner_path, attr)

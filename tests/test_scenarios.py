@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from powerfeas.scenarios import (
     macro_diversity_exact_update,
     mc_exact_rules_in_bounded_coords,
 )
+from powerfeas.scenarios import _loo_sums, _point_sums
 
 ASYMMETRIC_GAINS = GainMatrix(((2.0, 1.0), (1.0, 2.0), (1.0, 1.0)))  # relative 2/3,1/3 | 1/3,2/3 | 1/2,1/2
 
@@ -550,6 +552,40 @@ MAP_CASES = {
         lambda rng: random_mc(rng, 0.5), {"noiseless": True},
         lambda mc: build_multi_connection(mc, noiseless=True)),
 }
+
+
+class TestLeaveOneOutSums:
+    """The pure-Python point recipe (``check``) against the cumsum batch (``region``)."""
+
+    @staticmethod
+    def draws(count=40):
+        rng = np.random.default_rng(41)
+        for _ in range(count):
+            n, k, p = int(rng.integers(1, 70)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            G = rng.lognormal(size=(k, n)) * (rng.random((k, n)) < 0.8)
+            pts = np.vstack([np.ones(n), rng.lognormal(size=(p, n)), np.eye(n)])
+            yield G, pts
+
+    def test_point_and_batch_agree_bit_for_bit(self):
+        for G, pts in self.draws():
+            batch = _loo_sums(G, pts.T)  # every point evaluated inside one mixed batch
+            for q, x in enumerate(pts):
+                point = np.array(_point_sums(G.tolist(), x.tolist()))
+                assert point.tobytes() == np.ascontiguousarray(batch[:, :, q].T).tobytes()
+
+    def test_within_the_summation_bound_of_the_exact_sum(self):
+        # non-negative terms: |s - exact| <= gamma_{N-2} * exact (Higham, 2002, 4.2)
+        u = Fraction(1, 2 ** 53)
+        for G, pts in self.draws(count=12):
+            n = G.shape[1]
+            gamma = (n - 2) * u / (1 - (n - 2) * u) if n > 2 else 0
+            sums = _loo_sums(G, pts[:2].T)
+            for q, x in enumerate(pts[:2]):
+                terms = [list(map(Fraction, row)) for row in (G * x).tolist()]  # the kernel's products
+                for j in range(n):
+                    for r, row in enumerate(terms):
+                        exact = sum(row[:j]) + sum(row[j + 1:])
+                        assert abs(Fraction(sums[j, r, q]) - exact) <= gamma * exact
 
 
 class TestLeaveOneOutMap:
