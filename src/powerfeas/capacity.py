@@ -212,8 +212,14 @@ def export_cloud(cloud: RegionCloud, path) -> None:
     )
 
 
-def _inequality_arrays(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (rows x N) and right-hand sides of :func:`region_inequalities`."""
+def region_inequalities(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """H-representation: coefficients (rows x N) and right-hand sides, relation '<'.
+
+    Available for the predicates that are finite conjunctions of strict
+    linear inequalities; the exact multi-connection predicate selects an
+    order statistic and is a union of such systems, so its feasible set has
+    no single inequality list and this raises instead.
+    """
     if spec.predicate == "hanly":
         return np.ones((1, spec.n)), np.array([float(spec.receivers)])
     if spec.predicate == "mc_exact":
@@ -226,21 +232,9 @@ def _inequality_arrays(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.ones(len(rows))
 
 
-def region_inequalities(spec: RegionSpec) -> list[tuple[tuple[float, ...], float]]:
-    """H-representation: (coefficients, rhs) rows with relation '<'.
-
-    Available for the predicates that are finite conjunctions of strict
-    linear inequalities; the exact multi-connection predicate selects an
-    order statistic and is a union of such systems, so its feasible set has
-    no single inequality list and this raises instead.
-    """
-    coefs, rhs = _inequality_arrays(spec)
-    return [(tuple(row), b) for row, b in zip(coefs.tolist(), rhs.tolist())]
-
-
 def export_inequalities(spec: RegionSpec, path) -> None:
     """CSV dump of the H-representation: coef_1..coef_N,rhs,relation."""
-    coefs, rhs = _inequality_arrays(spec)
+    coefs, rhs = region_inequalities(spec)
     write_csv(
         path,
         [f"coef_{i + 1}" for i in range(spec.n)] + ["rhs", "relation"],

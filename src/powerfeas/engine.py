@@ -14,7 +14,8 @@ into the trace's ``(steps + 1, N)`` array, which ``write_trace_csv`` writes
 through ``core.write_csv``. Untraced, it keeps no iterates; a certified map
 that picks one receiver per terminal (``receiver_weights``) is then solved
 by :func:`policy_iteration`, a few K x K Woodbury solves whatever the
-modulus, and every other map by the same Picard loop.
+modulus, and every other map by the same Picard loop. The map's own
+``step``, ``sums`` and ``certificate`` do all leave-one-out arithmetic.
 """
 
 from __future__ import annotations
@@ -210,25 +211,26 @@ def solve(
         return IterationTrace(iterates=iterates, deltas=deltas, converged=converged,
                               tolerance=config.tolerance, certified=certified)
 
-    for _ in range(config.max_iter):
-        nxt = np.asarray(system.step(x), dtype=float)
-        if not np.isfinite(nxt).all():
-            raise NonConvergenceError(
-                "solve: iterates left the finite range (diverging run)",
-                trace=build_trace(False),
-            )
-        if (nxt < 0.0).any():
-            i = int(np.argmax(nxt < 0.0))
-            raise InvalidInputError(
-                f"solve: the update gives terminal {i + 1} the negative power {float(nxt[i])!r}"
-            )
-        delta = sup_norm(nxt - x)
-        deltas.append(delta)
-        if trace:
-            iterates.append(nxt)
-        x = nxt
-        if delta <= threshold:
-            return PowerVector(tuple(x)), build_trace(True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run's inf: isfinite ends it
+        for _ in range(config.max_iter):
+            nxt = np.asarray(system.step(x), dtype=float)
+            if not np.isfinite(nxt).all():
+                raise NonConvergenceError(
+                    "solve: iterates left the finite range (diverging run)",
+                    trace=build_trace(False),
+                )
+            if (nxt < 0.0).any():
+                i = int(np.argmax(nxt < 0.0))
+                raise InvalidInputError(
+                    f"solve: the update gives terminal {i + 1} the negative power {float(nxt[i])!r}"
+                )
+            delta = sup_norm(nxt - x)
+            deltas.append(delta)
+            if trace:
+                iterates.append(nxt)
+            x = nxt
+            if delta <= threshold:
+                return PowerVector(tuple(x)), build_trace(True)
 
     raise NonConvergenceError(
         f"solve: no convergence within {config.max_iter} iterations "
@@ -240,10 +242,10 @@ def solve(
 def policy_iteration(system, x0: np.ndarray, lam: float, config: SolveConfig):
     """Howard's policy iteration for ``T(x) = max over policies of A_pi x + c``.
 
-    ``system`` exposes ``G`` (K x N), ``c`` (N), ``step`` and
+    ``system`` exposes ``G`` (K x N), ``c`` (N), ``step``, ``sums`` and
     ``receiver_weights`` W (N x K): ``T(x)[j]`` is the largest
-    ``W[j, k] * (sum over n != j of G[k, n] * x_n)`` over receivers k with
-    ``W[j, k] > 0``, plus ``c[j]``. A policy pi picks one such receiver per
+    ``W[j, k] * sums(x)[j, k]`` (the sum over n != j of G[k, n] * x_n) over
+    receivers k with ``W[j, k] > 0``, plus ``c[j]``. A policy pi picks one such receiver per
     terminal; it starts greedy at ``x0`` and each evaluation solves
     ``x = A_pi x + c`` exactly (:func:`_evaluate_policy`). A terminal
     switches receiver only when another one is strictly larger at the
@@ -260,28 +262,27 @@ def policy_iteration(system, x0: np.ndarray, lam: float, config: SolveConfig):
     :class:`NonConvergenceError` when ``max_iter`` runs out first.
     """
     threshold = config.tolerance * (1.0 - lam)
-    weights = system.receiver_weights.T  # (K, N)
-    cols = np.arange(system.n)
+    weights = system.receiver_weights
+    rows = np.arange(system.n)
 
     def values(x):
-        sums = (system.G @ x)[:, None] - system.G * x
-        return np.where(weights > 0.0, weights * sums, -np.inf)
+        return np.where(weights > 0.0, weights * system.sums(x), -np.inf)
 
     residuals: list[float] = []
-    policy = values(x0).argmax(axis=0)
+    policy = values(x0).argmax(axis=1)
     seen = {policy.tobytes()}
     improving = True
     while len(residuals) < config.max_iter:
         # evaluate the policy, or, once it is stable, polish with a Picard step
-        x = _evaluate_policy(system.G, weights[policy, cols], policy, system.c) if improving else tx
+        x = _evaluate_policy(system.G, weights[rows, policy], policy, system.c) if improving else tx
         tx = system.step(x)
         residuals.append(sup_norm(tx - x))
         if residuals[-1] <= threshold:
             return x, residuals
         if improving:
             v = values(x)
-            better = v.max(axis=0) > v[policy, cols]
-            policy = np.where(better, v.argmax(axis=0), policy)
+            better = v.max(axis=1) > v[rows, policy]
+            policy = np.where(better, v.argmax(axis=1), policy)
             improving = bool(better.any()) and policy.tobytes() not in seen
             seen.add(policy.tobytes())
         elif not residuals[-1] < residuals[-2]:

@@ -9,11 +9,13 @@ independent reference the tests compare it with.
 
 Every closed form is one leave-one-out sum: for each terminal j and
 receiver k the weighted sum over n != j of x_n * G[k, n], reduced over
-receivers by a max or by a d_j-th smallest. Scenarios differ only in the
-coefficients, which ``_coefficients`` builds in pure Python. Each sum is a
-prefix (n < j, left to right) plus a suffix (n > j, right to left), run in
-pure Python for ``check`` (so it loads no numpy) and as two ``cumsum``
-passes over ``region``'s batches, bit for bit alike.
+receivers by a max or by a d_j-th smallest (``_reduce``). Scenarios differ
+only in the coefficients, which ``_coefficients`` builds in pure Python.
+The certificate and ``region`` add each sum as a prefix (n < j, left to
+right) plus a suffix (n > j, right to left): in pure Python for ``check``
+(no numpy) and as two passes over ``region``'s batches, bit for bit alike.
+The iteration (``_sums``) takes each receiver's pairwise total minus each
+own term instead, several times faster and usually more accurate.
 
 Coordinate conventions:
 
@@ -473,7 +475,7 @@ def macro_diversity_exact_update(md: MacroDiversity, powers: Vector) -> np.ndarr
     if p.shape != (n,):
         raise InvalidInputError(f"macro_diversity_exact_update: expected {n} powers")
     h = md.gains.as_array()
-    interference = _loo_sums(h.T, p[:, None])[:, :, 0]  # Y_ik: leave-one-out received power
+    interference = _sums(np.ascontiguousarray(h.T), p)  # Y_ik: leave-one-out received power
     denom = interference + md.noise.as_array()[None, :]
     if np.any(denom <= 0.0):
         raise InvalidInputError(
@@ -518,29 +520,40 @@ def _loo_sums(G: np.ndarray, xt: np.ndarray) -> np.ndarray:
 
 
 def _loo(G, pts, divisor=None, order=None) -> np.ndarray:
-    """The leave-one-out kernel over a batch of points (P x N), one value per point and terminal.
-
-    ``G`` holds coefficients (K x N). Per terminal j it reduces the sums
-    s[j, k] of :func:`_loo_sums` over receivers k, after dividing them by
-    ``divisor[j, k]`` (N x K) when given, a zero divisor making that
-    receiver's ratio infinite, never selected. Without ``order`` the
-    reduction is the max; with ``order`` (1-based ranks, one per terminal)
-    it is the order[j]-th smallest, ``_CHUNK`` sums at a time.
-    """
+    """Kernel values (P x N) at points (P x N): :func:`_reduce` over :func:`_loo_sums`, chunked."""
     p, n = pts.shape
     values = np.empty((n, p))
     step = max(1, _CHUNK // (n * G.shape[0]))
     for start in range(0, p, step):
         cols = slice(start, start + step)
-        sums = _loo_sums(G, np.ascontiguousarray(pts[cols].T))
-        if divisor is not None:
-            div = divisor[:, :, None]
-            sums = np.divide(sums, div, out=np.full_like(sums, np.inf), where=div > 0.0)
-        if order is None:
-            values[:, cols] = sums.max(axis=1)
-        else:
-            values[:, cols] = np.sort(sums, axis=1)[np.arange(n), np.asarray(order) - 1]
+        values[:, cols] = _reduce(_loo_sums(G, np.ascontiguousarray(pts[cols].T)), divisor, order)
     return values.T
+
+
+def _sums(G: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """s[j, k] = sum over n != j of G[k, n] * x[n], shape (N, K): receiver totals minus own terms.
+
+    Each row of a C-order ``G`` is summed pairwise, whatever the BLAS build.
+    With row total T and unit roundoff u, each sum lies within
+    gamma_{N-1} * T + u * s of the exact sum of the non-negative terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 2.2 and
+    4.2): ulps of s unless the own term dominates its row. No sum is negative.
+    """
+    terms = G * x
+    return (terms.sum(axis=1, keepdims=True) - terms).T
+
+
+def _reduce(sums: np.ndarray, divisor=None, order=None) -> np.ndarray:
+    """Sums s[j, k, ...] over ``divisor[j, k]`` (0: never selected), reduced over receivers k.
+
+    The max, or with ``order`` (1-based ranks) the order[j]-th smallest.
+    """
+    if divisor is not None:
+        div = divisor.reshape(divisor.shape + (1,) * (sums.ndim - 2))
+        sums = np.divide(sums, div, out=np.full_like(sums, np.inf), where=div > 0.0)
+    if order is None:
+        return sums.max(axis=1)
+    return np.sort(sums, axis=1)[np.arange(len(sums)), np.asarray(order) - 1]
 
 
 def _certify(G, scale=None, divisor=None, order=None, names_receiver=True) -> FeasibilityReport:
@@ -600,7 +613,7 @@ class LeaveOneOutMap:
             value = getattr(self, name)
             if value is None:
                 continue
-            arr = np.array(value, dtype=dtype)
+            arr = np.array(value, dtype=dtype, order="C")  # fixes the order _sums adds in
             if arr.shape != shape:
                 raise InvalidInputError(f"LeaveOneOutMap: {name} must have shape {shape}")
             arr.flags.writeable = False
@@ -612,25 +625,16 @@ class LeaveOneOutMap:
     def n(self) -> int:
         return self.G.shape[1]
 
-    def step(self, x: Vector) -> np.ndarray:
-        """One synchronous update in O(N*K): the total per receiver minus each own term.
-
-        Each sum's rounding error is then relative to its receiver's total,
-        at most twice the largest leave-one-out sum there, so a sum much
-        smaller than its own term carries a larger relative error.
-        """
+    def sums(self, x: Vector) -> np.ndarray:
+        """The leave-one-out sums s[j, k] at ``x``, shape (N, K), by :func:`_sums`."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise InvalidInputError(f"LeaveOneOutMap: expected {self.n} powers, got shape {x.shape}")
-        # with x >= 0 the rounded total is never below an own term, so sums >= 0
-        sums = (self.G @ x)[:, None] - self.G * x  # (K, N)
-        if self.divisor is not None:
-            div = self.divisor.T
-            sums = np.divide(sums, div, out=np.full_like(sums, np.inf), where=div > 0.0)
-        if self.order is None:
-            out = sums.max(axis=0)
-        else:
-            out = np.sort(sums, axis=0)[self.order - 1, np.arange(self.n)]
+        return _sums(self.G, x)
+
+    def step(self, x: Vector) -> np.ndarray:
+        """One synchronous update in O(N*K): :func:`_reduce` over :meth:`sums`."""
+        out = _reduce(self.sums(x), self.divisor, self.order)
         if self.scale is not None:
             out *= self.scale
         return out + self.c
@@ -653,8 +657,8 @@ class LeaveOneOutMap:
         """W (N x K) when the map picks one receiver per terminal, else None.
 
         Then ``step(x)[j]`` is the largest ``W[j, k] * s[j, k]`` over the
-        receivers with ``W[j, k] > 0``, plus ``c[j]``, where s[j, k] is the
-        leave-one-out sum: a max reduction, or a smallest ratio with one
+        receivers with ``W[j, k] > 0``, plus ``c[j]``, where s = :meth:`sums`:
+        a max reduction, or a smallest ratio with one
         positive divisor per terminal (fixed assignment). A d-th smallest
         over several receivers has no such form and gives None.
         """

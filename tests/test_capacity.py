@@ -357,12 +357,9 @@ class TestExport:
         assert path.read_bytes() == reference.read_bytes()
 
     def test_inequalities_simple(self, tmp_path):
-        rows = region_inequalities(RegionSpec("simple", n=3, resolution=2, alpha_max=1.0))
-        assert rows == [
-            ((0.0, 1.0, 1.0), 1.0),
-            ((1.0, 0.0, 1.0), 1.0),
-            ((1.0, 1.0, 0.0), 1.0),
-        ]
+        coefs, rhs = region_inequalities(RegionSpec("simple", n=3, resolution=2, alpha_max=1.0))
+        assert coefs.tolist() == [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert rhs.tolist() == [1.0, 1.0, 1.0]
         path = tmp_path / "ineq.csv"
         export_inequalities(RegionSpec("simple", n=3, resolution=2, alpha_max=1.0), path)
         lines = path.read_text().strip().splitlines()
@@ -371,17 +368,16 @@ class TestExport:
         assert all(line.endswith(",<") for line in lines[1:])
 
     def test_inequalities_macro_div_coefficients(self):
-        rows = region_inequalities(spec_macro(ASYMMETRIC_GAINS))
-        assert len(rows) == 6
-        coefs, rhs = rows[0]  # terminal 1 left out, receiver 1
-        assert coefs[0] == 0.0
-        assert coefs[1] == pytest.approx(1.0 / 3.0)
-        assert coefs[2] == pytest.approx(0.5)
-        assert rhs == 1.0
+        coefs, rhs = region_inequalities(spec_macro(ASYMMETRIC_GAINS))
+        assert coefs.shape == (6, 3) and rhs.shape == (6,)
+        assert coefs[0, 0] == 0.0  # terminal 1 left out, receiver 1
+        assert coefs[0, 1] == pytest.approx(1.0 / 3.0)
+        assert coefs[0, 2] == pytest.approx(0.5)
+        assert rhs[0] == 1.0
 
     def test_inequalities_hanly(self):
-        rows = region_inequalities(spec_hanly(2))
-        assert rows == [((1.0, 1.0, 1.0), 2.0)]
+        coefs, rhs = region_inequalities(spec_hanly(2))
+        assert coefs.tolist() == [[1.0, 1.0, 1.0]] and rhs.tolist() == [2.0]
 
     def test_inequalities_mc_exact_unavailable(self):
         spec = RegionSpec("mc_exact", n=2, resolution=2, alpha_max=1.0,
@@ -407,10 +403,9 @@ class TestExport:
             G = gains / np.sort(gains, axis=0)[k - d, np.arange(n)]
         expected = np.repeat(G[None], n, axis=0)  # (terminal left out, receiver, coefficient)
         expected[np.arange(n), :, np.arange(n)] = 0.0
-        rows = region_inequalities(spec)
-        coefs = np.array([c for c, _ in rows])
+        coefs, rhs = region_inequalities(spec)
         assert coefs.tobytes() == expected.reshape(n * k, n).tobytes()
-        assert [rhs for _, rhs in rows] == [1.0] * (n * k)
+        assert rhs.tolist() == [1.0] * (n * k)
         path = tmp_path / "ineq.csv"
         export_inequalities(spec, path)
         lines = path.read_text().splitlines()
@@ -419,10 +414,10 @@ class TestExport:
     def test_inequalities_mc_bounded_match_predicate(self):
         spec = RegionSpec("mc_bounded", n=2, resolution=2, alpha_max=1.0,
                           gains=((1.0, 0.5), (0.4, 1.2)), d=(2, 1))
-        rows = region_inequalities(spec)
+        coefs, rhs = region_inequalities(spec)
         rng = np.random.default_rng(15)
         pts = rng.uniform(0.0, 2.0, size=(100, 2))
         by_rows = np.array([
-            all(np.dot(coefs, p) < rhs for coefs, rhs in rows) for p in pts
+            all(np.dot(row, p) < b for row, b in zip(coefs, rhs)) for p in pts
         ])
         assert np.array_equal(by_rows, evaluate_predicate(spec, pts))

@@ -305,6 +305,22 @@ class TestSolve:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_overflowing_forced_run_exits_three_without_warnings(self, tmp_path, trace):
+        doc = {"scenario": "single_cell", "alphas": [5.0, 5.0, 5.0], "gains": [1.0, 1.0, 1.0],
+               "sigma": 1.0}
+        trace_path = tmp_path / "trace.csv"
+        args = ["solve", write_config(tmp_path, doc), "--force"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(args + (["--trace", str(trace_path)] if trace else []))
+        assert code == 3 and not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        assert lines[0] == "error: solve: iterates left the finite range (diverging run)"
+        assert lines[1:] == ([f"partial trace written to {trace_path}"] if trace else [])
+
     def test_initial_point_invariance(self, tmp_path, capsys):
         path = write_config(tmp_path, pair_doc())
         main(["solve", path, "--init", "0", "--json"])

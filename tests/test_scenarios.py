@@ -33,7 +33,7 @@ from powerfeas.scenarios import (
     macro_diversity_exact_update,
     mc_exact_rules_in_bounded_coords,
 )
-from powerfeas.scenarios import _loo_sums, _point_sums
+from powerfeas.scenarios import _loo_sums, _point_sums, _sums
 
 ASYMMETRIC_GAINS = GainMatrix(((2.0, 1.0), (1.0, 2.0), (1.0, 1.0)))  # relative 2/3,1/3 | 1/3,2/3 | 1/2,1/2
 
@@ -586,6 +586,75 @@ class TestLeaveOneOutSums:
                     for r, row in enumerate(terms):
                         exact = sum(row[:j]) + sum(row[j + 1:])
                         assert abs(Fraction(sums[j, r, q]) - exact) <= gamma * exact
+
+
+class TestIterationSums:
+    """``_sums``, the iteration's order, against exact sums of its own products."""
+
+    @pytest.mark.parametrize("row", ["uniform", "skewed"])
+    def test_within_the_stated_bound(self, row):
+        # |s - exact| <= gamma_{N-1} * (row total) + u * s (Higham, 2002, 2.2 and 4.2)
+        rng = np.random.default_rng(43)
+        n, own = 300, 7
+        x = rng.uniform(0.5, 2.0, size=n)
+        G = rng.uniform(0.1, 1.0, size=(1, n))
+        if row == "skewed":  # one term 1e6 times the rest of its row
+            rest = float((G * x).sum()) - float(G[0, own] * x[own])
+            G[0, own] = 1e6 * rest / x[own]
+        sums = _sums(G, x)[:, 0]
+        u = Fraction(1, 2 ** 53)
+        gamma = (n - 1) * u / (1 - (n - 1) * u)
+        terms = [Fraction(t) for t in (G * x)[0].tolist()]  # the routine's products
+        total = sum(terms)
+        errors = [abs(Fraction(s) - (total - t)) for s, t in zip(sums.tolist(), terms)]
+        for error, s in zip(errors, sums.tolist()):
+            assert error <= gamma * total + u * Fraction(s)
+        if row == "skewed":  # the total's error lands on the small sum that leaves the big term out
+            assert errors[own] > 1000 * u * Fraction(float(sums[own]))
+
+
+LAYOUT_CASES = ("fixed_assignment", "macro_diversity-transformed",
+                "multi_connection-exact_noiseless")
+
+
+def large_scenario(case, rng, n=200, k=8, lam=0.95):
+    """N terminals, K receivers, equal targets scaled to modulus ``lam``."""
+    ones = QosVector((1.0,) * n)
+    noise = NoiseVector((1.0,) * k)
+    if case == "macro_diversity-transformed":
+        gains = GainMatrix(tuple(map(tuple, rng.uniform(0.1, 1.0, (n, k)))))
+        scenario = MacroDiversity(ones, gains, noise)
+    elif case == "fixed_assignment":
+        gains = rng.uniform(0.05, 2.0, (k, n))
+        scenario = FixedAssignment(ones, tuple(map(tuple, gains)),
+                                   tuple(gains.argmax(axis=0).tolist()), noise)
+    else:
+        scenario = MultiConnection(ones, tuple(map(tuple, rng.uniform(0.05, 2.0, (k, n)))),
+                                   tuple(rng.integers(1, k + 1, n).tolist()), noise)
+    options = MAP_CASES[case][1]
+    unit = feasibility_formula(scenario, **options).modulus
+    return dataclasses.replace(scenario, alphas=QosVector((lam / unit,) * n)), options
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_map_results_do_not_depend_on_memory_layout(case):
+    # one map from C-order and from Fortran-order arrays: the same sums, so the same bits
+    rng = np.random.default_rng(LAYOUT_CASES.index(case) + 131)
+    scenario, options = large_scenario(case, rng)
+    c_map = leave_one_out_map(scenario, **options)
+    fortran = {name: np.asfortranarray(getattr(c_map, name))
+               for name in ("G", "divisor") if getattr(c_map, name) is not None}
+    f_map = dataclasses.replace(c_map, **fortran)
+    for x in (np.ones(c_map.n), *rng.uniform(0.0, 50.0, (4, c_map.n))):
+        assert c_map.step(x).tobytes() == f_map.step(x).tobytes()
+    # start above p* = 0 too, so the exact noiseless map iterates
+    config = SolveConfig(initial=PowerVector.full(c_map.n, 1.0))
+    (p_c, trace_c), (p_f, trace_f) = solve(c_map, config), solve(f_map, config)
+    assert trace_c.iterations_used > 10
+    assert trace_c.iterates.tobytes() == trace_f.iterates.tobytes() and p_c == p_f
+    untraced = [solve(m, config, trace=False) for m in (c_map, f_map)]
+    assert untraced[0][1].solver == ("picard" if "exact" in case else "policy")
+    assert untraced[0][0] == untraced[1][0]
 
 
 class TestLeaveOneOutMap:
