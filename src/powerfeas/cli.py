@@ -4,11 +4,11 @@ Configs are JSON documents; see the README for the schema. Exit codes are
 a stable contract: 0 ok/feasible, 1 input error, 2 infeasible or axiom
 failure, 3 non-convergence of a (typically forced) iteration run.
 
-``check`` certifies a config with the closed form, in pure Python: it never
-imports numpy. ``solve`` computes the fixed point of the array update map
-(``scenarios.leave_one_out_map``): Picard iteration with ``--trace``,
-``--force`` or in ``exact_noiseless`` mode, policy iteration otherwise.
-Neither builds rule objects, which stay the library's independent reference.
+``check`` certifies a config with the closed form, in pure Python. ``solve``
+computes the fixed point of the update map (``scenarios.leave_one_out_map``)
+by policy iteration in pure Python, or by Picard iteration on numpy arrays
+with ``--trace``, ``--force`` or in ``exact_noiseless`` mode: only those runs,
+``region`` and ``axioms`` load numpy. Neither builds the rule objects.
 """
 
 from __future__ import annotations
@@ -615,7 +615,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (json.JSONDecodeError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

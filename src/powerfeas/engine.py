@@ -8,20 +8,22 @@ iteration converges to the unique fixed point from any starting vector.
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
 ``step(x)`` and ``certificate()``: a :class:`System` of rule objects, or
-the array form ``scenarios.LeaveOneOutMap`` that the CLI solves. Traced,
-``solve`` is Picard iteration and stacks each step's own output array once
-into the trace's ``(steps + 1, N)`` array, which ``write_trace_csv`` writes
-through ``core.write_csv``. Untraced, it keeps no iterates; a certified map
-that picks one receiver per terminal (``receiver_weights``) is then solved
-by :func:`policy_iteration`, a few K x K Woodbury solves whatever the
-modulus, and every other map by the same Picard loop. The map's own
-``step``, ``sums`` and ``certificate`` do all leave-one-out arithmetic.
+``scenarios.LeaveOneOutMap``, which the CLI solves. Traced, ``solve`` is
+Picard iteration on the map's numpy ``step`` and stacks each step's output
+array once into the trace's ``(steps + 1, N)`` array, which
+``write_trace_csv`` writes through ``core.write_csv``. Untraced, it keeps
+no iterates; a certified map that picks one receiver per terminal
+(``receiver_weights``) is then solved by :func:`policy_iteration` in pure
+Python, numpy unloaded: a few K x K solves whatever the modulus, on sums
+with a ``math.fsum`` receiver total. Every other map runs the Picard loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, mul, sub, truediv
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -173,8 +175,8 @@ def solve(
     With ``trace=False`` no iterates are kept and the second element is a
     :class:`SolveRun`. A certified, unforced map whose ``receiver_weights``
     name one chosen receiver per terminal (``scenarios.LeaveOneOutMap`` with
-    a max reduction or one positive divisor) is then solved by
-    :func:`policy_iteration`, which returns a p with
+    a max reduction or one positive divisor) is then solved without numpy
+    by :func:`policy_iteration`, which returns a p with
     ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``, the same guarantee.
     Every other map runs the Picard loop above.
     """
@@ -187,21 +189,15 @@ def solve(
     certified = report.feasible
     threshold = config.tolerance * (1.0 - report.modulus) if certified else config.tolerance
 
-    if config.initial is None:
-        x = np.zeros(system.n)
-    else:
-        if len(config.initial) != system.n:
-            raise InvalidInputError(
-                f"solve: initial vector has {len(config.initial)} entries, system has {system.n}"
-            )
-        x = config.initial.as_array()
+    start = [0.0] * system.n if config.initial is None else list(config.initial.p)
+    if len(start) != system.n:
+        raise InvalidInputError(f"solve: initial vector has {len(start)} entries, system has {system.n}")
 
     if not trace and not force and getattr(system, "receiver_weights", None) is not None:
-        p, deltas = policy_iteration(system, x, report.modulus, config)
-        run = SolveRun(tuple(deltas), converged=True, tolerance=config.tolerance, certified=True,
-                       solver="policy")
-        return PowerVector(tuple(p)), run
+        p, deltas = policy_iteration(system, start, report.modulus, config)
+        return PowerVector(tuple(p)), SolveRun(tuple(deltas), True, config.tolerance, True, "policy")
 
+    x = np.array(start)
     iterates = [x]  # each step's own output array, stacked once into the trace
     deltas: list[float] = []
 
@@ -239,19 +235,17 @@ def solve(
     )
 
 
-def policy_iteration(system, x0: np.ndarray, lam: float, config: SolveConfig):
-    """Howard's policy iteration for ``T(x) = max over policies of A_pi x + c``.
+def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfig):
+    """Howard's policy iteration for ``T(x) = max over policies of A_pi x + c``, in pure Python.
 
-    ``system`` exposes ``G`` (K x N), ``c`` (N), ``step``, ``sums`` and
-    ``receiver_weights`` W (N x K): ``T(x)[j]`` is the largest
-    ``W[j, k] * sums(x)[j, k]`` (the sum over n != j of G[k, n] * x_n) over
-    receivers k with ``W[j, k] > 0``, plus ``c[j]``. A policy pi picks one such receiver per
-    terminal; it starts greedy at ``x0`` and each evaluation solves
-    ``x = A_pi x + c`` exactly (:func:`_evaluate_policy`). A terminal
-    switches receiver only when another one is strictly larger at the
-    current point, so in exact arithmetic no policy repeats and the loop
-    ends; a repeat (rounding ties) ends it too. ``lam < 1`` is the
-    certified modulus.
+    ``system`` exposes ``G``, ``c`` and ``receiver_weights`` W as sequences
+    (``scenarios.LeaveOneOutMap``). A policy pi picks one receiver with
+    ``W[k][j] > 0`` per terminal; it starts greedy at ``x0`` and each
+    evaluation solves ``x = A_pi x + c`` exactly (:func:`_policy_point`).
+    A terminal switches receiver only when another one is strictly larger
+    at the current point (:func:`_policy_values`), so in exact arithmetic no
+    policy repeats and the loop ends; a repeat (rounding ties) ends it too.
+    ``lam < 1`` is the certified modulus.
 
     Accepts a point p only if ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``,
     which bounds ``sup_norm(p - p*)`` by the tolerance. Failing that, it
@@ -262,29 +256,28 @@ def policy_iteration(system, x0: np.ndarray, lam: float, config: SolveConfig):
     :class:`NonConvergenceError` when ``max_iter`` runs out first.
     """
     threshold = config.tolerance * (1.0 - lam)
-    weights = system.receiver_weights
-    rows = np.arange(system.n)
-
-    def values(x):
-        return np.where(weights > 0.0, weights * system.sums(x), -np.inf)
-
-    residuals: list[float] = []
-    policy = values(x0).argmax(axis=1)
-    seen = {policy.tobytes()}
+    G, c, weights = system.G, system.c, system.receiver_weights
+    masks = [[0.0 if w > 0.0 else -math.inf for w in row] for row in weights]
+    values = _policy_values(G, weights, masks, x0)
+    policy = list(map(tuple.index, values, map(max, values)))
+    seen = {tuple(policy)}
     improving = True
+    residuals: list[float] = []
     while len(residuals) < config.max_iter:
         # evaluate the policy, or, once it is stable, polish with a Picard step
-        x = _evaluate_policy(system.G, weights[rows, policy], policy, system.c) if improving else tx
-        tx = system.step(x)
-        residuals.append(sup_norm(tx - x))
+        x = _policy_point(G, weights, c, policy) if improving else tx
+        values = _policy_values(G, weights, masks, x)
+        best = list(map(max, values))
+        tx = list(map(add, best, c))
+        if not all(map(math.isfinite, tx)):
+            raise InvalidInputError("solve: the fixed point lies beyond the float64 range")
+        residuals.append(max(map(abs, map(sub, tx, x))))
         if residuals[-1] <= threshold:
             return x, residuals
         if improving:
-            v = values(x)
-            better = v.max(axis=1) > v[rows, policy]
-            policy = np.where(better, v.argmax(axis=1), policy)
-            improving = bool(better.any()) and policy.tobytes() not in seen
-            seen.add(policy.tobytes())
+            policy = [v.index(b) if b > v[k] else k for v, b, k in zip(values, best, policy)]
+            improving = tuple(policy) not in seen
+            seen.add(tuple(policy))
         elif not residuals[-1] < residuals[-2]:
             floor = min(residuals) / (1.0 - lam)
             unit = 10.0 ** (math.floor(math.log10(floor)) - 2)  # round up to 3 digits
@@ -296,23 +289,48 @@ def policy_iteration(system, x0: np.ndarray, lam: float, config: SolveConfig):
     raise NonConvergenceError(f"solve: no convergence within {config.max_iter} iterations")
 
 
-def _evaluate_policy(G: np.ndarray, w: np.ndarray, policy: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _policy_values(G, weights, masks, x) -> list[tuple[float, ...]]:
+    """v[j][k] = W[k][j] * s[k][j], plus ``masks[k][j]``: -inf where W[k][j] is 0, else 0.
+
+    s[k][j] is receiver k's ``math.fsum`` total minus terminal j's own
+    term. With row total T and unit roundoff u, it lies within u * T + u * s
+    of the exact sum of the non-negative terms (Higham, 2002, 2.2 and 4.2).
+    """
+    values = []
+    for row, w, mask in zip(G, weights, masks):
+        terms = list(map(mul, row, x))
+        values.append(list(map(add, map(mul, w, map(math.fsum(terms).__sub__, terms)), mask)))
+    return list(zip(*values))
+
+
+def _policy_point(G, weights, c, policy) -> list[float]:
     """Solve ``x = A x + c`` with ``A = diag(w) E G`` minus its diagonal, E selecting ``policy``.
 
-    Row j of ``A x`` is ``w[j] * (t[policy[j]] - G[policy[j], j] * x_j)``
+    Row j of ``A x`` is ``w[j] * (t[policy[j]] - G[policy[j]][j] * x_j)``
     with receiver totals ``t = G x``, so ``x = (c + w * t[policy]) / m``
     with ``m = 1 + w * G[policy, j]``. Substituting into ``t = G x`` leaves
-    the K x K system ``(I - S) t = G (c / m)``, ``S = G diag(w / m) E``:
-    the Sherman-Morrison-Woodbury capacitance matrix of the rank-K part.
-    O(N * K^2 + K^3); no N x N matrix is formed.
+    the K x K system ``(I - S) t = G (c / m)``, ``S = G diag(w / m) E``
+    (the Woodbury capacitance matrix), each entry one ``math.fsum``.
+    O(N * K + K^3); no N x N matrix is formed.
     """
-    n = G.shape[1]
-    cols = np.arange(n)
-    m = 1.0 + w * G[policy, cols]
-    select = np.zeros((n, G.shape[0]))
-    select[cols, policy] = w / m
-    t = np.linalg.solve(np.eye(G.shape[0]) - G @ select, G @ (c / m))
-    return (c + w * t[policy]) / m
+    w = [weights[r][j] for j, r in enumerate(policy)]
+    m = [1.0 + wj * G[r][j] for j, (wj, r) in enumerate(zip(w, policy))]
+    members = sorted(range(len(c)), key=policy.__getitem__)  # terminals grouped by receiver
+    bounds = list(accumulate(map(policy.count, range(len(G))), initial=0))
+    a, cm, rows = list(map(truediv, w, m)), list(map(truediv, c, m)), []
+    for i, row in enumerate(G):
+        grouped = list(map(list(map(mul, row, a)).__getitem__, members))
+        rows.append([float(i == l) - math.fsum(grouped[lo:hi])
+                     for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+                    + [math.fsum(map(mul, row, cm))])
+    for col in range(len(rows)):  # Gauss-Jordan elimination, partial pivoting, on [I - S | G (c / m)]
+        pivot = max(range(col, len(rows)), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        rows = [row if row is top else list(map(sub, row, map((row[col] / top[col]).__mul__, top)))
+                for row in rows]
+    t = [row[-1] / row[i] for i, row in enumerate(rows)]
+    return [(cj + wj * t[r]) / mj for cj, wj, r, mj in zip(c, w, policy, m)]
 
 
 def linear_oracle(A: Sequence[Sequence[float]], c: Sequence[float]) -> PowerVector:

@@ -14,8 +14,8 @@ only in the coefficients, which ``_coefficients`` builds in pure Python.
 The certificate and ``region`` add each sum as a prefix (n < j, left to
 right) plus a suffix (n > j, right to left): in pure Python for ``check``
 (no numpy) and as two passes over ``region``'s batches, bit for bit alike.
-The iteration (``_sums``) takes each receiver's pairwise total minus each
-own term instead, several times faster and usually more accurate.
+The iteration takes each receiver's total minus each own term instead:
+numpy's pairwise total in ``_sums``, ``math.fsum``'s in policy iteration.
 
 Coordinate conventions:
 
@@ -583,14 +583,16 @@ def _certify(G, scale=None, divisor=None, order=None, names_receiver=True) -> Fe
 
 @dataclass(frozen=True, eq=False)
 class LeaveOneOutMap:
-    """A scenario's update map as arrays: one leave-one-out sum per terminal and receiver.
+    """A scenario's update map: one leave-one-out sum per terminal and receiver.
 
     ``step(x)[j] = scale[j] * reduce over k of (sum over n != j of
     G[k, n] * x_n) / divisor[j, k] + c[j]``. ``G`` (K x N) holds the
     coefficients in the iterate's coordinates; ``scale`` (N), ``divisor``
     (N x K) and ``order`` (N, 1-based ranks) are optional. The reduction is
     the max, or the order[j]-th smallest when ``order`` is given; a zero
-    divisor makes that receiver's ratio infinite, never selected.
+    divisor makes that receiver's ratio infinite, never selected. The fields
+    are tuples, checked in pure Python; only ``step`` needs numpy, and it
+    builds C-order arrays on first use, so :func:`_sums` adds in one order.
 
     The map is the same one the ``build_*`` rule objects apply, one call per
     terminal, and its certificate is the map at the all-ones vector without
@@ -599,45 +601,49 @@ class LeaveOneOutMap:
     one-receiver-per-terminal form that ``engine.policy_iteration`` solves.
     """
 
-    G: np.ndarray
-    c: np.ndarray
-    scale: np.ndarray | None = None
-    divisor: np.ndarray | None = None
-    order: np.ndarray | None = None
+    G: tuple
+    c: tuple
+    scale: tuple | None = None
+    divisor: tuple | None = None
+    order: tuple | None = None
     names_receiver: bool = True
 
     def __post_init__(self):
-        k, n = np.shape(self.G)
-        for name, shape, dtype in (("G", (k, n), float), ("c", (n,), float), ("scale", (n,), float),
-                                   ("divisor", (n, k), float), ("order", (n,), int)):
+        k, n = len(self.G), len(self.c)
+        for name, rows, cols, kind in (("G", k, n, float), ("c", n, None, float),
+                                       ("scale", n, None, float), ("divisor", n, k, float),
+                                       ("order", n, None, int)):
             value = getattr(self, name)
             if value is None:
                 continue
-            arr = np.array(value, dtype=dtype, order="C")  # fixes the order _sums adds in
-            if arr.shape != shape:
+            value = tuple(map(kind, value)) if cols is None else tuple(tuple(map(kind, row)) for row in value)
+            if len(value) != rows or cols is not None and any(len(row) != cols for row in value):
+                shape = (rows,) if cols is None else (rows, cols)
                 raise InvalidInputError(f"LeaveOneOutMap: {name} must have shape {shape}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.order is not None and np.any((self.order < 1) | (self.order > k)):
+            object.__setattr__(self, name, value)
+        if self.order is not None and not all(1 <= rank <= k for rank in self.order):
             raise InvalidInputError(f"LeaveOneOutMap: orders must lie in [1, {k}]")
 
     @property
     def n(self) -> int:
-        return self.G.shape[1]
+        return len(self.c)
 
-    def sums(self, x: Vector) -> np.ndarray:
-        """The leave-one-out sums s[j, k] at ``x``, shape (N, K), by :func:`_sums`."""
+    @cached_property
+    def _arrays(self) -> tuple:
+        """(G, c, scale, divisor, order) as C-order arrays, None where unused, for :meth:`step`."""
+        fields = (self.G, self.c, self.scale, self.divisor, self.order)
+        return tuple(None if value is None else np.array(value) for value in fields)
+
+    def step(self, x: Vector) -> np.ndarray:
+        """One synchronous update in O(N*K): :func:`_reduce` over :func:`_sums`."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise InvalidInputError(f"LeaveOneOutMap: expected {self.n} powers, got shape {x.shape}")
-        return _sums(self.G, x)
-
-    def step(self, x: Vector) -> np.ndarray:
-        """One synchronous update in O(N*K): :func:`_reduce` over :meth:`sums`."""
-        out = _reduce(self.sums(x), self.divisor, self.order)
-        if self.scale is not None:
-            out *= self.scale
-        return out + self.c
+        G, c, scale, divisor, order = self._arrays
+        out = _reduce(_sums(G, x), divisor, order)
+        if scale is not None:
+            out *= scale
+        return out + c
 
     def certificate(self) -> FeasibilityReport:
         """The map without offsets at the all-ones vector, by :func:`_certify`.
@@ -649,30 +655,25 @@ class LeaveOneOutMap:
 
     @cached_property
     def _certificate(self) -> FeasibilityReport:
-        arrays = (self.G, self.scale, self.divisor, self.order)
-        return _certify(*(None if a is None else a.tolist() for a in arrays), self.names_receiver)
+        return _certify(self.G, self.scale, self.divisor, self.order, self.names_receiver)
 
     @cached_property
-    def receiver_weights(self) -> np.ndarray | None:
-        """W (N x K) when the map picks one receiver per terminal, else None.
+    def receiver_weights(self) -> tuple | None:
+        """W (K x N, laid out as G) when the map picks one receiver per terminal, else None.
 
-        Then ``step(x)[j]`` is the largest ``W[j, k] * s[j, k]`` over the
-        receivers with ``W[j, k] > 0``, plus ``c[j]``, where s = :meth:`sums`:
-        a max reduction, or a smallest ratio with one
-        positive divisor per terminal (fixed assignment). A d-th smallest
-        over several receivers has no such form and gives None.
+        Then ``step(x)[j]`` is ``c[j]`` plus the largest ``W[k][j] * s[k][j]``
+        over receivers with ``W[k][j] > 0``, s[k][j] the sum over n != j of
+        G[k][n] * x_n: a max reduction, or one positive divisor per terminal
+        (fixed assignment). A d-th smallest over several receivers is None.
         """
-        scale = (np.ones(self.n) if self.scale is None else self.scale)[:, None]
+        scale = self.scale or (1.0,) * self.n
         if self.order is None and self.divisor is None:
-            weights = np.repeat(scale, self.G.shape[0], axis=1)
-        elif (self.order is not None and self.divisor is not None and np.all(self.order == 1)
-              and np.all((self.divisor > 0.0).sum(axis=1) == 1)):
-            weights = np.divide(scale, self.divisor, out=np.zeros_like(self.divisor),
-                                where=self.divisor > 0.0)
-        else:
-            return None
-        weights.flags.writeable = False
-        return weights
+            return (scale,) * len(self.G)
+        if (self.order is not None and self.divisor is not None and set(self.order) == {1}
+                and all(sum(d > 0.0 for d in row) == 1 for row in self.divisor)):
+            return tuple(tuple(s / d if d > 0.0 else 0.0 for s, d in zip(scale, column))
+                         for column in zip(*self.divisor))
+        return None
 
 
 def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False):

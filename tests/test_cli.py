@@ -267,18 +267,20 @@ def mutated_docs(draw):
     return doc
 
 
-@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("command", [["check"], ["solve"], ["solve", "--init", "1"],
+                                     ["solve", "--force"]],
+                         ids=["check", "solve", "solve-init", "solve-force"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_docs())
 def test_fuzzed_configs_end_in_an_exit_code_and_one_line(tmp_path_factory, command, doc):
-    path = tmp_path_factory.getbasetemp() / f"fuzz_{command}.json"
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{'_'.join(command)}.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity become JSON tokens json.load accepts
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main([command, str(path), "--json"])
+        code = main([command[0], str(path), "--json", *command[1:]])
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
     assert not caught, [str(w.message) for w in caught]
@@ -320,6 +322,12 @@ class TestSolve:
         lines = err.getvalue().splitlines()
         assert lines[0] == "error: solve: iterates left the finite range (diverging run)"
         assert lines[1:] == ([f"partial trace written to {trace_path}"] if trace else [])
+
+    def test_fixed_point_beyond_float_range_exits_one(self, tmp_path, capsys):
+        doc = {"scenario": "single_cell", "alphas": [0.9, 0.09], "gains": [1.0, 1.0], "sigma": 1e308}
+        assert main(["solve", write_config(tmp_path, doc), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: solve: the fixed point lies beyond the float64 range\n"
 
     def test_initial_point_invariance(self, tmp_path, capsys):
         path = write_config(tmp_path, pair_doc())
@@ -569,7 +577,8 @@ class TestFileErrors:
 
 def test_cli_import_loads_only_what_subcommands_run(tmp_path):
     # check, solve and region never call the axiom checker or the rule
-    # objects, and check does no array work: numpy stays unloaded through it
+    # objects; check and untraced policy-iteration solve do no array work:
+    # numpy stays unloaded through them, and loads for Picard iteration
     configs = []
     for name, doc in [("sc_t", pair_doc() | {"coordinates": "transformed"}), ("sc_o", pair_doc()),
                       ("md_t", symmetric_doc()), ("md_o", symmetric_doc() | {"coordinates": "original"}),
@@ -585,6 +594,13 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "    for flags in (['--json'], []):\n"
         "        assert powerfeas.cli.main(['check', path, *flags]) == 0, path\n"
         "        assert 'numpy' not in sys.modules, path\n"
+        f"for path in {configs[:-1]!r}:\n"
+        "    for flags in ([], ['--json'], ['--init', '2'], ['--json', '--init', '2']):\n"
+        "        assert powerfeas.cli.main(['solve', path, *flags]) == 0, (path, flags)\n"
+        "        assert 'numpy' not in sys.modules, (path, flags)\n"
+        f"assert powerfeas.cli.main(['solve', {configs[0]!r}, '--trace', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        f"assert powerfeas.cli.main(['solve', {configs[-1]!r}, '--json']) == 0\n"
         "import powerfeas\n"
         "missing = [n for n in powerfeas.__all__ if getattr(powerfeas, n, None) is None]\n"
         "assert not missing, missing\n"

@@ -862,3 +862,55 @@ class TestPolicyIteration:
         floor = float(message.split("smallest attainable tolerance is ")[1].split()[0])
         assert 1e-15 < floor < 1e-9
         self.policy_solve(array_map, SolveConfig(tolerance=floor))
+
+
+def exact_fixed_point(A, c) -> list[Fraction]:
+    """The p with p = A p + c, in rationals: Gauss-Jordan elimination on [I - A | c]."""
+    n = len(c)
+    rows = [[Fraction(int(i == j)) - Fraction(a) for j, a in enumerate(row)] + [Fraction(v)]
+            for i, (row, v) in enumerate(zip(np.asarray(A).tolist(), np.asarray(c).tolist()))]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[n] / row[i] for i, row in enumerate(rows)]
+
+
+class TestPolicyExactness:
+    """Policy-iteration powers against exact rational fixed points: within 16 ulp relative."""
+
+    @staticmethod
+    def assert_near_exact(array_map, exact):
+        p, run = solve(array_map, trace=False)
+        assert run.solver == "policy"
+        for value, e in zip(p, exact):
+            assert abs(Fraction(value) - e) <= 16 * Fraction(1, 2 ** 52) * e
+
+    @pytest.mark.parametrize("coordinates", ["original", "transformed"])
+    def test_single_cell_closed_form(self, coordinates):
+        # N=200 equal targets at lambda 0.965, as in the solve benchmark's single-cell slots
+        n = 200
+        sc = SingleCell(QosVector((0.965 / (n - 1),) * n), (1.0,) * n, 1.065)
+        # q_i = sigma / ((1 - S)(1 + alpha_i)) with S = sum of alpha / (1 + alpha); P_i = alpha_i q_i
+        alphas = list(map(Fraction, sc.alphas))
+        s = sum(a / (1 + a) for a in alphas)
+        exact = [Fraction(sc.sigma) / ((1 - s) * (1 + a)) for a in alphas]
+        if coordinates == "original":
+            exact = [a * q for a, q in zip(alphas, exact)]
+        self.assert_near_exact(leave_one_out_map(sc, coordinates=coordinates), exact)
+
+    def test_fixed_assignment_linear_system(self):
+        # dyadic gains, targets and noise: the rule objects' A and c are exact, whatever the rounding
+        rng = np.random.default_rng(23)
+        n, k = 7, 3
+        assignment = rng.integers(0, k, n)
+        gains = 2.0 ** rng.integers(-4, 0, (k, n))
+        gains[assignment, np.arange(n)] = 2.0
+        fa = FixedAssignment(QosVector(tuple(rng.integers(8, 48, n) / 128)), tuple(map(tuple, gains)),
+                             tuple(assignment.tolist()), NoiseVector(tuple(rng.integers(1, 9, k) / 8)))
+        assert 0.3 < feasibility_formula(fa).modulus < 1.0
+        exact = exact_fixed_point(*affine_parts(build_fixed_assignment(fa)))
+        self.assert_near_exact(leave_one_out_map(fa), exact)
