@@ -105,7 +105,7 @@ class RegionSpec:
 
 
 def _kernel_terms(spec: RegionSpec):
-    """Kernel inputs (G, divisor, order) of a predicate: ``check``'s coefficients at unit targets."""
+    """Kernel inputs (G, W, order) of a predicate: ``check``'s coefficients at unit targets."""
     ones = QosVector((1.0,) * spec.n)
     if spec.predicate == "simple":
         scenario = SingleCell(ones, ones.alphas, 0.0)
@@ -113,8 +113,8 @@ def _kernel_terms(spec: RegionSpec):
         scenario = MacroDiversity(ones, GainMatrix(spec.gains), NoiseVector((0.0,) * len(spec.gains[0])))
     else:
         scenario = MultiConnection(ones, spec.gains, spec.d, NoiseVector((0.0,) * len(spec.gains)))
-    G, _, _, divisor, order, _ = _coefficients(scenario, noiseless=spec.predicate == "mc_exact")
-    return np.array(G, dtype=float), None if divisor is None else np.array(divisor), order
+    G, _, W, order, _ = _coefficients(scenario, noiseless=spec.predicate == "mc_exact")
+    return np.array(G, dtype=float), None if W is None else np.array(W), order
 
 
 def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
@@ -127,8 +127,8 @@ def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
 
     if spec.predicate == "hanly":
         return pts.sum(axis=1) < spec.receivers
-    G, divisor, order = _kernel_terms(spec)
-    return (_loo(G, pts, divisor, order) < 1.0).all(axis=1)
+    G, W, order = _kernel_terms(spec)
+    return (_loo(G, pts, W, order) < 1.0).all(axis=1)
 
 
 @dataclass(frozen=True)

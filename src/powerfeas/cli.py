@@ -606,15 +606,12 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvalidInputError, InvalidFunctionError, EvaluationError) as exc:
+    except (InvalidInputError, InvalidFunctionError, EvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InfeasibleSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (json.JSONDecodeError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -12,7 +12,7 @@ iteration converges to the unique fixed point from any starting vector.
 Picard iteration on the map's numpy ``step`` and stacks each step's output
 array once into the trace's ``(steps + 1, N)`` array, which
 ``write_trace_csv`` writes through ``core.write_csv``. Untraced, it keeps
-no iterates; a certified map that picks one receiver per terminal
+no iterates; a certified map that maximises over receivers
 (``receiver_weights``) is then solved by :func:`policy_iteration` in pure
 Python, numpy unloaded: a few K x K solves whatever the modulus, on sums
 with a ``math.fsum`` receiver total. Every other map runs the Picard loop.
@@ -173,10 +173,9 @@ def solve(
     fixed point and leaves a residual ``sup_norm(T(p*) - p*) <= tolerance``.
 
     With ``trace=False`` no iterates are kept and the second element is a
-    :class:`SolveRun`. A certified, unforced map whose ``receiver_weights``
-    name one chosen receiver per terminal (``scenarios.LeaveOneOutMap`` with
-    a max reduction or one positive divisor) is then solved without numpy
-    by :func:`policy_iteration`, which returns a p with
+    :class:`SolveRun`. A certified, unforced map with ``receiver_weights``
+    (``scenarios.LeaveOneOutMap`` with a max reduction) is then solved
+    without numpy by :func:`policy_iteration`, which returns a p with
     ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``, the same guarantee.
     Every other map runs the Picard loop above.
     """
@@ -252,8 +251,8 @@ def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfi
     takes Picard steps from the last point while the step shrinks. Returns
     (p, residuals), one residual per evaluation and polish step; raises
     :class:`InvalidInputError` naming the smallest tolerance float64
-    certifies here when the bound stays out of reach, and
-    :class:`NonConvergenceError` when ``max_iter`` runs out first.
+    certifies here when the bound stays out of reach (or that T(p) leaves
+    float64), and :class:`NonConvergenceError` when ``max_iter`` runs out first.
     """
     threshold = config.tolerance * (1.0 - lam)
     G, c, weights = system.G, system.c, system.receiver_weights
@@ -289,6 +288,14 @@ def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfi
     raise NonConvergenceError(f"solve: no convergence within {config.max_iter} iterations")
 
 
+def _fsum(terms) -> float:
+    """``math.fsum``, but inf where finite terms overflow: :func:`policy_iteration` then stops."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _policy_values(G, weights, masks, x) -> list[tuple[float, ...]]:
     """v[j][k] = W[k][j] * s[k][j], plus ``masks[k][j]``: -inf where W[k][j] is 0, else 0.
 
@@ -299,7 +306,7 @@ def _policy_values(G, weights, masks, x) -> list[tuple[float, ...]]:
     values = []
     for row, w, mask in zip(G, weights, masks):
         terms = list(map(mul, row, x))
-        values.append(list(map(add, map(mul, w, map(math.fsum(terms).__sub__, terms)), mask)))
+        values.append(list(map(add, map(mul, w, map(_fsum(terms).__sub__, terms)), mask)))
     return list(zip(*values))
 
 
@@ -320,9 +327,9 @@ def _policy_point(G, weights, c, policy) -> list[float]:
     a, cm, rows = list(map(truediv, w, m)), list(map(truediv, c, m)), []
     for i, row in enumerate(G):
         grouped = list(map(list(map(mul, row, a)).__getitem__, members))
-        rows.append([float(i == l) - math.fsum(grouped[lo:hi])
+        rows.append([float(i == l) - _fsum(grouped[lo:hi])
                      for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-                    + [math.fsum(map(mul, row, cm))])
+                    + [_fsum(map(mul, row, cm))])
     for col in range(len(rows)):  # Gauss-Jordan elimination, partial pivoting, on [I - S | G (c / m)]
         pivot = max(range(col, len(rows)), key=lambda r: abs(rows[r][col]))
         rows[col], rows[pivot] = rows[pivot], rows[col]

@@ -7,10 +7,10 @@ map as arrays, a :class:`LeaveOneOutMap`: that is the map the CLI iterates,
 and ``feasibility_formula`` is its certificate. The rule objects stay the
 independent reference the tests compare it with.
 
-Every closed form is one leave-one-out sum: for each terminal j and
-receiver k the weighted sum over n != j of x_n * G[k, n], reduced over
-receivers by a max or by a d_j-th smallest (``_reduce``). Scenarios differ
-only in the coefficients, which ``_coefficients`` builds in pure Python.
+Every closed form is one leave-one-out sum s[k][j] over n != j of x_n *
+G[k, n], for each receiver k and terminal j, times W[k][j] and reduced over
+the receivers with W[k][j] > 0 by a max or a d_j-th smallest (``_reduce``).
+Scenarios differ only in (G, W, order, c), which ``_coefficients`` builds.
 The certificate and ``region`` add each sum as a prefix (n < j, left to
 right) plus a suffix (n > j, right to left): in pure Python for ``check``
 (no numpy) and as two passes over ``region``'s batches, bit for bit alike.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, mul, truediv
 
 from .core import (
@@ -519,14 +519,14 @@ def _loo_sums(G: np.ndarray, xt: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _loo(G, pts, divisor=None, order=None) -> np.ndarray:
+def _loo(G, pts, W=None, order=None) -> np.ndarray:
     """Kernel values (P x N) at points (P x N): :func:`_reduce` over :func:`_loo_sums`, chunked."""
     p, n = pts.shape
     values = np.empty((n, p))
     step = max(1, _CHUNK // (n * G.shape[0]))
     for start in range(0, p, step):
         cols = slice(start, start + step)
-        values[:, cols] = _reduce(_loo_sums(G, np.ascontiguousarray(pts[cols].T)), divisor, order)
+        values[:, cols] = _reduce(_loo_sums(G, np.ascontiguousarray(pts[cols].T)), W, order)
     return values.T
 
 
@@ -543,76 +543,73 @@ def _sums(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (terms.sum(axis=1, keepdims=True) - terms).T
 
 
-def _reduce(sums: np.ndarray, divisor=None, order=None) -> np.ndarray:
-    """Sums s[j, k, ...] over ``divisor[j, k]`` (0: never selected), reduced over receivers k.
+def _reduce(sums: np.ndarray, W=None, order=None) -> np.ndarray:
+    """W[k, j] * s[j, k, ...] reduced over receivers k (W None: all ones).
 
-    The max, or with ``order`` (1-based ranks) the order[j]-th smallest.
+    The max, or with ``order`` (1-based ranks) the order[j]-th smallest over
+    the receivers with W[k, j] > 0. The max needs no such mask: every product
+    is >= 0, so a receiver with W = 0 adds a 0, which never exceeds the rest.
     """
-    if divisor is not None:
-        div = divisor.reshape(divisor.shape + (1,) * (sums.ndim - 2))
-        sums = np.divide(sums, div, out=np.full_like(sums, np.inf), where=div > 0.0)
+    if W is not None:
+        w = W.T.reshape(W.T.shape + (1,) * (sums.ndim - 2))
+        sums = sums * w if order is None else np.multiply(
+            sums, w, out=np.full_like(sums, np.inf), where=w > 0.0)
     if order is None:
         return sums.max(axis=1)
     return np.sort(sums, axis=1)[np.arange(len(sums)), np.asarray(order) - 1]
 
 
-def _certify(G, scale=None, divisor=None, order=None, names_receiver=True) -> FeasibilityReport:
+def _certify(G, W=None, order=None, names_receiver=True) -> FeasibilityReport:
     """The paper's admission test, the map without offsets at the all-ones vector, in pure Python.
 
     The coefficients are lists (see :class:`LeaveOneOutMap`), reduced as
-    ``_loo`` reduces. A max reduction's binding pair names the receiver too.
+    :func:`_reduce` reduces. A max reduction's binding pair names the receiver too.
     """
     n = len(G[0])
     if n < 2:
         raise InvalidInputError("admission test: need at least two terminals")
-    by_terminal = list(zip(*_point_sums(G, [1.0] * n)))
-    if divisor is not None:
-        by_terminal = [[s / d if d > 0.0 else math.inf for s, d in zip(sums, row)]
-                       for sums, row in zip(by_terminal, divisor)]
-    if order is None:
-        moduli = list(map(max, by_terminal))
-    else:
-        moduli = [sorted(sums)[rank - 1] for sums, rank in zip(by_terminal, order)]
-    if scale is not None:
-        moduli = list(map(mul, moduli, scale))
+    sums = _point_sums(G, [1.0] * n)
+    if W is not None:  # a receiver with W = 0 adds 0 to the max and is no order statistic
+        never = 0.0 if order is None else math.inf
+        sums = [[w * s if w > 0.0 else never for w, s in zip(*rows)] for rows in zip(W, sums)]
+    by_terminal = list(zip(*sums))
+    moduli = (list(map(max, by_terminal)) if order is None else
+              [sorted(values)[rank - 1] for values, rank in zip(by_terminal, order)])
     term = moduli.index(max(moduli))
-    named = order is None and names_receiver
-    receiver = by_terminal[term].index(max(by_terminal[term])) if named else None
+    receiver = by_terminal[term].index(moduli[term]) if order is None and names_receiver else None
     return FeasibilityReport.from_moduli(moduli, receiver, term)
 
 
 @dataclass(frozen=True, eq=False)
 class LeaveOneOutMap:
-    """A scenario's update map: one leave-one-out sum per terminal and receiver.
+    """A scenario's update map: one weighted leave-one-out sum per terminal and receiver.
 
-    ``step(x)[j] = scale[j] * reduce over k of (sum over n != j of
-    G[k, n] * x_n) / divisor[j, k] + c[j]``. ``G`` (K x N) holds the
-    coefficients in the iterate's coordinates; ``scale`` (N), ``divisor``
-    (N x K) and ``order`` (N, 1-based ranks) are optional. The reduction is
-    the max, or the order[j]-th smallest when ``order`` is given; a zero
-    divisor makes that receiver's ratio infinite, never selected. The fields
-    are tuples, checked in pure Python; only ``step`` needs numpy, and it
-    builds C-order arrays on first use, so :func:`_sums` adds in one order.
+    ``step(x)[j] = c[j] + reduce over k of W[k][j] * s[k][j]``, s[k][j] the
+    sum over n != j of G[k][n] * x_n; ``G`` and ``W`` are K x N, ``W`` None
+    means all ones. The reduction, over the receivers with W[k][j] > 0, is
+    the max, or the order[j]-th smallest (1-based) when ``order`` is given;
+    each terminal needs that many such receivers. The fields are tuples of
+    finite non-negative numbers, checked in pure Python; only ``step`` needs
+    numpy, and it builds C-order arrays on first use, so :func:`_sums` adds
+    in one order.
 
     The map is the same one the ``build_*`` rule objects apply, one call per
     terminal, and its certificate is the map at the all-ones vector without
-    ``c``. ``names_receiver`` is False for a single cell, which has no
-    receiver to name in the binding pair. ``receiver_weights`` gives the
-    one-receiver-per-terminal form that ``engine.policy_iteration`` solves.
+    ``c``. ``names_receiver`` is False when the binding pair names no
+    receiver: a single cell has just one, fixed assignment one per terminal.
+    ``receiver_weights`` gives the max form ``engine.policy_iteration`` solves.
     """
 
     G: tuple
     c: tuple
-    scale: tuple | None = None
-    divisor: tuple | None = None
+    W: tuple | None = None
     order: tuple | None = None
     names_receiver: bool = True
 
     def __post_init__(self):
         k, n = len(self.G), len(self.c)
         for name, rows, cols, kind in (("G", k, n, float), ("c", n, None, float),
-                                       ("scale", n, None, float), ("divisor", n, k, float),
-                                       ("order", n, None, int)):
+                                       ("W", k, n, float), ("order", n, None, int)):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -620,9 +617,14 @@ class LeaveOneOutMap:
             if len(value) != rows or cols is not None and any(len(row) != cols for row in value):
                 shape = (rows,) if cols is None else (rows, cols)
                 raise InvalidInputError(f"LeaveOneOutMap: {name} must have shape {shape}")
+            if not all(0.0 <= v < math.inf for v in (chain(*value) if cols else value)):
+                raise InvalidInputError(f"LeaveOneOutMap: {name} entries must be finite and >= 0")
             object.__setattr__(self, name, value)
-        if self.order is not None and not all(1 <= rank <= k for rank in self.order):
+        if not all(1 <= rank <= k for rank in self.order or ()):
             raise InvalidInputError(f"LeaveOneOutMap: orders must lie in [1, {k}]")
+        ranks = self.order or (1,) * n
+        if self.W and any(sum(map(bool, col)) < rank for col, rank in zip(zip(*self.W), ranks)):
+            raise InvalidInputError("LeaveOneOutMap: terminal j needs order[j] receivers with W > 0")
 
     @property
     def n(self) -> int:
@@ -630,20 +632,16 @@ class LeaveOneOutMap:
 
     @cached_property
     def _arrays(self) -> tuple:
-        """(G, c, scale, divisor, order) as C-order arrays, None where unused, for :meth:`step`."""
-        fields = (self.G, self.c, self.scale, self.divisor, self.order)
-        return tuple(None if value is None else np.array(value) for value in fields)
+        """(G, c, W, order) as C-order arrays, None where unused, for :meth:`step`."""
+        return tuple(None if v is None else np.array(v) for v in (self.G, self.c, self.W, self.order))
 
     def step(self, x: Vector) -> np.ndarray:
         """One synchronous update in O(N*K): :func:`_reduce` over :func:`_sums`."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise InvalidInputError(f"LeaveOneOutMap: expected {self.n} powers, got shape {x.shape}")
-        G, c, scale, divisor, order = self._arrays
-        out = _reduce(_sums(G, x), divisor, order)
-        if scale is not None:
-            out *= scale
-        return out + c
+        G, c, W, order = self._arrays
+        return _reduce(_sums(G, x), W, order) + c
 
     def certificate(self) -> FeasibilityReport:
         """The map without offsets at the all-ones vector, by :func:`_certify`.
@@ -655,33 +653,20 @@ class LeaveOneOutMap:
 
     @cached_property
     def _certificate(self) -> FeasibilityReport:
-        return _certify(self.G, self.scale, self.divisor, self.order, self.names_receiver)
+        return _certify(self.G, self.W, self.order, self.names_receiver)
 
     @cached_property
     def receiver_weights(self) -> tuple | None:
-        """W (K x N, laid out as G) when the map picks one receiver per terminal, else None.
-
-        Then ``step(x)[j]`` is ``c[j]`` plus the largest ``W[k][j] * s[k][j]``
-        over receivers with ``W[k][j] > 0``, s[k][j] the sum over n != j of
-        G[k][n] * x_n: a max reduction, or one positive divisor per terminal
-        (fixed assignment). A d-th smallest over several receivers is None.
-        """
-        scale = self.scale or (1.0,) * self.n
-        if self.order is None and self.divisor is None:
-            return (scale,) * len(self.G)
-        if (self.order is not None and self.divisor is not None and set(self.order) == {1}
-                and all(sum(d > 0.0 for d in row) == 1 for row in self.divisor)):
-            return tuple(tuple(s / d if d > 0.0 else 0.0 for s, d in zip(scale, column))
-                         for column in zip(*self.divisor))
-        return None
+        """``W``, or all ones, when the reduction is the max; None for a d-th smallest."""
+        return None if self.order is not None else self.W or ((1.0,) * self.n,) * len(self.G)
 
 
 def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False):
-    """The fields (G, c, scale, divisor, order, names_receiver) of a scenario's map, as lists.
+    """The fields (G, c, W, order, names_receiver) of a scenario's map, as lists.
 
-    Unused fields are None. ``coordinates`` selects the original or
-    transformed single-cell and macro-diversity map, ``noiseless`` the exact
-    or bounded multi-connection map, each as the matching ``build_*`` system.
+    ``W`` None means unit weights, ``order`` None the max. ``coordinates``
+    selects the original or transformed single-cell and macro-diversity map,
+    ``noiseless`` the exact or bounded multi-connection map, as ``build_*`` does.
     """
     if coordinates not in ("original", "transformed"):
         raise InvalidInputError(f"leave_one_out_map: unknown coordinates {coordinates!r}")
@@ -695,42 +680,43 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
     alphas = scenario.alphas.alphas
     n = scenario.n
     transformed = coordinates == "transformed"
-    scale = divisor = order = None
+    W = order = None
     if isinstance(scenario, SingleCell):
         if transformed:  # alpha_n
             G, c = [alphas], [scenario.sigma] * n
-        else:  # scale alpha_i, coefficients 1
-            G, scale, c = [[1.0] * n], alphas, [scenario.sigma * a for a in alphas]
+        else:  # weights alpha_i, coefficients 1
+            G, W, c = [[1.0] * n], [alphas], [scenario.sigma * a for a in alphas]
     elif isinstance(scenario, MacroDiversity):
         sigma_hat = scenario.noise.max()
         if transformed:  # alpha_n * g_nk
             G = [list(map(mul, column, alphas)) for column in zip(*scenario.gains.relative)]
             c = [sigma_hat] * n
-        else:  # (alpha_i / h_i) * h_nk
-            scale = list(map(truediv, alphas, scenario.gains.row_sums))
-            G, c = list(zip(*scenario.gains.h)), [v * sigma_hat for v in scale]
+        else:  # weights alpha_i / h_i, coefficients h_nk
+            G = list(zip(*scenario.gains.h))
+            W = [list(map(truediv, alphas, scenario.gains.row_sums))] * len(G)
+            c = [w * sigma_hat for w in W[0]]
     elif isinstance(scenario, FixedAssignment):
-        # only the assigned receiver has a non-zero divisor, so the smallest
-        # ratio is alpha_j * (sum of other gains there) / own gain there
-        G, scale, order = scenario.gains, alphas, [1] * n
-        noise, served = scenario.noise.sigma_sq, tuple(enumerate(scenario.assignment))
-        divisor = [[G[a][j] if k == a else 0.0 for k in range(len(G))] for j, a in served]
-        c = [alphas[j] * noise[a] / G[a][j] for j, a in served]
-    elif noiseless:  # alpha_i * h_ki over h_kj, d_j-th smallest
+        # weight alpha_j / own gain at the assigned receiver, 0 (never selected) elsewhere
+        G, served = scenario.gains, tuple(enumerate(scenario.assignment))
+        W = [[alphas[j] / G[a][j] if k == a else 0.0 for j, a in served] for k in range(len(G))]
+        c = [alphas[j] * scenario.noise.sigma_sq[a] / G[a][j] for j, a in served]
+    elif noiseless:  # alpha_i * h_ki weighted 1 / h_kj, d_j-th smallest
         G = [list(map(mul, row, alphas)) for row in scenario.gains]
-        divisor, order, c = list(zip(*scenario.gains)), scenario.d, [0.0] * n
+        W = [[1.0 / h if h > 0.0 else 0.0 for h in row] for row in scenario.gains]
+        order, c = scenario.d, [0.0] * n
     else:  # alpha_i * h_ki over the d_i-th largest gain h_i, max
         ref = _reference_gains(scenario.gains, scenario.d, "MultiConnection")
         G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
         c = [scenario.noise.max()] * n
-    return G, c, scale, divisor, order, not isinstance(scenario, SingleCell)
+    if W is not None and max(map(max, W)) == math.inf:  # inf * 0 would be NaN, not 0
+        raise InvalidInputError("leave_one_out_map: a weight over a gain exceeds the float64 range")
+    return G, c, W, order, isinstance(scenario, (MacroDiversity, MultiConnection))
 
 
 def leave_one_out_map(scenario, *, coordinates: str = "transformed",
                       noiseless: bool = False) -> LeaveOneOutMap:
     """The scenario's update map in array form (:func:`_coefficients`), no rule objects involved."""
-    *fields, named = _coefficients(scenario, coordinates, noiseless)
-    return LeaveOneOutMap(*fields, names_receiver=named)
+    return LeaveOneOutMap(*_coefficients(scenario, coordinates, noiseless))
 
 
 def feasibility_formula(scenario, *, coordinates: str = "transformed",
@@ -741,5 +727,5 @@ def feasibility_formula(scenario, *, coordinates: str = "transformed",
     :func:`_certify` on the same coefficients. Must agree with
     ``contraction_modulus`` of the matching build to 1e-12.
     """
-    G, _, scale, divisor, order, named = _coefficients(scenario, coordinates, noiseless)
-    return _certify(G, scale, divisor, order, named)
+    G, _, W, order, named = _coefficients(scenario, coordinates, noiseless)
+    return _certify(G, W, order, named)

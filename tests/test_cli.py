@@ -268,21 +268,31 @@ def mutated_docs(draw):
 
 
 @pytest.mark.parametrize("command", [["check"], ["solve"], ["solve", "--init", "1"],
-                                     ["solve", "--force"]],
-                         ids=["check", "solve", "solve-init", "solve-force"])
+                                     ["solve", "--force"], ["solve", "--trace", "TRACE"],
+                                     ["solve", "--init", "1e308"]],
+                         ids=["check", "solve", "solve-init", "solve-force", "solve-trace",
+                              "solve-init-huge"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_docs())
 def test_fuzzed_configs_end_in_an_exit_code_and_one_line(tmp_path_factory, command, doc):
-    path = tmp_path_factory.getbasetemp() / f"fuzz_{'_'.join(command)}.json"
+    base = tmp_path_factory.getbasetemp()
+    path = base / f"fuzz_{'_'.join(command)}.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity become JSON tokens json.load accepts
+    trace = base / "fuzz_trace.csv"
+    trace.unlink(missing_ok=True)
+    flags = [str(trace) if flag == "TRACE" else flag for flag in command[1:]]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main([command[0], str(path), "--json", *command[1:]])
+        code = main([command[0], str(path), "--json", *flags])
     assert code in (0, 1, 2, 3)
-    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if "--trace" in command and len(lines) == 2:
+        # the one intended second line: a run that ends in exit 3 names the trace it kept
+        assert code == 3 and lines.pop() == f"partial trace written to {trace}"
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue()
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -324,10 +334,14 @@ class TestSolve:
         assert lines[1:] == ([f"partial trace written to {trace_path}"] if trace else [])
 
     def test_fixed_point_beyond_float_range_exits_one(self, tmp_path, capsys):
+        # T(p) is not finite; with --init 1e308 math.fsum already overflows at the greedy start
+        large = {"scenario": "single_cell", "alphas": [0.4, 0.4, 0.4], "gains": [1, 1, 1],
+                 "sigma": 1e308, "coordinates": "original"}
         doc = {"scenario": "single_cell", "alphas": [0.9, 0.09], "gains": [1.0, 1.0], "sigma": 1e308}
-        assert main(["solve", write_config(tmp_path, doc), "--json"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: solve: the fixed point lies beyond the float64 range\n"
+        for doc, flags in ((doc, []), (large, ["--init", "1e308"])):
+            assert main(["solve", write_config(tmp_path, doc), "--json", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: solve: the fixed point lies beyond the float64 range\n"
 
     def test_initial_point_invariance(self, tmp_path, capsys):
         path = write_config(tmp_path, pair_doc())

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from powerfeas.capacity import RegionSpec, evaluate_predicate
 from powerfeas.engine import SolveConfig, affine_parts, contraction_modulus, linear_oracle, solve
 from powerfeas.scenarios import (
     FixedAssignment,
+    LeaveOneOutMap,
     MacroDiversity,
     MinSelectionRule,
     MultiConnection,
@@ -643,7 +645,7 @@ def test_map_results_do_not_depend_on_memory_layout(case):
     scenario, options = large_scenario(case, rng)
     c_map = leave_one_out_map(scenario, **options)
     fortran = {name: np.asfortranarray(getattr(c_map, name))
-               for name in ("G", "divisor") if getattr(c_map, name) is not None}
+               for name in ("G", "W") if getattr(c_map, name) is not None}
     f_map = dataclasses.replace(c_map, **fortran)
     for x in (np.ones(c_map.n), *rng.uniform(0.0, 50.0, (4, c_map.n))):
         assert c_map.step(x).tobytes() == f_map.step(x).tobytes()
@@ -655,6 +657,56 @@ def test_map_results_do_not_depend_on_memory_layout(case):
     untraced = [solve(m, config, trace=False) for m in (c_map, f_map)]
     assert untraced[0][1].solver == ("picard" if "exact" in case else "policy")
     assert untraced[0][0] == untraced[1][0]
+
+
+@pytest.mark.parametrize("kind", ["fixed_assignment", "exact_noiseless"])
+def test_weighted_moduli_lie_within_four_ulp_of_exact(kind):
+    # the two kinds whose weights are not 1: (alpha_j / own gain) * s and (1 / h) * s, with
+    # the moduli computed in rationals from the scenario's own targets and gains
+    rng = np.random.default_rng(43)
+    n, k = 40, 4
+    gains = rng.uniform(0.05, 1.0, (k, n))
+    served = rng.integers(0, k, n)
+    zero = rng.random((k, n)) < 0.3
+    zero[served, np.arange(n)] = False  # every terminal keeps one receiver in range
+    gains[zero] = 0.0
+    alphas = QosVector(tuple(rng.uniform(0.002, 0.02, n).tolist()))
+    noise = NoiseVector((0.0,) * k)  # c = 0, so step(1) is the reduction alone
+    gain_rows = tuple(map(tuple, gains.tolist()))
+    a, G = list(map(Fraction, alphas)), [list(map(Fraction, row)) for row in gain_rows]
+    if kind == "fixed_assignment":
+        scenario = FixedAssignment(alphas, gain_rows, tuple(served.tolist()), noise)
+        exact = [a[j] * (sum(G[r]) - G[r][j]) / G[r][j] for j, r in enumerate(served.tolist())]
+    else:
+        d = np.minimum(rng.integers(1, 4, n), (~zero).sum(axis=0))
+        scenario = MultiConnection(alphas, gain_rows, tuple(d.tolist()), noise)
+        exact = []
+        for j, rank in enumerate(d.tolist()):
+            # a receiver out of range (h = 0) is never selected: it is not among the candidates
+            ratios = [(sum(map(Fraction.__mul__, a, row)) - a[j] * row[j]) / row[j]
+                      for row in G if row[j] > 0]
+            exact.append(sorted(ratios)[rank - 1])
+    options = {"noiseless": kind == "exact_noiseless"}
+    assert zero.any() and all(e > 0 for e in exact)
+    moduli = feasibility_formula(scenario, **options).per_terminal_modulus
+    for value, e in zip(moduli, exact):
+        assert abs(Fraction(value) - e) <= 4 * Fraction(math.ulp(float(e)))
+    # numpy's reduction selects the same receivers; its total-minus-own sums round differently
+    step = leave_one_out_map(scenario, **options).step(np.ones(n))
+    np.testing.assert_allclose(step, [float(e) for e in exact], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["fixed_assignment", "exact_noiseless"])
+def test_weights_beyond_float_range_are_rejected(kind):
+    # W = alpha / 5e-324 or 1 / 5e-324 is inf, and inf times the zero sum at receiver 1 is NaN
+    gains, noise = ((5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)), NoiseVector((0.0, 0.0))
+    alphas = QosVector((0.3,) * 3)
+    if kind == "fixed_assignment":
+        scenario = FixedAssignment(alphas, gains, (0, 1, 1), noise)
+    else:
+        scenario = MultiConnection(alphas, gains, (1, 1, 1), noise)
+    with pytest.raises(InvalidInputError, match="exceeds the float64 range"):
+        feasibility_formula(scenario, noiseless=kind == "exact_noiseless")
 
 
 class TestLeaveOneOutMap:
@@ -713,6 +765,26 @@ class TestLeaveOneOutMap:
         sc = SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
         with pytest.raises(InvalidInputError):
             leave_one_out_map(sc).step(np.ones(3))
+
+    @pytest.mark.parametrize("field, value", [
+        ("G", ((-1.0, -1.0),)), ("G", ((math.nan, 1.0),)), ("G", ((math.inf, 1.0),)),
+        ("c", (1.0, -0.5)), ("c", (math.nan, 1.0)),
+        ("W", ((1.0, -1.0),)), ("W", ((math.inf, 1.0),)),
+    ])
+    def test_rejects_negative_and_non_finite_coefficients(self, field, value):
+        # G = -1 would certify the modulus -1 as feasible; a NaN gain gives NaN moduli
+        fields = {"G": ((1.0, 1.0),), "c": (1.0, 1.0), field: value}
+        with pytest.raises(InvalidInputError, match=f"{field} entries must be finite and >= 0"):
+            LeaveOneOutMap(**fields)
+
+    def test_each_terminal_needs_enough_weighted_receivers(self):
+        G = ((1.0, 1.0), (1.0, 1.0))
+        with pytest.raises(InvalidInputError, match="receivers with W > 0"):
+            LeaveOneOutMap(G, (0.0, 0.0), W=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(InvalidInputError, match="receivers with W > 0"):
+            LeaveOneOutMap(G, (0.0, 0.0), W=((1.0, 1.0), (0.0, 1.0)), order=(2, 2))
+        assert LeaveOneOutMap(G, (0.0, 0.0), W=((1.0, 1.0), (0.0, 1.0)), order=(1, 2)).step(
+            np.ones(2)).tolist() == [1.0, 1.0]
 
 
 def random_single_cell_feasible_both(rng, target):
