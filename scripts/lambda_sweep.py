@@ -15,9 +15,9 @@ import time
 import numpy as np
 
 from powerfeas.core import (
-    GainMatrix, InvalidInputError, NoiseVector, NonConvergenceError, QosVector,
+    GainMatrix, InvalidInputError, NoiseVector, NonConvergenceError, QosVector, sup_norm,
 )
-from powerfeas.engine import SolveConfig, solve, sup_norm
+from powerfeas.engine import SolveConfig, solve
 from powerfeas.scenarios import MacroDiversity, leave_one_out_map
 
 

@@ -100,137 +100,92 @@ def _eval(f: RuleFunction, x: np.ndarray) -> float:
     return value
 
 
-def _corner_vectors(dim: int) -> list[np.ndarray]:
-    corners = [np.zeros(dim), np.ones(dim), -np.ones(dim)]
-    for i in range(min(dim, 3)):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        corners.append(e.copy())
-        corners.append(-e)
-    huge = np.zeros(dim)
-    huge[0] = 1e8
-    corners.append(huge)
-    mixed = np.ones(dim)
-    mixed[0] = 1e8
-    corners.append(mixed)
-    return corners
+def _stream(corners: list, draw: Callable, samples: int, rng: np.random.Generator) -> Iterator:
+    """The first ``samples`` corner cases, then ``draw(rng)`` until ``samples`` are out."""
+    yield from corners[:samples]
+    for _ in range(max(0, samples - len(corners))):
+        yield draw(rng)
 
 
 def _vector_stream(dim: int, samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    corners = _corner_vectors(dim)
-    for x in corners[:samples]:
-        yield x
-    for _ in range(max(0, samples - len(corners))):
-        yield rng.uniform(-10.0, 10.0, size=dim)
+    corners = [np.zeros(dim), np.ones(dim), -np.ones(dim)]
+    for e in np.eye(dim)[:3]:
+        corners += [e, -e]
+    huge, mixed = np.zeros(dim), np.ones(dim)
+    huge[0] = mixed[0] = 1e8
+    return _stream(corners + [huge, mixed], lambda r: r.uniform(-10.0, 10.0, size=dim), samples, rng)
 
 
-def _pair_stream(
-    dim: int, samples: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    ones = np.ones(dim)
-    corners = [
-        (np.zeros(dim), np.zeros(dim)),
-        (ones.copy(), ones.copy()),
-        (ones.copy(), -ones),
-    ]
-    for i in range(min(dim, 2)):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        corners.append((e.copy(), -e))
-    huge = np.zeros(dim)
+def _pair_stream(dim: int, samples: int, rng: np.random.Generator) -> Iterator[tuple]:
+    ones, huge = np.ones(dim), np.zeros(dim)  # no array is shared: a candidate may write to its input
     huge[0] = 1e8
-    corners.append((huge, ones.copy()))
-    for pair in corners[:samples]:
-        yield pair
-    for _ in range(max(0, samples - len(corners))):
-        yield (
-            rng.uniform(-10.0, 10.0, size=dim),
-            rng.uniform(-10.0, 10.0, size=dim),
-        )
+    corners = [(np.zeros(dim), np.zeros(dim)), (ones, ones.copy()), (ones.copy(), -ones)]
+    corners += [(e, -e) for e in np.eye(dim)[:2]] + [(huge, ones.copy())]
+    return _stream(corners, lambda r: (r.uniform(-10.0, 10.0, size=dim), r.uniform(-10.0, 10.0, size=dim)),
+                   samples, rng)
 
 
-def _scalar_stream(
-    corners: Iterable[float], low: float, high: float, samples: int, rng: np.random.Generator
-) -> Iterator[float]:
-    corners = list(corners)
-    for r in corners[:samples]:
-        yield r
-    for _ in range(max(0, samples - len(corners))):
-        yield float(rng.uniform(low, high))
+def _first_violation(axiom: str, cases: Iterable[tuple]) -> CheckVerdict:
+    """PASS, or FAIL on the first (inputs, lhs, rhs) with lhs > rhs beyond :func:`_tol`.
+
+    ``cases`` is lazy: sampling and evaluation stop at the first violation.
+    Array inputs are reported as tuples.
+    """
+    for inputs, lhs, rhs in cases:
+        if lhs > rhs + _tol(lhs, rhs):
+            inputs = tuple(tuple(v) if isinstance(v, np.ndarray) else v for v in inputs)
+            return CheckVerdict(axiom, False, Counterexample(inputs, lhs, rhs))
+    return CheckVerdict(axiom, True)
 
 
 def check_nonneg(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int) -> CheckVerdict:
-    """f(x) >= 0 on mixed-sign samples."""
+    """f(x) >= 0 on mixed-sign samples: lhs 0, rhs f(x)."""
+    xs = _vector_stream(dim, samples, np.random.default_rng(seed))
+    return _first_violation("non-negativity", (((x,), 0.0, _eval(f, x)) for x in xs))
+
+
+def _ray(f: RuleFunction, dim: int, axiom: str, corners: tuple, low: float, high: float,
+         samples: int, seed: int) -> CheckVerdict:
+    """f(r * ones) <= r * f(ones) for the corner factors, then r drawn from U(low, high)."""
     rng = np.random.default_rng(seed)
-    for x in _vector_stream(dim, samples, rng):
-        value = _eval(f, x)
-        if value < -_tol(value, 0.0):
-            return CheckVerdict(
-                "non-negativity", False, Counterexample((tuple(x),), value, 0.0)
-            )
-    return CheckVerdict("non-negativity", True)
+    ones = np.ones(dim)
+    at_ones = _eval(f, ones)
+    factors = _stream(list(corners), lambda r: float(r.uniform(low, high)), samples, rng)
+    return _first_violation(axiom, (((r,), _eval(f, r * ones), r * at_ones) for r in factors))
 
 
 def check_subhom_at_one(
     f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int
 ) -> CheckVerdict:
     """f(lam * ones) <= lam * f(ones) for sampled lam in (0, 1)."""
-    rng = np.random.default_rng(seed)
-    ones = np.ones(dim)
-    at_ones = _eval(f, ones)
-    corners = (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
-    for lam in _scalar_stream(corners, 1e-12, 1.0 - 1e-12, samples, rng):
-        lhs = _eval(f, lam * ones)
-        rhs = lam * at_ones
-        if lhs > rhs + _tol(lhs, rhs):
-            return CheckVerdict(
-                "sub-homogeneity(0,1)", False, Counterexample((lam,), lhs, rhs)
-            )
-    return CheckVerdict("sub-homogeneity(0,1)", True)
+    return _ray(f, dim, "sub-homogeneity(0,1)", (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9),
+                1e-12, 1.0 - 1e-12, samples, seed)
 
 
 def check_subadd(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int) -> CheckVerdict:
     """f(x + y) <= f(x) + f(y) on sampled pairs."""
-    rng = np.random.default_rng(seed)
-    for x, y in _pair_stream(dim, samples, rng):
-        lhs = _eval(f, x + y)
-        rhs = _eval(f, x) + _eval(f, y)
-        if lhs > rhs + _tol(lhs, rhs):
-            return CheckVerdict(
-                "sub-additivity", False, Counterexample((tuple(x), tuple(y)), lhs, rhs)
-            )
-    return CheckVerdict("sub-additivity", True)
+    pairs = _pair_stream(dim, samples, np.random.default_rng(seed))
+    return _first_violation("sub-additivity", (
+        ((x, y), _eval(f, x + y), _eval(f, x) + _eval(f, y)) for x, y in pairs))
 
 
 def check_max_monotone(
     f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int
 ) -> CheckVerdict:
     """f(x) <= f(sup_norm(x) * ones) on samples."""
-    rng = np.random.default_rng(seed)
+    xs = _vector_stream(dim, samples, np.random.default_rng(seed))
     ones = np.ones(dim)
-    for x in _vector_stream(dim, samples, rng):
-        lhs = _eval(f, x)
-        rhs = _eval(f, float(np.max(np.abs(x))) * ones)
-        if lhs > rhs + _tol(lhs, rhs):
-            return CheckVerdict(
-                "max-monotonicity", False, Counterexample((tuple(x),), lhs, rhs)
-            )
-    return CheckVerdict("max-monotonicity", True)
+    return _first_violation("max-monotonicity", (
+        ((x,), _eval(f, x), _eval(f, float(np.max(np.abs(x))) * ones)) for x in xs))
 
 
 def check_reverse_triangle(
     f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int
 ) -> CheckVerdict:
     """|f(x) - f(y)| <= f(x - y); a consequence of sub-additivity."""
-    rng = np.random.default_rng(seed)
-    for x, y in _pair_stream(dim, samples, rng):
-        lhs = abs(_eval(f, x) - _eval(f, y))
-        rhs = _eval(f, x - y)
-        if lhs > rhs + _tol(lhs, rhs):
-            return CheckVerdict(
-                "reverse-triangle", False, Counterexample((tuple(x), tuple(y)), lhs, rhs)
-            )
-    return CheckVerdict("reverse-triangle", True)
+    pairs = _pair_stream(dim, samples, np.random.default_rng(seed))
+    return _first_violation("reverse-triangle", (
+        ((x, y), abs(_eval(f, x) - _eval(f, y)), _eval(f, x - y)) for x, y in pairs))
 
 
 def check_extended_subhom(
@@ -242,18 +197,8 @@ def check_extended_subhom(
     disjoint lets the two verdicts disagree, which is the point: together
     with sub-additivity the (0, 1) axiom implies this one.
     """
-    rng = np.random.default_rng(seed)
-    ones = np.ones(dim)
-    at_ones = _eval(f, ones)
-    corners = (1.0 + 1e-9, 2.0, 7.3, 1000.0)
-    for r in _scalar_stream(corners, 1.0 + 1e-12, 100.0, samples, rng):
-        lhs = _eval(f, r * ones)
-        rhs = r * at_ones
-        if lhs > rhs + _tol(lhs, rhs):
-            return CheckVerdict(
-                "sub-homogeneity(r>1)", False, Counterexample((r,), lhs, rhs)
-            )
-    return CheckVerdict("sub-homogeneity(r>1)", True)
+    return _ray(f, dim, "sub-homogeneity(r>1)", (1.0 + 1e-9, 2.0, 7.3, 1000.0),
+                1.0 + 1e-12, 100.0, samples, seed)
 
 
 def check_all(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int) -> AxiomReport:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import GainMatrix, InvalidInputError, NoiseVector, QosVector, np, write_csv
-from .scenarios import (MacroDiversity, MultiConnection, SingleCell, _coefficients, _loo,
-                        _loo_sums, _matrix_rows, _reference_gains)
+from .scenarios import (MacroDiversity, MultiConnection, SingleCell, _loo, _loo_sums,
+                        leave_one_out_map)
 
 PREDICATES = ("simple", "macro_div", "mc_exact", "mc_bounded", "hanly")
 
@@ -38,7 +38,10 @@ class RegionSpec:
     ``gains`` is terminal-major (N rows) for ``macro_div`` and gets row
     normalised internally; for the ``mc_*`` predicates it is receiver-major
     (K rows by N columns) and used raw together with ``d``. ``receivers``
-    is only needed by ``hanly``.
+    is only needed by ``hanly``. Every other predicate builds its scenario
+    at unit targets and zero noise once: the scenario type checks ``gains``
+    and ``d``, and the scenario's map, kept as ``_map``, holds the kernel
+    terms each predicate call reads.
     """
 
     predicate: str
@@ -61,28 +64,27 @@ class RegionSpec:
             raise InvalidInputError("RegionSpec: resolution must be >= 2")
         if not math.isfinite(self.alpha_max) or self.alpha_max <= 0.0:
             raise InvalidInputError("RegionSpec: alpha_max must be > 0")
-        if self.d is not None:
-            object.__setattr__(self, "d", tuple(int(v) for v in self.d))
-
-        if self.predicate == "macro_div":
-            if self.gains is None:
-                raise InvalidInputError("RegionSpec: macro_div needs one gain row per terminal")
-            gains = GainMatrix(self.gains)
-            if gains.n_terminals != self.n:
-                raise InvalidInputError("RegionSpec: macro_div needs one gain row per terminal")
-            object.__setattr__(self, "gains", gains.h)
-        elif self.predicate in ("mc_exact", "mc_bounded"):
-            if self.gains is None or self.d is None:
-                raise InvalidInputError(f"RegionSpec: {self.predicate} needs gains and d")
-            gains = _matrix_rows(self.gains, "RegionSpec gains")
-            if len(gains[0]) != self.n:
-                raise InvalidInputError("RegionSpec: mc gains must have one column per terminal")
-            _reference_gains(gains, self.d, "RegionSpec")
-            object.__setattr__(self, "gains", gains)
-        elif self.predicate == "hanly":
+        if self.predicate == "hanly":
             if self.receivers is None or int(self.receivers) < 1:
                 raise InvalidInputError("RegionSpec: hanly needs the receiver count")
             object.__setattr__(self, "receivers", int(self.receivers))
+            return
+        macro = self.predicate == "macro_div"
+        if self.predicate != "simple" and (self.gains is None or self.d is None and not macro):
+            raise InvalidInputError(f"RegionSpec: {self.predicate} needs gains{'' if macro else ' and d'}")
+        ones = QosVector((1.0,) * self.n)
+        if self.predicate == "simple":
+            scenario = SingleCell(ones, ones.alphas, 0.0)
+        elif macro:
+            gains = GainMatrix(self.gains)
+            scenario = MacroDiversity(ones, gains, NoiseVector((0.0,) * gains.n_receivers))
+            object.__setattr__(self, "gains", gains.h)
+        else:
+            scenario = MultiConnection(ones, self.gains, self.d, NoiseVector((0.0,) * len(self.gains)))
+            object.__setattr__(self, "gains", scenario.gains)
+            object.__setattr__(self, "d", scenario.d)
+        object.__setattr__(self, "_map", leave_one_out_map(
+            scenario, noiseless=self.predicate == "mc_exact"))
 
     @property
     def point_count(self) -> int:
@@ -104,19 +106,6 @@ class RegionSpec:
         )
 
 
-def _kernel_terms(spec: RegionSpec):
-    """Kernel inputs (G, W, order) of a predicate: ``check``'s coefficients at unit targets."""
-    ones = QosVector((1.0,) * spec.n)
-    if spec.predicate == "simple":
-        scenario = SingleCell(ones, ones.alphas, 0.0)
-    elif spec.predicate == "macro_div":
-        scenario = MacroDiversity(ones, GainMatrix(spec.gains), NoiseVector((0.0,) * len(spec.gains[0])))
-    else:
-        scenario = MultiConnection(ones, spec.gains, spec.d, NoiseVector((0.0,) * len(spec.gains)))
-    G, _, W, order, _ = _coefficients(scenario, noiseless=spec.predicate == "mc_exact")
-    return np.array(G, dtype=float), None if W is None else np.array(W), order
-
-
 def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
     """Vectorised predicate over rows of ``alphas`` (shape (P, n))."""
     pts = np.atleast_2d(np.asarray(alphas, dtype=float))
@@ -127,7 +116,7 @@ def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
 
     if spec.predicate == "hanly":
         return pts.sum(axis=1) < spec.receivers
-    G, W, order = _kernel_terms(spec)
+    G, _, W, order = spec._map._arrays
     return (_loo(G, pts, W, order) < 1.0).all(axis=1)
 
 
@@ -227,7 +216,7 @@ def region_inequalities(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
             "region_inequalities: the exact multi-connection region is not a single "
             "conjunction of linear inequalities"
         )
-    G, _, _ = _kernel_terms(spec)
+    G = spec._map._arrays[0]
     rows = _loo_sums(G, np.eye(spec.n)).reshape(-1, spec.n)  # the sums at the unit vectors
     return rows, np.ones(len(rows))
 

@@ -1,8 +1,11 @@
 """Command-line front end: check, solve, region, axioms.
 
-Configs are JSON documents; see the README for the schema. Exit codes are
-a stable contract: 0 ok/feasible, 1 input error, 2 infeasible or axiom
-failure, 3 non-convergence of a (typically forced) iteration run.
+Configs are JSON documents; see the README for the schema. ``check``,
+``solve`` and ``region`` check a config by building its scenario
+(``ScenarioConfig.scenario``), whose types own the shape and value checks.
+Exit codes are a stable contract: 0 ok/feasible, 1 input error, 2
+infeasible or axiom failure, 3 non-convergence of a (typically forced)
+iteration run.
 
 ``check`` certifies a config with the closed form, in pure Python. ``solve``
 computes the fixed point of the update map (``scenarios.leave_one_out_map``)
@@ -106,10 +109,12 @@ def _fields(values, name: str, kind: type) -> tuple:
 
 @dataclass
 class ScenarioConfig:
-    """Validated, round-trippable mirror of a config document.
+    """Round-trippable mirror of a config document, parsed but not yet checked.
 
-    Holds user-level values (1-based receiver indices in ``assignment``);
-    conversion to 0-based happens when the typed scenario is produced.
+    Loading checks JSON types, keys, the options and the solver settings;
+    the scenario types check shapes and values when :meth:`scenario` builds
+    one, for every command. Holds user-level values (1-based receiver
+    indices in ``assignment``); conversion to 0-based happens there too.
     """
 
     kind: str
@@ -145,8 +150,6 @@ class ScenarioConfig:
         gains_doc = doc["gains"]
         if kind == "single_cell":
             gains = _fields(gains_doc, "gains", float)
-            if len(gains) != n:
-                raise InvalidInputError("config: single_cell gains must list one gain per terminal")
             k = 1
         else:
             if not isinstance(gains_doc, (list, tuple)):
@@ -154,19 +157,8 @@ class ScenarioConfig:
             gains = tuple(_fields(row, f"gains[{r}]", float) for r, row in enumerate(gains_doc))
             if not gains or not gains[0]:
                 raise InvalidInputError("config: gains matrix is empty")
-            widths = {len(row) for row in gains}
-            if len(widths) != 1:
-                raise InvalidInputError("config: gain rows have inconsistent lengths")
-            if kind == "macro_diversity":
-                # terminal-major: one row per terminal
-                if len(gains) != n:
-                    raise InvalidInputError("config: macro_diversity gains need one row per terminal")
-                k = len(gains[0])
-            else:
-                # receiver-major: one row per receiver
-                if len(gains[0]) != n:
-                    raise InvalidInputError(f"config: {kind} gain rows need one column per terminal")
-                k = len(gains)
+            # macro diversity is terminal-major (one row per terminal), the rest receiver-major
+            k = len(gains[0]) if kind == "macro_diversity" else len(gains)
         if "k" in doc and _field(doc["k"], "k", int) != k:
             raise InvalidInputError(f"config: k={doc['k']} but gains imply {k} receivers")
 
@@ -179,18 +171,12 @@ class ScenarioConfig:
             if not isinstance(sigma_doc, (list, tuple)):
                 raise InvalidInputError(f"config: {kind} sigma must list one value per receiver")
             sigma = _fields(sigma_doc, "sigma", float)
-            if len(sigma) != k:
-                raise InvalidInputError(f"config: sigma has {len(sigma)} entries, expected {k}")
 
         assignment = None
         if kind == "fixed_assignment":
             if "assignment" not in doc:
                 raise InvalidInputError("config: fixed_assignment requires an assignment list")
             assignment = _fields(doc["assignment"], "assignment", int)
-            if len(assignment) != n:
-                raise InvalidInputError("config: assignment needs one receiver per terminal")
-            if any(not 1 <= a <= k for a in assignment):
-                raise InvalidInputError("config: assignment uses 1-based receiver indices")
         elif "assignment" in doc:
             raise InvalidInputError("config: assignment is only valid for fixed_assignment")
 
@@ -456,6 +442,7 @@ def cmd_solve(args) -> int:
 
 def cmd_region(args) -> int:
     config = load_config(args.config)
+    config.scenario()  # the scenario types check shapes and values, as for check and solve
     alpha_max = args.alpha_max if args.alpha_max is not None else float(config.receivers + 1)
     spec = config.region_spec(args.resolution, alpha_max)
     cloud = sample_region(spec, allow_large=args.force_dim)

@@ -17,6 +17,7 @@ import math
 import types
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 
@@ -74,6 +75,37 @@ def _float_tuple(values, what: str) -> tuple[float, ...]:
         raise InvalidInputError(f"{what}: entries must be real numbers") from exc
 
 
+def _check_entries(values, what: str, positive: bool = False, width: int = 0) -> None:
+    """Raise unless every entry of ``values`` is finite and >= 0 (> 0 when ``positive``).
+
+    ``min`` and ``sum`` pass valid entries at C speed (a NaN or inf leaves
+    the sum non-finite); only then is each entry looked at. The message
+    names the first bad one: ``what``, its 1-based index, or (row,column)
+    when ``values`` is a row-major matrix ``width`` entries wide, and its value.
+    """
+    if (min(values) > 0.0 if positive else min(values) >= 0.0) and sum(values) < math.inf:
+        return
+    for i, v in enumerate(values):
+        if not (0.0 < v < math.inf if positive else 0.0 <= v < math.inf):
+            where = f"({i // width + 1},{i % width + 1})" if width else i + 1
+            raise InvalidInputError(
+                f"{what} {where} must be finite and {'>' if positive else '>='} 0, got {v}"
+            )
+
+
+def _matrix_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
+    """``rows`` as a non-empty rectangular tuple of float rows whose entries are finite and >= 0."""
+    out = tuple(_float_tuple(row, what) for row in rows)
+    if len(out) < 1 or len(out[0]) < 1:
+        raise InvalidInputError(f"{what}: matrix must be non-empty")
+    width = len(out[0])
+    for r, row in enumerate(out):
+        if len(row) != width:
+            raise InvalidInputError(f"{what}: row {r + 1} has length {len(row)}, expected {width}")
+    _check_entries(list(chain.from_iterable(out)), f"{what}: entry", width=width)
+    return out
+
+
 def sup_norm(x: Vector) -> float:
     """Largest absolute component of ``x`` (the infinity norm)."""
     arr = np.asarray(x, dtype=float)
@@ -113,11 +145,7 @@ class QosVector:
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) < 1:
             raise InvalidInputError("QosVector: need at least one terminal")
-        for i, a in enumerate(alphas):
-            if not math.isfinite(a) or a <= 0.0:
-                raise InvalidInputError(
-                    f"QosVector: target for terminal {i + 1} must be finite and > 0, got {a}"
-                )
+        _check_entries(alphas, "QosVector: target for terminal", positive=True)
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -143,20 +171,9 @@ class GainMatrix:
     h: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(_float_tuple(row, "GainMatrix row") for row in self.h)
-        object.__setattr__(self, "h", rows)
-        if len(rows) < 1 or len(rows[0]) < 1:
-            raise InvalidInputError("GainMatrix: need at least one terminal and one receiver")
-        width = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise InvalidInputError(f"GainMatrix: row {i + 1} has length {len(row)}, expected {width}")
-            for k, v in enumerate(row):
-                if not math.isfinite(v) or v < 0.0:
-                    raise InvalidInputError(
-                        f"GainMatrix: gain ({i + 1},{k + 1}) must be finite and >= 0, got {v}"
-                    )
-            if sum(row) <= 0.0:
+        object.__setattr__(self, "h", _matrix_rows(self.h, "GainMatrix"))
+        for i, total in enumerate(self.row_sums):
+            if total <= 0.0:
                 raise InvalidInputError(f"GainMatrix: row {i + 1} sums to zero; terminal unreachable")
         for i, grow in enumerate(self.relative):
             if abs(sum(grow) - 1.0) > 1e-12:
@@ -197,11 +214,7 @@ class NoiseVector:
         object.__setattr__(self, "sigma_sq", vals)
         if len(vals) < 1:
             raise InvalidInputError("NoiseVector: need at least one receiver")
-        for k, v in enumerate(vals):
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidInputError(
-                    f"NoiseVector: noise power for receiver {k + 1} must be finite and >= 0, got {v}"
-                )
+        _check_entries(vals, "NoiseVector: noise power for receiver")
 
     def __len__(self) -> int:
         return len(self.sigma_sq)
@@ -227,11 +240,7 @@ class PowerVector:
         object.__setattr__(self, "p", vals)
         if len(vals) < 1:
             raise InvalidInputError("PowerVector: need at least one terminal")
-        for i, v in enumerate(vals):
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidInputError(
-                    f"PowerVector: power for terminal {i + 1} must be finite and >= 0, got {v}"
-                )
+        _check_entries(vals, "PowerVector: power for terminal")
 
     @classmethod
     def zeros(cls, n: int) -> "PowerVector":

@@ -46,6 +46,8 @@ from .core import (
     NoiseVector,
     QosVector,
     Vector,
+    _check_entries,
+    _matrix_rows,
     np,
 )
 from .engine import System
@@ -59,7 +61,7 @@ def kth_smallest(values: Vector, m: int) -> float:
     return float(arr[m - 1])
 
 
-def _reference_gains(gains, d, what: str) -> list[float]:
+def _reference_gains(gains, d) -> list[float]:
     """d_j-th largest gain of each terminal j; ``gains`` is receiver-major (K x N).
 
     The bounded multi-connection condition divides by these. Rejects orders
@@ -67,30 +69,16 @@ def _reference_gains(gains, d, what: str) -> list[float]:
     """
     k = len(gains)
     if len(d) != len(gains[0]):
-        raise InvalidInputError(f"{what}: one diversity order per terminal required")
+        raise InvalidInputError("MultiConnection: one diversity order per terminal required")
     for j, order in enumerate(d):
         if not 1 <= order <= k:
-            raise InvalidInputError(f"{what}: diversity order {order} for terminal {j + 1} "
+            raise InvalidInputError(f"MultiConnection: diversity order {order} for terminal {j + 1} "
                                     f"must lie in [1, {k}]")
     ref = [sorted(column)[k - order] for column, order in zip(zip(*gains), d)]
     for j, h in enumerate(ref):
         if h <= 0.0:
-            raise InvalidInputError(f"{what}: terminal {j + 1} is not in range of {d[j]} receivers")
+            raise InvalidInputError(f"MultiConnection: terminal {j + 1} is not in range of {d[j]} receivers")
     return ref
-
-
-def _matrix_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
-    out = tuple(tuple(float(v) for v in row) for row in rows)
-    if len(out) < 1 or len(out[0]) < 1:
-        raise InvalidInputError(f"{what}: matrix must be non-empty")
-    width = len(out[0])
-    for r, row in enumerate(out):
-        if len(row) != width:
-            raise InvalidInputError(f"{what}: row {r + 1} has length {len(row)}, expected {width}")
-        for v in row:
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidInputError(f"{what}: entries must be finite and >= 0, got {v}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,8 +95,7 @@ class SingleCell:
         object.__setattr__(self, "sigma", float(self.sigma))
         if len(gains) != len(self.alphas):
             raise InvalidInputError("SingleCell: one gain per terminal required")
-        if any(not math.isfinite(g) or g <= 0.0 for g in gains):
-            raise InvalidInputError("SingleCell: gains must be finite and > 0")
+        _check_entries(gains, "SingleCell: gain for terminal", positive=True)
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise InvalidInputError("SingleCell: sigma must be finite and >= 0")
 
@@ -210,7 +197,7 @@ class MultiConnection:
             raise InvalidInputError("MultiConnection: gain rows must have one column per terminal")
         if len(self.noise) != k:
             raise InvalidInputError("MultiConnection: one noise power per receiver required")
-        _reference_gains(gains, d, "MultiConnection")
+        _reference_gains(gains, d)
 
     @property
     def n(self) -> int:
@@ -225,7 +212,7 @@ class MultiConnection:
 
     def reference_gain(self, j: int) -> float:
         """d_j-th largest gain of terminal j; the bounded mode divides by it."""
-        return float(_reference_gains(self.gains, self.d, "MultiConnection")[j])
+        return float(_reference_gains(self.gains, self.d)[j])
 
 
 @dataclass(frozen=True)
@@ -255,8 +242,7 @@ class MinSelectionRule:
         object.__setattr__(self, "scale", float(self.scale))
         if len(divisors) != len(rows):
             raise InvalidInputError("MinSelectionRule: one divisor per weight row required")
-        if any(not math.isfinite(v) or v < 0.0 for v in divisors):
-            raise InvalidInputError("MinSelectionRule: divisors must be finite and >= 0")
+        _check_entries(divisors, "MinSelectionRule: divisor")
         if not 1 <= self.order <= len(rows):
             raise InvalidInputError(f"MinSelectionRule: order {self.order} out of range")
         if sum(1 for v in divisors if v > 0.0) < self.order:
@@ -386,7 +372,7 @@ def build_fixed_assignment(fa: FixedAssignment) -> System:
 
 def _mc_bounded_relative_gains(mc: MultiConnection) -> tuple[tuple[float, ...], np.ndarray]:
     """Reference gains h_j (d_j-th largest per terminal) and g_kj = h_kj / h_j."""
-    href = _reference_gains(mc.gains, mc.d, "MultiConnection")
+    href = _reference_gains(mc.gains, mc.d)
     return tuple(href), np.array(mc.gains, dtype=float) / href
 
 
@@ -608,6 +594,8 @@ class LeaveOneOutMap:
 
     def __post_init__(self):
         k, n = len(self.G), len(self.c)
+        if k < 1:
+            raise InvalidInputError("LeaveOneOutMap: G needs at least one receiver row")
         for name, rows, cols, kind in (("G", k, n, float), ("c", n, None, float),
                                        ("W", k, n, float), ("order", n, None, int)):
             value = getattr(self, name)
@@ -705,7 +693,7 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
         W = [[1.0 / h if h > 0.0 else 0.0 for h in row] for row in scenario.gains]
         order, c = scenario.d, [0.0] * n
     else:  # alpha_i * h_ki over the d_i-th largest gain h_i, max
-        ref = _reference_gains(scenario.gains, scenario.d, "MultiConnection")
+        ref = _reference_gains(scenario.gains, scenario.d)
         G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
         c = [scenario.noise.max()] * n
     if W is not None and max(map(max, W)) == math.inf:  # inf * 0 would be NaN, not 0

@@ -217,6 +217,34 @@ def test_one_terminal_exit_one(tmp_path, capsys, kind):
         assert captured.err == "error: admission test: need at least two terminals\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(pair_doc(), gains=[1.0, 0.0]), "SingleCell: gain for terminal 2 must be finite and > 0, got 0.0"),
+    (dict(pair_doc(), sigma=-1.0), "SingleCell: sigma must be finite and >= 0"),
+    (dict(pair_doc(), gains=[1.0]), "SingleCell: one gain per terminal required"),
+    (dict(symmetric_doc(), alphas=[0.4, -0.4, 0.4]),
+     "QosVector: target for terminal 2 must be finite and > 0, got -0.4"),
+    (dict(symmetric_doc(), alphas=[0.4, 0.4, 0.0]),
+     "QosVector: target for terminal 3 must be finite and > 0, got 0.0"),
+    (dict(symmetric_doc(), sigma=[1.0, float("nan")]),
+     "NoiseVector: noise power for receiver 2 must be finite and >= 0, got nan"),
+    (dict(symmetric_doc(), sigma=[1.0]), "MacroDiversity: one noise power per receiver required"),
+    (dict(symmetric_doc(), gains=[[1.0, 1.0], [1.0, 1.0]]), "MacroDiversity: one gain row per terminal required"),
+    (dict(multi_connection_doc(), gains=[[1.0, 0.5, 0.2], [0.3, 1.0]]),
+     "MultiConnection gains: row 2 has length 2, expected 3"),
+    (dict(multi_connection_doc(), sigma=[1.0]), "MultiConnection: one noise power per receiver required"),
+], ids=["sc_zero_gain", "sc_negative_sigma", "sc_gain_count", "negative_target", "zero_target",
+        "md_nan_noise", "md_short_sigma", "md_gain_rows", "mc_ragged_gains", "mc_short_sigma"])
+def test_malformed_configs_fail_alike_on_every_command(tmp_path, capsys, doc, message):
+    # the scenario types check every command's input: region once skipped them
+    path = write_config(tmp_path, doc)
+    cloud = tmp_path / "cloud.csv"
+    for argv in (["check", path], ["solve", path], ["region", path, "--resolution", "2", "--out", str(cloud)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+    assert not cloud.exists()
+
+
 FUZZ_BASES = (pair_doc(), symmetric_doc(0.4), dict(symmetric_doc(0.4), coordinates="original"),
               fixed_assignment_doc(), multi_connection_doc(), multi_connection_doc("exact_noiseless"))
 FUZZ_KEYS = ("scenario", "n", "k", "alphas", "gains", "sigma", "assignment", "d", "mode",
@@ -269,9 +297,10 @@ def mutated_docs(draw):
 
 @pytest.mark.parametrize("command", [["check"], ["solve"], ["solve", "--init", "1"],
                                      ["solve", "--force"], ["solve", "--trace", "TRACE"],
-                                     ["solve", "--init", "1e308"]],
+                                     ["solve", "--init", "1e308"],
+                                     ["region", "--resolution", "2", "--out", "CLOUD"]],
                          ids=["check", "solve", "solve-init", "solve-force", "solve-trace",
-                              "solve-init-huge"])
+                              "solve-init-huge", "region"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_docs())
@@ -281,12 +310,15 @@ def test_fuzzed_configs_end_in_an_exit_code_and_one_line(tmp_path_factory, comma
     path.write_text(json.dumps(doc))  # NaN and Infinity become JSON tokens json.load accepts
     trace = base / "fuzz_trace.csv"
     trace.unlink(missing_ok=True)
-    flags = [str(trace) if flag == "TRACE" else flag for flag in command[1:]]
+    outputs = {"TRACE": str(trace), "CLOUD": str(base / "fuzz_cloud.csv")}
+    flags = [outputs.get(flag, flag) for flag in command[1:]]
+    if command[0] != "region":  # region has no --json
+        flags.insert(0, "--json")
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main([command[0], str(path), "--json", *flags])
+        code = main([command[0], str(path), *flags])
     assert code in (0, 1, 2, 3)
     lines = err.getvalue().splitlines()
     if "--trace" in command and len(lines) == 2:

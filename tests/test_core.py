@@ -128,6 +128,21 @@ class TestNoiseAndPower:
         with pytest.raises(InvalidInputError):
             PowerVector((1.0, -2.0))
 
+    @pytest.mark.parametrize("make, args, message", [
+        (PowerVector, (1.0, 2.0, math.nan), "power for terminal 3 must be finite and >= 0, got nan"),
+        (NoiseVector, (math.inf, -1.0), "noise power for receiver 1 must be finite and >= 0, got inf"),
+        (QosVector, (0.5, -0.0), "target for terminal 2 must be finite and > 0, got -0.0"),
+        (GainMatrix, ((1.0, 1.0), (1.0, -math.inf)), "entry (2,2) must be finite and >= 0, got -inf"),
+    ], ids=["nan_after_valid", "inf", "negative_zero_target", "matrix_position"])
+    def test_entry_check_names_the_first_bad_entry(self, make, args, message):
+        with pytest.raises(InvalidInputError) as excinfo:
+            make(args)
+        assert str(excinfo.value) == f"{make.__name__}: {message}"
+
+    def test_entry_check_passes_valid_entries_whose_sum_overflows(self):
+        assert PowerVector((1e308, 1e308, 0.0)).p == (1e308, 1e308, 0.0)
+        assert NoiseVector((-0.0, 1.0)).sigma_sq == (-0.0, 1.0)
+
     def test_power_constructors(self):
         assert PowerVector.zeros(3).p == (0.0, 0.0, 0.0)
         assert PowerVector.full(2, 100.0).p == (100.0, 100.0)

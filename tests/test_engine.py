@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +318,18 @@ class TestSystemValidation:
         r1 = AdjustmentRule(f=WeightedAbsSum((0.1, 0.2)), offset=0.0, terminal_index=1)
         with pytest.raises(InvalidInputError):
             System((r0, r1))
+
+
+def test_lambda_sweep_script_runs_both_solvers():
+    # the in-process measurement tool: policy iteration against Picard on one small map
+    repo = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "lambda_sweep.py"), "--n", "20", "--k", "2",
+         "--lambdas", "0.9", "--picard-max-iter", "2000"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("lambda 0.9")
+    assert lines[1].startswith("  policy iteration: ") and " iterations, " in lines[1]
+    assert lines[2].startswith("  picard: ") and " iterations, " in lines[2]

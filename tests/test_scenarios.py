@@ -777,6 +777,11 @@ class TestLeaveOneOutMap:
         with pytest.raises(InvalidInputError, match=f"{field} entries must be finite and >= 0"):
             LeaveOneOutMap(**fields)
 
+    def test_rejects_a_map_without_receiver_rows(self):
+        # the certificate and untraced solve read G[0]: an IndexError before this check
+        with pytest.raises(InvalidInputError, match="at least one receiver row"):
+            LeaveOneOutMap(G=(), c=(1.0, 1.0))
+
     def test_each_terminal_needs_enough_weighted_receivers(self):
         G = ((1.0, 1.0), (1.0, 1.0))
         with pytest.raises(InvalidInputError, match="receivers with W > 0"):
