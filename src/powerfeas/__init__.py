@@ -19,7 +19,7 @@ _EXPORTS = {
     "core": (
         "AdjustmentRule", "EvaluationError", "FeasibilityReport", "GainMatrix",
         "InfeasibleSystemError", "InvalidFunctionError", "InvalidInputError",
-        "IterationTrace", "NoiseVector", "NonConvergenceError", "PowerVector", "QosVector",
+        "NoiseVector", "NonConvergenceError", "PowerVector", "QosVector",
         "insert_component", "remove_component", "sup_norm",
     ),
     "rules": ("DominationBound", "HolderNorm", "NormOfNorms", "WeightedAbsSum", "dominate"),

@@ -48,9 +48,14 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class CheckVerdict:
+    """One axiom's verdict: PASS unless a counterexample was found."""
+
     axiom: str
-    passed: bool
     counterexample: Optional[Counterexample] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,8 @@ def _first_violation(axiom: str, cases: Iterable[tuple]) -> CheckVerdict:
     for inputs, lhs, rhs in cases:
         if lhs > rhs + _tol(lhs, rhs):
             inputs = tuple(tuple(v) if isinstance(v, np.ndarray) else v for v in inputs)
-            return CheckVerdict(axiom, False, Counterexample(inputs, lhs, rhs))
-    return CheckVerdict(axiom, True)
+            return CheckVerdict(axiom, Counterexample(inputs, lhs, rhs))
+    return CheckVerdict(axiom)
 
 
 def check_nonneg(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int) -> CheckVerdict:

@@ -157,12 +157,21 @@ def sample_region(spec: RegionSpec, *, allow_large: bool = False) -> RegionCloud
 
 @dataclass(frozen=True)
 class RegionComparison:
-    """Set relation between two clouds on the same grid, with witnesses."""
+    """Set relation between two clouds on the same grid, decided by its witnesses.
 
-    a_subset_b: bool
-    b_subset_a: bool
+    A witness is a grid point feasible in one cloud only; None when there is none.
+    """
+
     witness_a_not_b: Optional[tuple[float, ...]]
     witness_b_not_a: Optional[tuple[float, ...]]
+
+    @property
+    def a_subset_b(self) -> bool:
+        return self.witness_a_not_b is None
+
+    @property
+    def b_subset_a(self) -> bool:
+        return self.witness_b_not_a is None
 
     @property
     def relation(self) -> str:
@@ -185,8 +194,6 @@ def compare_regions(a: RegionCloud, b: RegionCloud) -> RegionComparison:
     idx_a = int(np.argmax(only_a)) if only_a.any() else None
     idx_b = int(np.argmax(only_b)) if only_b.any() else None
     return RegionComparison(
-        a_subset_b=idx_a is None,
-        b_subset_a=idx_b is None,
         witness_a_not_b=None if idx_a is None else tuple(float(v) for v in a.alphas[idx_a]),
         witness_b_not_a=None if idx_b is None else tuple(float(v) for v in b.alphas[idx_b]),
     )

@@ -109,7 +109,7 @@ def _fields(values, name: str, kind: type) -> tuple:
 
 @dataclass
 class ScenarioConfig:
-    """Round-trippable mirror of a config document, parsed but not yet checked.
+    """Mirror of a config document, parsed but not yet checked.
 
     Loading checks JSON types, keys, the options and the solver settings;
     the scenario types check shapes and values when :meth:`scenario` builds
@@ -226,32 +226,6 @@ class ScenarioConfig:
                    assignment=assignment, d=d, mode=mode,
                    coordinates=coordinates, solver=solver)
 
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "scenario": self.kind,
-            "n": self.n,
-            "k": self.receivers,
-            "alphas": list(self.alphas),
-        }
-        if self.kind == "single_cell":
-            doc["gains"] = list(self.gains)
-            doc["sigma"] = self.sigma
-        else:
-            doc["gains"] = [list(row) for row in self.gains]
-            doc["sigma"] = list(self.sigma)
-        if self.assignment is not None:
-            doc["assignment"] = list(self.assignment)
-        if self.d is not None:
-            doc["d"] = list(self.d)
-        if self.mode is not None:
-            doc["mode"] = self.mode
-        if self.coordinates is not None:
-            doc["coordinates"] = self.coordinates
-        doc["solver"] = {"tolerance": self.solver.tolerance, "max_iter": self.solver.max_iter}
-        if self.solver.initial is not None:
-            doc["solver"]["initial"] = list(self.solver.initial.p)
-        return doc
-
     @property
     def n(self) -> int:
         return len(self.alphas)
@@ -331,12 +305,6 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(doc)
 
 
-def save_config(config: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _print_report(config: ScenarioConfig, report: FeasibilityReport) -> None:
     coords = f", {config.coordinates} coordinates" if config.coordinates else ""
     mode = f", {config.mode} mode" if config.mode else ""
@@ -414,8 +382,8 @@ def cmd_solve(args) -> int:
     if args.init is not None:
         solve_config = replace(solve_config, initial=_parse_initial(args.init, config.n))
     try:
-        fixed_point, trace = solve(system, solve_config, force=args.force,
-                                   trace=args.trace is not None)
+        fixed_point, run = solve(system, solve_config, force=args.force,
+                                 trace=args.trace is not None)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.trace and exc.trace is not None:
@@ -424,19 +392,19 @@ def cmd_solve(args) -> int:
         return EXIT_NO_CONVERGENCE
 
     if args.trace:
-        write_trace_csv(trace, args.trace)
+        write_trace_csv(run, args.trace)
     if args.json:
         print(json.dumps({
             "powers": list(fixed_point.p),
-            "iterations": trace.iterations_used,
-            "converged": trace.converged,
-            "certified": trace.certified,
+            "iterations": run.iterations_used,
+            "converged": run.converged,
+            "certified": run.certified,
         }))
     else:
         for i, value in enumerate(fixed_point):
             print(f"p_{i + 1} = {_fmt12(value)}")
-        certified = "" if trace.certified else " (uncertified run)"
-        print(f"converged in {trace.iterations_used} iterations{certified}")
+        certified = "" if run.certified else " (uncertified run)"
+        print(f"converged in {run.iterations_used} iterations{certified}")
     return EXIT_OK
 
 

@@ -61,7 +61,7 @@ class InfeasibleSystemError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration exhausted its step budget; the partial trace is attached."""
+    """Iteration exhausted its step budget; the partial run (``engine.SolveRun``) is attached."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
@@ -289,32 +289,34 @@ class AdjustmentRule:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the admission test: one modulus per terminal, overall max.
+    """Outcome of the admission test: one modulus per terminal.
 
+    ``modulus`` (their max) and ``feasible`` (``modulus < 1``) are derived.
     ``binding`` names the terminal (and receiver, when the rule exposes one)
     whose weighted sum attains the overall modulus; indices are 0-based.
     """
 
     per_terminal_modulus: tuple[float, ...]
-    modulus: float
-    feasible: bool
     binding: Optional[tuple[int, Optional[int]]] = None
 
     def __post_init__(self):
         moduli = _float_tuple(self.per_terminal_modulus, "FeasibilityReport")
         object.__setattr__(self, "per_terminal_modulus", moduli)
-        object.__setattr__(self, "modulus", float(self.modulus))
         if len(moduli) < 1:
             raise InvalidInputError("FeasibilityReport: no terminals")
-        if self.modulus != max(moduli):
-            raise InvalidInputError("FeasibilityReport: modulus must equal max per-terminal modulus")
-        if self.feasible != (self.modulus < 1.0):
-            raise InvalidInputError("FeasibilityReport: feasible must mean modulus < 1")
         if self.binding is not None:
             term, recv = self.binding
             if not 0 <= term < len(moduli):
                 raise InvalidInputError("FeasibilityReport: binding terminal out of range")
             object.__setattr__(self, "binding", (int(term), None if recv is None else int(recv)))
+
+    @property
+    def modulus(self) -> float:
+        return max(self.per_terminal_modulus)
+
+    @property
+    def feasible(self) -> bool:
+        return self.modulus < 1.0
 
     @classmethod
     def from_moduli(
@@ -323,54 +325,9 @@ class FeasibilityReport:
         binding_receiver: Optional[int] = None,
         binding_terminal: Optional[int] = None,
     ) -> "FeasibilityReport":
-        vals = tuple(float(m) for m in moduli)
-        lam = max(vals)
-        term = vals.index(lam) if binding_terminal is None else binding_terminal
-        return cls(
-            per_terminal_modulus=vals,
-            modulus=lam,
-            feasible=lam < 1.0,
-            binding=(term, binding_receiver),
-        )
-
-
-@dataclass(frozen=True)
-class IterationTrace:
-    """Record of one successive-approximation run.
-
-    ``iterates`` is a read-only ``(steps + 1, N)`` float array, row t holding
-    iterate t (any sequence of equal-length power vectors is accepted);
-    ``deltas[t]`` is the sup-norm distance between iterates t and t+1;
-    ``certified`` is False when the run was forced despite a modulus >= 1.
-    """
-
-    iterates: np.ndarray
-    deltas: tuple[float, ...]
-    converged: bool
-    tolerance: float
-    certified: bool = True
-
-    def __post_init__(self):
-        iterates = np.array(self.iterates, dtype=float)
-        if iterates.ndim != 2 or iterates.shape[1] < 1:
-            raise InvalidInputError("IterationTrace: iterates must be a non-empty (steps + 1, N) array")
-        iterates.flags.writeable = False
-        object.__setattr__(self, "iterates", iterates)
-        object.__setattr__(self, "deltas", tuple(self.deltas))
-        if len(self.deltas) != len(iterates) - 1:
-            raise InvalidInputError("IterationTrace: need exactly one delta per step")
-        if any(d < 0.0 for d in self.deltas):
-            raise InvalidInputError("IterationTrace: deltas must be >= 0")
-        if self.converged and (not self.deltas or self.deltas[-1] > self.tolerance):
-            raise InvalidInputError("IterationTrace: converged trace must end within tolerance")
-
-    @property
-    def iterations_used(self) -> int:
-        return len(self.deltas)
-
-    @property
-    def final(self) -> PowerVector:
-        return PowerVector(tuple(self.iterates[-1]))
+        vals = _float_tuple(moduli, "FeasibilityReport")
+        term = vals.index(max(vals)) if binding_terminal is None else binding_terminal
+        return cls(vals, (term, binding_receiver))
 
 
 _CSV_CELLS = 1 << 18  # cells formatted and joined at once

@@ -8,14 +8,15 @@ iteration converges to the unique fixed point from any starting vector.
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
 ``step(x)`` and ``certificate()``: a :class:`System` of rule objects, or
-``scenarios.LeaveOneOutMap``, which the CLI solves. Traced, ``solve`` is
-Picard iteration on the map's numpy ``step`` and stacks each step's output
-array once into the trace's ``(steps + 1, N)`` array, which
-``write_trace_csv`` writes through ``core.write_csv``. Untraced, it keeps
-no iterates; a certified map that maximises over receivers
-(``receiver_weights``) is then solved by :func:`policy_iteration` in pure
-Python, numpy unloaded: a few K x K solves whatever the modulus, on sums
-with a ``math.fsum`` receiver total. Every other map runs the Picard loop.
+``scenarios.LeaveOneOutMap``, which the CLI solves; every run ends in one
+:class:`SolveRun`. Traced, ``solve`` is Picard iteration on the map's numpy
+``step`` and stacks each step's output array once into the run's
+``(steps + 1, N)`` array, which ``write_trace_csv`` writes through
+``core.write_csv``. Untraced, it keeps no iterates; a certified map that
+maximises over receivers (``receiver_weights``) is then solved by
+:func:`policy_iteration` in pure Python, numpy unloaded: a few K x K solves
+whatever the modulus, on sums with a ``math.fsum`` receiver total. Every
+other map runs the Picard loop.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core import (
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
-    IterationTrace,
     NonConvergenceError,
     PowerVector,
     np,
@@ -133,11 +133,15 @@ def contraction_modulus(system) -> FeasibilityReport:
 
 @dataclass(frozen=True)
 class SolveRun:
-    """Outcome of an untraced :func:`solve`: the step sizes, no iterates.
+    """Outcome of one :func:`solve`: the step sizes, and the iterates of a traced run.
 
     ``deltas[t]`` is the sup-norm step of Picard step t, or, for policy
     iteration, the residual ``sup_norm(T(p) - p)`` at the point reached by
-    evaluation or polish step t. ``solver`` is ``"policy"`` or ``"picard"``.
+    evaluation or polish step t. ``solver`` is ``"policy"`` or ``"picard"``;
+    ``certified`` is False when the run was forced despite a modulus >= 1.
+    ``iterates`` is None unless ``solve`` ran traced: then a read-only
+    ``(steps + 1, N)`` float array, row t holding iterate t (any sequence of
+    equal-length power vectors is accepted).
     """
 
     deltas: tuple[float, ...]
@@ -145,10 +149,33 @@ class SolveRun:
     tolerance: float
     certified: bool
     solver: str
+    iterates: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        deltas = tuple(self.deltas)
+        object.__setattr__(self, "deltas", deltas)
+        if deltas and min(deltas) < 0.0:
+            raise InvalidInputError("SolveRun: deltas must be >= 0")
+        if self.converged and (not deltas or deltas[-1] > self.tolerance):
+            raise InvalidInputError("SolveRun: a converged run must end within tolerance")
+        if self.iterates is None:
+            return
+        iterates = np.array(self.iterates, dtype=float)
+        if iterates.ndim != 2 or iterates.shape[1] < 1:
+            raise InvalidInputError("SolveRun: iterates must be a non-empty (steps + 1, N) array")
+        if len(iterates) != len(deltas) + 1:
+            raise InvalidInputError("SolveRun: need exactly one delta per step")
+        iterates.flags.writeable = False
+        object.__setattr__(self, "iterates", iterates)
 
     @property
     def iterations_used(self) -> int:
         return len(self.deltas)
+
+    @property
+    def final(self) -> PowerVector:
+        """The last iterate of a traced run."""
+        return PowerVector(tuple(self.iterates[-1]))
 
 
 def solve(
@@ -157,7 +184,7 @@ def solve(
     *,
     force: bool = False,
     trace: bool = True,
-) -> tuple[PowerVector, IterationTrace | SolveRun]:
+) -> tuple[PowerVector, SolveRun]:
     """Compute the fixed point of an update map.
 
     Refuses to start when the contraction modulus is >= 1 unless ``force``
@@ -166,18 +193,22 @@ def solve(
     diverge or stall.
 
     With ``trace`` (the default) this is synchronous Picard iteration and
-    the second element is the :class:`IterationTrace` of every iterate.
+    the :class:`SolveRun` holds every iterate.
     Stopping: with modulus ``lam < 1``, iteration stops once the step size
     drops below ``tolerance * (1 - lam)``. By the standard a-posteriori
     bound this puts the returned vector within ``tolerance`` of the exact
     fixed point and leaves a residual ``sup_norm(T(p*) - p*) <= tolerance``.
+    A certified run whose step sets no new minimum for
+    ``4 * ceil(1 / (1 - lam))`` steps, over which the exact step shrinks by
+    at least e^4, is held by rounding: it raises :func:`_floor_error`'s
+    :class:`InvalidInputError`. (A float run can hover at its floor for
+    more than ``ceil(1 / (1 - lam))`` steps and then land on a fixed point.)
 
-    With ``trace=False`` no iterates are kept and the second element is a
-    :class:`SolveRun`. A certified, unforced map with ``receiver_weights``
-    (``scenarios.LeaveOneOutMap`` with a max reduction) is then solved
-    without numpy by :func:`policy_iteration`, which returns a p with
-    ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``, the same guarantee.
-    Every other map runs the Picard loop above.
+    With ``trace=False`` no iterates are kept. A certified, unforced map with
+    ``receiver_weights`` (``scenarios.LeaveOneOutMap`` with a max reduction)
+    is then solved without numpy by :func:`policy_iteration`, which returns
+    a p with ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``, the same
+    guarantee. Every other map runs the Picard loop above.
     """
     report = contraction_modulus(system)
     if not report.feasible and not force:
@@ -185,34 +216,29 @@ def solve(
             f"solve: contraction modulus {report.modulus} >= 1; pass force=True to iterate anyway",
             report=report,
         )
-    certified = report.feasible
-    threshold = config.tolerance * (1.0 - report.modulus) if certified else config.tolerance
+    certified, lam = report.feasible, report.modulus
+    threshold = config.tolerance * (1.0 - lam) if certified else config.tolerance
 
     start = [0.0] * system.n if config.initial is None else list(config.initial.p)
     if len(start) != system.n:
         raise InvalidInputError(f"solve: initial vector has {len(start)} entries, system has {system.n}")
 
     if not trace and not force and getattr(system, "receiver_weights", None) is not None:
-        p, deltas = policy_iteration(system, start, report.modulus, config)
-        return PowerVector(tuple(p)), SolveRun(tuple(deltas), True, config.tolerance, True, "policy")
+        p, deltas = policy_iteration(system, start, lam, config)
+        return PowerVector(tuple(p)), SolveRun(deltas, True, config.tolerance, True, "policy")
 
     x = np.array(start)
-    iterates = [x]  # each step's own output array, stacked once into the trace
+    iterates = [x] if trace else None  # each step's own output array, stacked once by SolveRun
     deltas: list[float] = []
-
-    def build_trace(converged: bool) -> IterationTrace | SolveRun:
-        if not trace:
-            return SolveRun(tuple(deltas), converged, config.tolerance, certified, solver="picard")
-        return IterationTrace(iterates=iterates, deltas=deltas, converged=converged,
-                              tolerance=config.tolerance, certified=certified)
-
+    stall = 4 * math.ceil(1.0 / (1.0 - lam)) if certified else math.inf
+    best, since = math.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run's inf: isfinite ends it
         for _ in range(config.max_iter):
             nxt = np.asarray(system.step(x), dtype=float)
             if not np.isfinite(nxt).all():
                 raise NonConvergenceError(
                     "solve: iterates left the finite range (diverging run)",
-                    trace=build_trace(False),
+                    trace=SolveRun(deltas, False, config.tolerance, certified, "picard", iterates),
                 )
             if (nxt < 0.0).any():
                 i = int(np.argmax(nxt < 0.0))
@@ -225,12 +251,27 @@ def solve(
                 iterates.append(nxt)
             x = nxt
             if delta <= threshold:
-                return PowerVector(tuple(x)), build_trace(True)
+                return PowerVector(tuple(x)), SolveRun(deltas, True, config.tolerance, certified,
+                                                       "picard", iterates)
+            best, since = (delta, 0) if delta < best else (best, since + 1)
+            if since >= stall:
+                raise _floor_error(config.tolerance, best, lam)
 
     raise NonConvergenceError(
         f"solve: no convergence within {config.max_iter} iterations "
         f"(last step {deltas[-1] if deltas else 'n/a'})",
-        trace=build_trace(False),
+        trace=SolveRun(deltas, False, config.tolerance, certified, "picard", iterates),
+    )
+
+
+def _floor_error(tolerance: float, residual: float, lam: float) -> InvalidInputError:
+    """The error of a run whose smallest residual, ``residual``, stays above ``tolerance * (1 - lam)``."""
+    floor = residual / (1.0 - lam)
+    unit = 10.0 ** (math.floor(math.log10(floor)) - 2)  # round up to 3 digits
+    return InvalidInputError(
+        f"solve: tolerance {tolerance!r} is below what float64 certifies here; "
+        f"the smallest attainable tolerance is {math.ceil(floor / unit) * unit:.3g} "
+        f"(residual {residual:.3g} / (1 - lambda))"
     )
 
 
@@ -278,13 +319,7 @@ def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfi
             improving = tuple(policy) not in seen
             seen.add(tuple(policy))
         elif not residuals[-1] < residuals[-2]:
-            floor = min(residuals) / (1.0 - lam)
-            unit = 10.0 ** (math.floor(math.log10(floor)) - 2)  # round up to 3 digits
-            raise InvalidInputError(
-                f"solve: tolerance {config.tolerance!r} is below what float64 certifies here; "
-                f"the smallest attainable tolerance is {math.ceil(floor / unit) * unit:.3g} "
-                f"(residual {min(residuals):.3g} / (1 - lambda))"
-            )
+            raise _floor_error(config.tolerance, min(residuals), lam)
     raise NonConvergenceError(f"solve: no convergence within {config.max_iter} iterations")
 
 
@@ -367,12 +402,12 @@ def linear_oracle(A: Sequence[Sequence[float]], c: Sequence[float]) -> PowerVect
     return PowerVector(tuple(float(v) for v in solution))
 
 
-def rate_check(trace: IterationTrace, lam: float) -> bool:
-    """Verify the geometric envelope delta[t+1] <= lam * delta[t] on a trace.
+def rate_check(run: SolveRun, lam: float) -> bool:
+    """Verify the geometric envelope delta[t+1] <= lam * delta[t] on a run.
 
     The comparison allows 1e-12 * (1 + delta[t]) of floating-point slack.
     """
-    for prev, nxt in zip(trace.deltas, trace.deltas[1:]):
+    for prev, nxt in zip(run.deltas, run.deltas[1:]):
         if nxt > lam * prev + 1e-12 * (1.0 + prev):
             return False
     return True
@@ -401,11 +436,11 @@ def affine_parts(system: System) -> tuple[np.ndarray, np.ndarray]:
     return A, c
 
 
-def write_trace_csv(trace: IterationTrace, path) -> None:
-    """Dump a trace as CSV: iter, p_1..p_N, delta (delta blank on row 0)."""
-    rows, n = trace.iterates.shape
+def write_trace_csv(run: SolveRun, path) -> None:
+    """Dump a traced run as CSV: iter, p_1..p_N, delta (delta blank on row 0)."""
+    rows, n = run.iterates.shape
     write_csv(
         path,
         ["iter"] + [f"p_{i + 1}" for i in range(n)] + ["delta"],
-        [np.arange(rows), *trace.iterates.T, ["", *trace.deltas]],
+        [np.arange(rows), *run.iterates.T, ["", *run.deltas]],
     )

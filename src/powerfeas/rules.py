@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -87,38 +87,16 @@ class HolderNorm:
         return float(np.power(np.power(arr, self.p).sum(), 1.0 / self.p))
 
 
-OuterNorm = Union[HolderNorm, Callable[[np.ndarray], float]]
-
-
-def _passes_absolute_norm_test(f: Callable[[np.ndarray], float], dim: int) -> bool:
-    """Sampled check that ``f`` behaves like a monotonic (= absolute) norm."""
-    rng = np.random.default_rng(1729)
-    for _ in range(200):
-        x = rng.uniform(-10.0, 10.0, size=dim)
-        fx = float(f(x))
-        f_abs = float(f(np.abs(x)))
-        tol = 1e-9 * (1.0 + abs(fx) + abs(f_abs))
-        if not math.isfinite(fx) or fx < 0.0:
-            return False
-        if abs(fx - f_abs) > tol:
-            return False
-        bigger = np.abs(x) + rng.uniform(0.0, 5.0, size=dim)
-        if f_abs > float(f(bigger)) + tol:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class NormOfNorms:
-    """Outer monotonic norm applied to a stack of weighted-abs-sum values.
+    """Outer Holder norm applied to a stack of weighted-abs-sum values.
 
     The outer norm must be monotonic for the composition to remain a norm;
-    Holder norms (including inf) qualify by construction, any other callable
-    is accepted only if it passes a sampled absolute-norm test.
+    Holder norms (including inf, the default) are, so ``outer`` must be one.
     """
 
     inner: tuple[WeightedAbsSum, ...]
-    outer: OuterNorm = field(default_factory=lambda: HolderNorm(math.inf))
+    outer: HolderNorm = field(default_factory=lambda: HolderNorm(math.inf))
 
     def __post_init__(self):
         inner = tuple(self.inner)
@@ -129,12 +107,7 @@ class NormOfNorms:
         if any(w.dim != dim for w in inner):
             raise InvalidInputError("NormOfNorms: inner functions must share one dimension")
         if not isinstance(self.outer, HolderNorm):
-            if not callable(self.outer):
-                raise InvalidInputError("NormOfNorms: outer must be a HolderNorm or a callable norm")
-            if not _passes_absolute_norm_test(self.outer, len(inner)):
-                raise InvalidInputError(
-                    "NormOfNorms: outer callable failed the absolute-norm sample test"
-                )
+            raise InvalidInputError("NormOfNorms: outer must be a HolderNorm")
 
     @property
     def dim(self) -> int:
@@ -156,7 +129,7 @@ class NormOfNorms:
 
     def binding_inner(self, x: Vector) -> int | None:
         """Index of the inner sum attaining the value, when outer is the sup norm."""
-        if isinstance(self.outer, HolderNorm) and math.isinf(self.outer.p):
+        if math.isinf(self.outer.p):
             return int(np.argmax(self.inner_values(x)))
         return None
 

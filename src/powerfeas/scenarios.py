@@ -33,7 +33,7 @@ Coordinate conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, mul, truediv
@@ -178,13 +178,15 @@ class MultiConnection:
     """Each terminal must meet its SIR target at its d_j best receivers.
 
     ``gains`` is receiver-major (K rows by N columns). ``d[j] = 1`` is
-    minimum power assignment as a special case.
+    minimum power assignment as a special case. ``reference_gains`` holds
+    the d_j-th largest gain of each terminal, sorted out once on construction.
     """
 
     alphas: QosVector
     gains: tuple[tuple[float, ...], ...]
     d: tuple[int, ...]
     noise: NoiseVector
+    reference_gains: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gains = _matrix_rows(self.gains, "MultiConnection gains")
@@ -197,7 +199,7 @@ class MultiConnection:
             raise InvalidInputError("MultiConnection: gain rows must have one column per terminal")
         if len(self.noise) != k:
             raise InvalidInputError("MultiConnection: one noise power per receiver required")
-        _reference_gains(gains, d)
+        object.__setattr__(self, "reference_gains", tuple(_reference_gains(gains, d)))
 
     @property
     def n(self) -> int:
@@ -212,7 +214,7 @@ class MultiConnection:
 
     def reference_gain(self, j: int) -> float:
         """d_j-th largest gain of terminal j; the bounded mode divides by it."""
-        return float(_reference_gains(self.gains, self.d)[j])
+        return self.reference_gains[j]
 
 
 @dataclass(frozen=True)
@@ -372,8 +374,8 @@ def build_fixed_assignment(fa: FixedAssignment) -> System:
 
 def _mc_bounded_relative_gains(mc: MultiConnection) -> tuple[tuple[float, ...], np.ndarray]:
     """Reference gains h_j (d_j-th largest per terminal) and g_kj = h_kj / h_j."""
-    href = _reference_gains(mc.gains, mc.d)
-    return tuple(href), np.array(mc.gains, dtype=float) / href
+    href = mc.reference_gains
+    return href, np.array(mc.gains, dtype=float) / href
 
 
 def build_multi_connection(mc: MultiConnection, noiseless: bool) -> System:
@@ -693,7 +695,7 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
         W = [[1.0 / h if h > 0.0 else 0.0 for h in row] for row in scenario.gains]
         order, c = scenario.d, [0.0] * n
     else:  # alpha_i * h_ki over the d_i-th largest gain h_i, max
-        ref = _reference_gains(scenario.gains, scenario.d)
+        ref = scenario.reference_gains
         G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
         c = [scenario.noise.max()] * n
     if W is not None and max(map(max, W)) == math.inf:  # inf * 0 would be NaN, not 0

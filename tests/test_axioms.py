@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from powerfeas.axioms import (
+    CheckVerdict,
+    Counterexample,
     check_all,
     check_extended_subhom,
     check_max_monotone,
@@ -156,6 +158,10 @@ class TestReportMachinery:
         lhs = squared_l1(x + y)
         rhs = squared_l1(x) + squared_l1(y)
         assert lhs > rhs + 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+
+    def test_verdict_passes_exactly_without_a_counterexample(self):
+        assert CheckVerdict("sub-additivity").passed
+        assert not CheckVerdict("sub-additivity", Counterexample((1.0,), 2.0, 1.0)).passed
 
     def test_evaluation_error_carries_input(self):
         def broken(x):

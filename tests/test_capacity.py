@@ -9,6 +9,7 @@ from powerfeas import scenarios
 
 from powerfeas.capacity import (
     RegionCloud,
+    RegionComparison,
     RegionSpec,
     compare_regions,
     evaluate_predicate,
@@ -306,6 +307,13 @@ class TestCompare:
             assert witness is not None
             assert evaluate_predicate(inside, np.array([witness]))[0]
             assert not evaluate_predicate(outside, np.array([witness]))[0]
+
+    def test_relation_follows_the_witnesses(self):
+        for witnesses, relation in (((None, None), "equal"), (((1.0,), None), "b_subset_a"),
+                                    ((None, (1.0,)), "a_subset_b"), (((1.0,), (2.0,)), "incomparable")):
+            comparison = RegionComparison(*witnesses)
+            assert comparison.relation == relation
+            assert (comparison.a_subset_b, comparison.b_subset_a) == (witnesses[0] is None, witnesses[1] is None)
 
     def test_grid_mismatch_rejected(self):
         a = sample_region(spec_hanly(2, resolution=11))

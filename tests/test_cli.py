@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from powerfeas import capacity, cli
-from powerfeas.cli import ScenarioConfig, load_config, main, save_config
+from powerfeas.cli import ScenarioConfig, main
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = REPO / "configs"
@@ -35,6 +35,14 @@ def symmetric_doc(alpha=0.99):
         "gains": [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
         "sigma": [1.0, 1.0],
     }
+
+
+def floor_stall_doc(alphas=(0.26608152049936773, 0.2666805320691621, 0.2070182098202545,
+                            0.16021973761121583, 0.11294283013403528)):
+    """A single cell at lambda 0.9 whose Picard step stops shrinking above tolerance 1e-15."""
+    n = len(alphas)
+    return {"scenario": "single_cell", "alphas": list(alphas), "gains": [1] * n, "sigma": 1.0,
+            "solver": {"tolerance": 1e-15}}
 
 
 def pair_doc():
@@ -246,7 +254,8 @@ def test_malformed_configs_fail_alike_on_every_command(tmp_path, capsys, doc, me
 
 
 FUZZ_BASES = (pair_doc(), symmetric_doc(0.4), dict(symmetric_doc(0.4), coordinates="original"),
-              fixed_assignment_doc(), multi_connection_doc(), multi_connection_doc("exact_noiseless"))
+              fixed_assignment_doc(), multi_connection_doc(), multi_connection_doc("exact_noiseless"),
+              floor_stall_doc())
 FUZZ_KEYS = ("scenario", "n", "k", "alphas", "gains", "sigma", "assignment", "d", "mode",
              "coordinates", "solver")
 JUNK = st.one_of(
@@ -427,6 +436,28 @@ class TestSolve:
         assert len(captured.err.splitlines()) == 1
         assert "smallest attainable tolerance" in captured.err
 
+    @pytest.mark.parametrize("flags", [["--trace", "TRACE"], ["--force"]], ids=["traced", "forced"])
+    def test_picard_stall_at_the_float_floor_exits_one(self, tmp_path, capsys, flags):
+        # the step sits at 8.88e-16 from about step 150, above the 1e-15 * (1 - 0.9) threshold
+        trace = tmp_path / "trace.csv"
+        flags = [str(trace) if flag == "TRACE" else flag for flag in flags]
+        path = write_config(tmp_path, floor_stall_doc())
+        start = time.perf_counter()
+        code = main(["solve", path, "--json", *flags])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and elapsed < 1.0 and not trace.exists()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: solve: tolerance 1e-15 is below what float64 certifies here; the smallest "
+            "attainable tolerance is 8.89e-15 (residual 8.88e-16 / (1 - lambda))\n")
+        assert main(["solve", path, "--json"]) == 1  # policy iteration names the same floor
+        assert capsys.readouterr().err == captured.err
+        # equal targets: the step holds 6 steps at 1.78e-15, then lands on a fixed point
+        path = write_config(tmp_path, floor_stall_doc((0.3,) * 4))
+        assert main(["solve", path, "--json", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] == 327
+
     @pytest.mark.parametrize("flags", [["--force"], []], ids=["forced", "exact_noiseless"])
     def test_picard_runs_report_alike_with_and_without_trace(self, tmp_path, capsys, flags):
         doc = json.loads((REPO_CONFIGS / "multi_connection.json").read_text())
@@ -472,6 +503,20 @@ class TestRegion:
         out = capsys.readouterr().out
         assert code == 0
         assert "hanly(K=2) contained in scenario region" in out
+
+    def test_region_samples_the_transformed_condition(self, tmp_path, capsys):
+        # region ignores coordinates, so it can admit targets check refuses in original coordinates
+        doc = {"scenario": "single_cell", "alphas": [0.9, 0.05, 0.05], "gains": [1.0] * 3, "sigma": 1.0}
+        paths = {c: write_config(tmp_path, dict(doc, coordinates=c), f"{c}.json")
+                 for c in ("original", "transformed")}
+        clouds = []
+        for path in paths.values():
+            cloud = tmp_path / "cloud.csv"
+            assert main(["region", path, "--alpha-max", "1", "--resolution", "21", "--out", str(cloud)]) == 0
+            clouds.append(cloud.read_bytes())
+        assert clouds[0] == clouds[1] and b"\r\n0.9,0.05,0.05,1\r\n" in clouds[0]
+        assert main(["check", paths["original"]]) == 2  # modulus 1.8
+        assert main(["check", paths["transformed"]]) == 0
 
     def test_fixed_assignment_has_no_region(self, tmp_path, capsys):
         code = main([
@@ -578,28 +623,11 @@ class TestAxioms:
         assert "usage error" in capsys.readouterr().err
 
 
-class TestConfigRoundTrip:
-    @pytest.mark.parametrize("name", [
-        "single_cell_pair.json",
-        "symmetric_3x2.json",
-        "asymmetric_3x2.json",
-        "degenerate_3x3.json",
-        "fixed_assignment_2cell.json",
-        "multi_connection.json",
-    ])
-    def test_shipped_configs_roundtrip(self, name, tmp_path):
-        config = load_config(REPO_CONFIGS / name)
-        path = tmp_path / "copy.json"
-        save_config(config, path)
-        again = load_config(path)
-        assert again == config
-        assert again.to_dict() == config.to_dict()
-
-    def test_roundtrip_preserves_scenario(self, tmp_path):
-        config = load_config(REPO_CONFIGS / "multi_connection.json")
-        path = tmp_path / "copy.json"
-        save_config(config, path)
-        assert load_config(path).scenario() == config.scenario()
+@pytest.mark.parametrize("name", sorted(path.name for path in REPO_CONFIGS.glob("*.json")))
+def test_shipped_configs_check(name, capsys):
+    code = main(["check", str(REPO_CONFIGS / name), "--json"])
+    assert code in (0, 2)
+    assert json.loads(capsys.readouterr().out)["feasible"] == (code == 0)
 
 
 class TestFileErrors:

@@ -8,7 +8,6 @@ from powerfeas.core import (
     FeasibilityReport,
     GainMatrix,
     InvalidInputError,
-    IterationTrace,
     NoiseVector,
     PowerVector,
     QosVector,
@@ -154,35 +153,8 @@ class TestFeasibilityReport:
         assert report.modulus == 0.4
         assert report.feasible
         assert report.binding == (0, None)
+        assert report == FeasibilityReport((0.4, 0.3), (0, None))
 
     def test_boundary_is_infeasible(self):
         report = FeasibilityReport.from_moduli([1.0, 0.5])
         assert not report.feasible
-
-    def test_inconsistent_modulus_rejected(self):
-        with pytest.raises(InvalidInputError):
-            FeasibilityReport((0.2, 0.3), modulus=0.5, feasible=True)
-
-    def test_inconsistent_verdict_rejected(self):
-        with pytest.raises(InvalidInputError):
-            FeasibilityReport((0.2, 0.3), modulus=0.3, feasible=False)
-
-
-class TestIterationTrace:
-    def test_delta_length_enforced(self):
-        with pytest.raises(InvalidInputError):
-            IterationTrace(
-                iterates=(PowerVector.zeros(2),),
-                deltas=(0.1,),
-                converged=False,
-                tolerance=1e-10,
-            )
-
-    def test_converged_requires_final_delta_within_tolerance(self):
-        with pytest.raises(InvalidInputError):
-            IterationTrace(
-                iterates=(PowerVector.zeros(2), PowerVector.full(2, 1.0)),
-                deltas=(1.0,),
-                converged=True,
-                tolerance=1e-10,
-            )

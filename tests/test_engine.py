@@ -13,7 +13,6 @@ from powerfeas.core import (
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
-    IterationTrace,
     NoiseVector,
     NonConvergenceError,
     PowerVector,
@@ -23,6 +22,7 @@ from powerfeas.core import (
 )
 from powerfeas.engine import (
     SolveConfig,
+    SolveRun,
     System,
     affine_parts,
     contraction_modulus,
@@ -263,8 +263,9 @@ class TestTraceCsv:
     @pytest.mark.parametrize("which", ["converged", "partial", "signed_zero"])
     def test_bytes_equal_csv_writer_with_repr(self, tmp_path, which):
         if which == "signed_zero":  # one column holding 0.0 and -0.0
-            trace = IterationTrace(iterates=[[0.0, 1.0], [-0.0, 1.0], [0.0, 5e-324]],
-                                   deltas=(0.0, 5e-324), converged=False, tolerance=1e-10)
+            trace = SolveRun(deltas=(0.0, 5e-324), converged=False, tolerance=1e-10,
+                             certified=True, solver="picard",
+                             iterates=[[0.0, 1.0], [-0.0, 1.0], [0.0, 5e-324]])
         elif which == "converged":
             _, trace = solve(build_macro_diversity_transformed(symmetric_3x2(0.9)),
                              SolveConfig(initial=PowerVector((0.0, -0.0, 3.5))))
@@ -283,6 +284,21 @@ class TestTraceCsv:
                 delta = "" if t == 0 else repr(trace.deltas[t - 1])
                 writer.writerow([t] + [repr(float(v)) for v in row] + [delta])
         assert path.read_bytes() == reference.read_bytes()
+
+
+class TestSolveRun:
+    def test_delta_length_enforced(self):
+        with pytest.raises(InvalidInputError):
+            SolveRun((0.1,), False, 1e-10, True, "picard", iterates=(PowerVector.zeros(2),))
+
+    def test_converged_requires_final_delta_within_tolerance(self):
+        for iterates in ((PowerVector.zeros(2), PowerVector.full(2, 1.0)), None):
+            with pytest.raises(InvalidInputError):
+                SolveRun((1.0,), True, 1e-10, True, "picard", iterates)
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(InvalidInputError):
+            SolveRun((-1.0,), False, 1e-10, True, "policy")
 
 
 class TestTraceArray:

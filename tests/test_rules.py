@@ -100,7 +100,7 @@ class TestNormOfNorms:
 
     def test_custom_outer_must_be_absolute_norm(self):
         def not_a_norm(v):
-            return float(v[0])  # sign-sensitive
+            return float(v[0])  # sign-sensitive, and not a HolderNorm
 
         with pytest.raises(InvalidInputError):
             NormOfNorms(inner=(WeightedAbsSum((1.0,)), WeightedAbsSum((2.0,))), outer=not_a_norm)

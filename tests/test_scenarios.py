@@ -337,6 +337,7 @@ class TestMultiConnection:
         )
         assert mc.reference_gain(0) == 1.0
         assert mc.reference_gain(1) == 2.0
+        assert mc.reference_gains == (1.0, 2.0)
 
     def test_exact_mode_has_no_offset(self):
         mc = MultiConnection(
@@ -908,7 +909,7 @@ class TestPolicyIteration:
             for array_map, _ in self.draws(case, count=2):
                 traced_p, trace = solve(array_map, self.config, force=force)
                 p, run = solve(array_map, self.config, force=force, trace=False)
-                assert run.solver == "picard" and not hasattr(run, "iterates")
+                assert run.solver == "picard" and run.iterates is None
                 assert p == traced_p and run.deltas == trace.deltas
                 assert (run.converged, run.certified) == (trace.converged, trace.certified)
         assert leave_one_out_map(random_mc(np.random.default_rng(1), 0.5),
