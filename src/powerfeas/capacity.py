@@ -1,90 +1,86 @@
 """Capacity-region sampling over QoS space, comparison and export.
 
-Regions are sampled on a regular grid per axis and evaluated with the
-closed-form admission predicates; points exactly on a boundary count as
-infeasible because every condition is strict. Axis value 0 is included
-for plotting and is treated as the limit of a vanishing terminal, even
-though live scenarios require strictly positive targets.
+A scenario's region is the set of targets at which ``check`` certifies it:
+the map ``feasibility_formula`` certifies with the same options, at each
+grid point. Regions are sampled on a regular grid per axis; points exactly
+on a boundary count as infeasible because every condition is strict. Axis
+value 0 is included for plotting and is treated as the limit of a vanishing
+terminal, even though live scenarios require strictly positive targets.
 
-Every predicate except ``hanly`` is the leave-one-out kernel behind
-``scenarios.feasibility_formula``, fed the targets as points: the same
-coefficients and, bit for bit, the same prefix/suffix sums. The inequality
-export emits the kernel's sums at the unit vectors. A grid point therefore
-gets the verdict ``check`` gives the scenario at those targets; the rule
-objects built by ``scenarios`` stay the independent reference.
-Both exports write through ``core.write_csv``, the encoder the trace CSV
-uses too.
+``scenarios._coefficients`` gives the map at unit targets and says where the
+targets enter it. Where they scale G, a grid point's moduli are the
+leave-one-out kernel at that point: the same coefficients and, bit for bit,
+the same prefix/suffix sums as the certificate. Where they enter W through a
+divisor table D, G's sums at the all-ones vector are fixed and terminal j's
+modulus is max over k of (alpha_j / D[k][j]) * s[k][j], ``check``'s products
+in ``check``'s order. Either way a grid point gets the moduli ``check``
+reports at those targets; the rule objects built by ``scenarios`` stay the
+independent reference. The inequality export emits the kernel's sums at the
+unit vectors, or one box row per terminal. Both exports write through
+``core.write_csv``, the encoder the trace CSV uses too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import GainMatrix, InvalidInputError, NoiseVector, QosVector, np, write_csv
-from .scenarios import (MacroDiversity, MultiConnection, SingleCell, _loo, _loo_sums,
-                        leave_one_out_map)
-
-PREDICATES = ("simple", "macro_div", "mc_exact", "mc_bounded", "hanly")
+from .core import InvalidInputError, QosVector, np, write_csv
+from .scenarios import _coefficients, _loo, _loo_sums, _point_sums
 
 MAX_GRID_DIM = 4
 
 
-@dataclass(frozen=True)
 class RegionSpec:
-    """Which predicate to sample, on which grid.
+    """The targets at which ``check`` certifies a scenario, on a grid of ``resolution`` per axis.
 
-    ``gains`` is terminal-major (N rows) for ``macro_div`` and gets row
-    normalised internally; for the ``mc_*`` predicates it is receiver-major
-    (K rows by N columns) and used raw together with ``d``. ``receivers``
-    is only needed by ``hanly``. Every other predicate builds its scenario
-    at unit targets and zero noise once: the scenario type checks ``gains``
-    and ``d``, and the scenario's map, kept as ``_map``, holds the kernel
-    terms each predicate call reads.
+    Takes the map options ``feasibility_formula`` takes and reads the map's
+    coefficients at unit targets; ``receivers`` is the map's row count K.
+    ``_kernel`` is (G, W, order, None) when the targets scale G, and (s, None,
+    None, D) when they enter W, s the sums of G at the all-ones vector.
+    :meth:`hanly` is the gain-blind baseline sum(alpha) < K, from n and K alone.
     """
 
-    predicate: str
-    n: int
-    resolution: int
-    alpha_max: float
-    gains: Optional[tuple[tuple[float, ...], ...]] = None
-    d: Optional[tuple[int, ...]] = None
-    receivers: Optional[int] = None
+    def __init__(self, scenario, *, coordinates: str = "transformed", noiseless: bool = False,
+                 resolution: int, alpha_max: float):
+        self._grid_fields(scenario.n, resolution, alpha_max)
+        unit = replace(scenario, alphas=QosVector((1.0,) * self.n))
+        G, _, W, order, _, D = _coefficients(unit, coordinates, noiseless)
+        if D is not None:
+            G = _point_sums(G, [1.0] * self.n)
+        self.receivers = len(G)
+        self._kernel = tuple(None if v is None else np.array(v) for v in (G, W, order, D))
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "resolution", int(self.resolution))
-        object.__setattr__(self, "alpha_max", float(self.alpha_max))
-        if self.predicate not in PREDICATES:
-            raise InvalidInputError(f"RegionSpec: unknown predicate {self.predicate!r}")
+    @classmethod
+    def hanly(cls, n: int, receivers: int, *, resolution: int, alpha_max: float) -> "RegionSpec":
+        """The gain-blind baseline sum(alpha) < K on the same kind of grid."""
+        spec = cls.__new__(cls)
+        spec._grid_fields(n, resolution, alpha_max)
+        spec.receivers, spec._kernel = int(receivers), None
+        if spec.receivers < 1:
+            raise InvalidInputError("RegionSpec: hanly needs at least one receiver")
+        return spec
+
+    def _grid_fields(self, n, resolution, alpha_max) -> None:
+        self.n, self.resolution, self.alpha_max = int(n), int(resolution), float(alpha_max)
         if self.n < 1:
             raise InvalidInputError("RegionSpec: need at least one axis")
         if self.resolution < 2:
             raise InvalidInputError("RegionSpec: resolution must be >= 2")
         if not math.isfinite(self.alpha_max) or self.alpha_max <= 0.0:
             raise InvalidInputError("RegionSpec: alpha_max must be > 0")
-        if self.predicate == "hanly":
-            if self.receivers is None or int(self.receivers) < 1:
-                raise InvalidInputError("RegionSpec: hanly needs the receiver count")
-            object.__setattr__(self, "receivers", int(self.receivers))
-            return
-        macro = self.predicate == "macro_div"
-        if self.predicate != "simple" and (self.gains is None or self.d is None and not macro):
-            raise InvalidInputError(f"RegionSpec: {self.predicate} needs gains{'' if macro else ' and d'}")
-        ones = QosVector((1.0,) * self.n)
-        if self.predicate == "simple":
-            scenario = SingleCell(ones, ones.alphas, 0.0)
-        elif macro:
-            gains = GainMatrix(self.gains)
-            scenario = MacroDiversity(ones, gains, NoiseVector((0.0,) * gains.n_receivers))
-            object.__setattr__(self, "gains", gains.h)
-        else:
-            scenario = MultiConnection(ones, self.gains, self.d, NoiseVector((0.0,) * len(self.gains)))
-            object.__setattr__(self, "gains", scenario.gains)
-            object.__setattr__(self, "d", scenario.d)
-        object.__setattr__(self, "_map", leave_one_out_map(
-            scenario, noiseless=self.predicate == "mc_exact"))
+
+    def moduli(self, pts: np.ndarray) -> np.ndarray:
+        """Per-terminal moduli (P x N) at points (P x N): ``check``'s at those targets."""
+        G, W, order, D = self._kernel
+        if D is None:
+            return _loo(G, pts, W, order)
+        values = np.zeros_like(pts)
+        for d, s in zip(D, G):  # G holds s; a weight of 0 adds 0, as in the certificate
+            w = pts / d
+            np.maximum(values, np.multiply(w, s, out=w, where=w > 0.0), out=values)
+        return values
 
     @property
     def point_count(self) -> int:
@@ -107,17 +103,16 @@ class RegionSpec:
 
 
 def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
-    """Vectorised predicate over rows of ``alphas`` (shape (P, n))."""
+    """Vectorised predicate over rows of ``alphas`` (shape (P, n)): every modulus < 1."""
     pts = np.atleast_2d(np.asarray(alphas, dtype=float))
     if pts.shape[1] != spec.n:
         raise InvalidInputError(
             f"evaluate_predicate: points have {pts.shape[1]} axes, spec has {spec.n}"
         )
 
-    if spec.predicate == "hanly":
+    if spec._kernel is None:
         return pts.sum(axis=1) < spec.receivers
-    G, _, W, order = spec._map._arrays
-    return (_loo(G, pts, W, order) < 1.0).all(axis=1)
+    return (spec.moduli(pts) < 1.0).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -211,20 +206,24 @@ def export_cloud(cloud: RegionCloud, path) -> None:
 def region_inequalities(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
     """H-representation: coefficients (rows x N) and right-hand sides, relation '<'.
 
-    Available for the predicates that are finite conjunctions of strict
-    linear inequalities; the exact multi-connection predicate selects an
-    order statistic and is a union of such systems, so its feasible set has
-    no single inequality list and this raises instead.
+    Where the targets scale G, one row per terminal and receiver: the
+    kernel's sums at the unit vectors. Where they enter W, one box row per
+    terminal j, its one coefficient max over k of s[k][j] / D[k][j]. A d-th
+    smallest (the exact multi-connection map) makes the region a union of
+    such systems, with no single inequality list, so this raises instead.
     """
-    if spec.predicate == "hanly":
+    if spec._kernel is None:
         return np.ones((1, spec.n)), np.array([float(spec.receivers)])
-    if spec.predicate == "mc_exact":
+    G, _, order, D = spec._kernel
+    if order is not None:
         raise InvalidInputError(
             "region_inequalities: the exact multi-connection region is not a single "
             "conjunction of linear inequalities"
         )
-    G = spec._map._arrays[0]
-    rows = _loo_sums(G, np.eye(spec.n)).reshape(-1, spec.n)  # the sums at the unit vectors
+    if D is None:
+        rows = _loo_sums(G, np.eye(spec.n)).reshape(-1, spec.n)  # the sums at the unit vectors
+    else:
+        rows = np.diag(np.divide(G, D, out=np.zeros_like(G), where=D < math.inf).max(axis=0))
     return rows, np.ones(len(rows))
 
 

@@ -271,29 +271,6 @@ class ScenarioConfig:
         """The admission certificate ``check`` reports: the map at the all-ones vector."""
         return feasibility_formula(self.scenario(), **self._map_options())
 
-    def region_spec(self, resolution: int, alpha_max: float) -> RegionSpec:
-        if self.kind == "single_cell":
-            return RegionSpec("simple", n=self.n, resolution=resolution, alpha_max=alpha_max)
-        if self.kind == "macro_diversity":
-            return RegionSpec(
-                "macro_div", n=self.n, resolution=resolution, alpha_max=alpha_max,
-                gains=self.gains,
-            )
-        if self.kind == "multi_connection":
-            predicate = "mc_exact" if self.mode == "exact_noiseless" else "mc_bounded"
-            return RegionSpec(
-                predicate, n=self.n, resolution=resolution, alpha_max=alpha_max,
-                gains=self.gains, d=self.d,
-            )
-        raise InvalidInputError("region: fixed_assignment has no region predicate")
-
-    def hanly_spec(self, resolution: int, alpha_max: float) -> RegionSpec:
-        return RegionSpec(
-            "hanly", n=self.n, resolution=resolution, alpha_max=alpha_max,
-            receivers=self.receivers,
-        )
-
-
 def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
         try:
@@ -410,9 +387,9 @@ def cmd_solve(args) -> int:
 
 def cmd_region(args) -> int:
     config = load_config(args.config)
-    config.scenario()  # the scenario types check shapes and values, as for check and solve
     alpha_max = args.alpha_max if args.alpha_max is not None else float(config.receivers + 1)
-    spec = config.region_spec(args.resolution, alpha_max)
+    spec = RegionSpec(config.scenario(), **config._map_options(),
+                      resolution=args.resolution, alpha_max=alpha_max)
     cloud = sample_region(spec, allow_large=args.force_dim)
     export_cloud(cloud, args.out)
     print(f"wrote {cloud.spec.point_count} points to {args.out}")
@@ -420,11 +397,10 @@ def cmd_region(args) -> int:
         export_inequalities(spec, args.inequalities)
         print(f"wrote inequality rows to {args.inequalities}")
     if args.compare:
-        baseline = sample_region(
-            config.hanly_spec(args.resolution, alpha_max), allow_large=args.force_dim
-        )
-        comparison = compare_regions(cloud, baseline)
-        label = f"hanly(K={config.receivers})"
+        baseline = RegionSpec.hanly(spec.n, spec.receivers, resolution=args.resolution,
+                                    alpha_max=alpha_max)
+        comparison = compare_regions(cloud, sample_region(baseline, allow_large=args.force_dim))
+        label = f"hanly(K={spec.receivers})"
         wording = {
             "equal": f"equal to {label}",
             "a_subset_b": f"scenario region contained in {label}",
@@ -569,6 +545,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (json.JSONDecodeError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -372,7 +372,7 @@ def _policy_point(G, weights, c, policy) -> list[float]:
         rows = [row if row is top else list(map(sub, row, map((row[col] / top[col]).__mul__, top)))
                 for row in rows]
     t = [row[-1] / row[i] for i, row in enumerate(rows)]
-    return [(cj + wj * t[r]) / mj for cj, wj, r, mj in zip(c, w, policy, m)]
+    return [cmj + aj * t[r] for cmj, aj, r in zip(cm, a, policy)]
 
 
 def linear_oracle(A: Sequence[Sequence[float]], c: Sequence[float]) -> PowerVector:

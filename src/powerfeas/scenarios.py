@@ -652,11 +652,15 @@ class LeaveOneOutMap:
 
 
 def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False):
-    """The fields (G, c, W, order, names_receiver) of a scenario's map, as lists.
+    """The fields (G, c, W, order, names_receiver) of a scenario's map, as lists, then D.
 
     ``W`` None means unit weights, ``order`` None the max. ``coordinates``
     selects the original or transformed single-cell and macro-diversity map,
     ``noiseless`` the exact or bounded multi-connection map, as ``build_*`` does.
+    This is the one place that decides where the targets enter the map. In
+    the transformed maps and multi-connection they scale G's columns, and D
+    is None. In the original maps and fixed assignment G does not depend on
+    them and W[k][j] = alpha_j / D[k][j], D the divisors (inf: never selected).
     """
     if coordinates not in ("original", "transformed"):
         raise InvalidInputError(f"leave_one_out_map: unknown coordinates {coordinates!r}")
@@ -670,25 +674,25 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
     alphas = scenario.alphas.alphas
     n = scenario.n
     transformed = coordinates == "transformed"
-    W = order = None
+    W = D = order = None
     if isinstance(scenario, SingleCell):
         if transformed:  # alpha_n
             G, c = [alphas], [scenario.sigma] * n
-        else:  # weights alpha_i, coefficients 1
-            G, W, c = [[1.0] * n], [alphas], [scenario.sigma * a for a in alphas]
+        else:  # divisors 1, coefficients 1
+            G, D, c = [[1.0] * n], [[1.0] * n], [scenario.sigma * a for a in alphas]
     elif isinstance(scenario, MacroDiversity):
         sigma_hat = scenario.noise.max()
         if transformed:  # alpha_n * g_nk
             G = [list(map(mul, column, alphas)) for column in zip(*scenario.gains.relative)]
             c = [sigma_hat] * n
-        else:  # weights alpha_i / h_i, coefficients h_nk
+        else:  # divisors h_i, coefficients h_nk
             G = list(zip(*scenario.gains.h))
-            W = [list(map(truediv, alphas, scenario.gains.row_sums))] * len(G)
-            c = [w * sigma_hat for w in W[0]]
+            D = [scenario.gains.row_sums] * len(G)
+            c = [a / h * sigma_hat for a, h in zip(alphas, scenario.gains.row_sums)]
     elif isinstance(scenario, FixedAssignment):
-        # weight alpha_j / own gain at the assigned receiver, 0 (never selected) elsewhere
+        # divisor: the own gain at the assigned receiver, inf elsewhere
         G, served = scenario.gains, tuple(enumerate(scenario.assignment))
-        W = [[alphas[j] / G[a][j] if k == a else 0.0 for j, a in served] for k in range(len(G))]
+        D = [[G[a][j] if k == a else math.inf for j, a in served] for k in range(len(G))]
         c = [alphas[j] * scenario.noise.sigma_sq[a] / G[a][j] for j, a in served]
     elif noiseless:  # alpha_i * h_ki weighted 1 / h_kj, d_j-th smallest
         G = [list(map(mul, row, alphas)) for row in scenario.gains]
@@ -698,15 +702,17 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
         ref = scenario.reference_gains
         G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
         c = [scenario.noise.max()] * n
+    if D is not None:
+        W = [list(map(truediv, alphas, row)) for row in D]
     if W is not None and max(map(max, W)) == math.inf:  # inf * 0 would be NaN, not 0
         raise InvalidInputError("leave_one_out_map: a weight over a gain exceeds the float64 range")
-    return G, c, W, order, isinstance(scenario, (MacroDiversity, MultiConnection))
+    return G, c, W, order, isinstance(scenario, (MacroDiversity, MultiConnection)), D
 
 
 def leave_one_out_map(scenario, *, coordinates: str = "transformed",
                       noiseless: bool = False) -> LeaveOneOutMap:
     """The scenario's update map in array form (:func:`_coefficients`), no rule objects involved."""
-    return LeaveOneOutMap(*_coefficients(scenario, coordinates, noiseless))
+    return LeaveOneOutMap(*_coefficients(scenario, coordinates, noiseless)[:5])
 
 
 def feasibility_formula(scenario, *, coordinates: str = "transformed",
@@ -717,5 +723,5 @@ def feasibility_formula(scenario, *, coordinates: str = "transformed",
     :func:`_certify` on the same coefficients. Must agree with
     ``contraction_modulus`` of the matching build to 1e-12.
     """
-    G, _, W, order, named = _coefficients(scenario, coordinates, noiseless)
+    G, _, W, order, named, _ = _coefficients(scenario, coordinates, noiseless)
     return _certify(G, W, order, named)

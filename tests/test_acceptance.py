@@ -162,7 +162,7 @@ def test_symmetric_macro_diversity_exact():
     md = symmetric_md(0.99)
     system = build_macro_diversity_transformed(md)
     # warm-up so the timed section measures the checks, not import costs
-    baseline = RegionSpec("hanly", n=3, resolution=2, alpha_max=1.0, receivers=2)
+    baseline = RegionSpec.hanly(3, 2, resolution=2, alpha_max=1.0)
     targets = np.array([[0.99, 0.99, 0.99]])
     feasibility_formula(md)
     contraction_modulus(system)
@@ -184,16 +184,15 @@ def test_symmetric_macro_diversity_exact():
 
 @criterion(2, "degenerate-third-receiver")
 def test_degenerate_third_receiver():
-    spec_true = RegionSpec("macro_div", n=3, resolution=31, alpha_max=3.0,
-                           gains=DEGENERATE_GAINS)
-    spec_two = RegionSpec("macro_div", n=3, resolution=31, alpha_max=3.0,
-                          gains=SYMMETRIC_GAINS)
+    degenerate = MacroDiversity(alphas=QosVector((0.5,) * 3), gains=GainMatrix(DEGENERATE_GAINS),
+                                noise=NoiseVector((1.0,) * 3))
+    spec_true = RegionSpec(degenerate, resolution=31, alpha_max=3.0)
+    spec_two = RegionSpec(symmetric_md(0.5), resolution=31, alpha_max=3.0)
     cloud_true = sample_region(spec_true)
     # the deaf third receiver leaves the admission condition unchanged
     assert np.array_equal(cloud_true.feasible, sample_region(spec_two).feasible)
 
-    inflated = sample_region(RegionSpec("hanly", n=3, resolution=31, alpha_max=3.0,
-                                        receivers=3))
+    inflated = sample_region(RegionSpec.hanly(3, 3, resolution=31, alpha_max=3.0))
     comparison = compare_regions(cloud_true, inflated)
     assert comparison.a_subset_b
     assert not comparison.b_subset_a  # the gain-blind baseline over-admits
@@ -218,9 +217,8 @@ def test_asymmetric_boundary_and_comparison():
     assert feasibility_formula(asymmetric_md((0.99, 0.99, 0.66))).feasible
     assert not feasibility_formula(asymmetric_md((1.01, 1.01, 0.67))).feasible
 
-    spec_macro = RegionSpec("macro_div", n=3, resolution=41, alpha_max=3.0,
-                            gains=ASYMMETRIC_GAINS)
-    spec_hanly = RegionSpec("hanly", n=3, resolution=41, alpha_max=3.0, receivers=2)
+    spec_macro = RegionSpec(asymmetric_md((0.5, 0.5, 0.5)), resolution=41, alpha_max=3.0)
+    spec_hanly = RegionSpec.hanly(3, 2, resolution=41, alpha_max=3.0)
     comparison = compare_regions(sample_region(spec_macro), sample_region(spec_hanly))
     assert comparison.relation == "incomparable"
     for witness, inside, outside in (

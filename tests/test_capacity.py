@@ -26,6 +26,7 @@ from powerfeas.core import (
 )
 from powerfeas.engine import contraction_modulus
 from powerfeas.scenarios import (
+    FixedAssignment,
     MacroDiversity,
     MultiConnection,
     SingleCell,
@@ -40,32 +41,43 @@ ASYMMETRIC_GAINS = ((2.0, 1.0), (1.0, 2.0), (1.0, 1.0))
 DEGENERATE_GAINS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 0.0))
 
 
+def single_cell(n):
+    return SingleCell(QosVector((0.1,) * n), (1.0,) * n, 1.0)
+
+
+def macro(gains):
+    return MacroDiversity(QosVector((0.1,) * len(gains)), GainMatrix(gains),
+                          NoiseVector((1.0,) * len(gains[0])))
+
+
+def multi(gains, d):
+    return MultiConnection(QosVector((0.1,) * len(d)), gains, d, NoiseVector((1.0,) * len(gains)))
+
+
 def spec_hanly(receivers, resolution=31, alpha_max=3.0):
-    return RegionSpec("hanly", n=3, resolution=resolution, alpha_max=alpha_max,
-                      receivers=receivers)
+    return RegionSpec.hanly(3, receivers, resolution=resolution, alpha_max=alpha_max)
 
 
 def spec_macro(gains, resolution=31, alpha_max=3.0):
-    return RegionSpec("macro_div", n=3, resolution=resolution, alpha_max=alpha_max,
-                      gains=gains)
+    return RegionSpec(macro(gains), resolution=resolution, alpha_max=alpha_max)
 
 
 class TestGrid:
     def test_point_count_two_by_two(self):
-        spec = RegionSpec("simple", n=2, resolution=2, alpha_max=1.0)
+        spec = RegionSpec(single_cell(2), resolution=2, alpha_max=1.0)
         cloud = sample_region(spec)
         assert cloud.spec.point_count == 4
         assert len(cloud.points()) == 4
 
     def test_lexicographic_order(self):
-        spec = RegionSpec("simple", n=2, resolution=3, alpha_max=2.0)
+        spec = RegionSpec(single_cell(2), resolution=3, alpha_max=2.0)
         pts = spec.grid()
         assert pts[0].tolist() == [0.0, 0.0]
         assert pts[1].tolist() == [0.0, 1.0]
         assert pts[3].tolist() == [1.0, 0.0]
 
     def test_cost_guard(self):
-        spec = RegionSpec("simple", n=5, resolution=2, alpha_max=1.0)
+        spec = RegionSpec(single_cell(5), resolution=2, alpha_max=1.0)
         with pytest.raises(InvalidInputError):
             sample_region(spec)
         cloud = sample_region(spec, allow_large=True)
@@ -86,7 +98,7 @@ class TestPredicates:
             assert not evaluate_predicate(spec, np.array([corner]))[0]
 
     def test_simple_is_leave_one_out(self):
-        spec = RegionSpec("simple", n=3, resolution=11, alpha_max=1.5)
+        spec = RegionSpec(single_cell(3), resolution=11, alpha_max=1.5)
         cloud = sample_region(spec)
         loo = cloud.alphas.sum(axis=1, keepdims=True) - cloud.alphas
         assert np.array_equal(cloud.feasible, (loo < 1.0).all(axis=1))
@@ -113,8 +125,7 @@ class TestPredicates:
 
     def test_mc_exact_order_statistic(self):
         gains = ((1.0, 0.5, 0.8), (0.4, 1.2, 0.6))
-        spec = RegionSpec("mc_exact", n=3, resolution=5, alpha_max=1.0,
-                          gains=gains, d=(2, 1, 2))
+        spec = RegionSpec(multi(gains, (2, 1, 2)), noiseless=True, resolution=5, alpha_max=1.0)
         pts = np.array([[0.3, 0.2, 0.4]])
         expected = True
         h = np.array(gains)
@@ -128,23 +139,33 @@ class TestPredicates:
 
     def test_mc_zero_gain_never_selected(self):
         gains = ((1.0, 0.0), (0.5, 2.0))
-        spec = RegionSpec("mc_exact", n=2, resolution=5, alpha_max=1.0,
-                          gains=gains, d=(1, 1))
+        spec = RegionSpec(multi(gains, (1, 1)), noiseless=True, resolution=5, alpha_max=1.0)
         # terminal 2 is deaf to receiver 1, so only its receiver-2 ratio
         # (alpha_1 * 0.5 / 2.0) matters; no division-by-zero blowups
         assert evaluate_predicate(spec, np.array([[0.5, 0.5]]))[0]
         assert not evaluate_predicate(spec, np.array([[5.0, 0.5]]))[0]
 
+    def test_unserved_receiver_is_never_selected(self):
+        # receiver 2 serves no terminal; its sums overflow to inf, which W = 0 must not turn into NaN
+        fa = FixedAssignment(QosVector((0.1,) * 3), ((1.0,) * 3, (1e308,) * 3), (0, 0, 0),
+                             NoiseVector((1.0, 1.0)))
+        spec = RegionSpec(fa, resolution=2, alpha_max=1.0)
+        pts = np.array([[0.1, 0.1, 0.1], [0.0, 0.2, 0.3]])
+        assert spec.moduli(pts).tolist() == [[0.2, 0.2, 0.2], [0.0, 0.4, 0.6]]
+        assert spec.moduli(pts[:1]).tolist()[0] == list(feasibility_formula(fa).per_terminal_modulus)
+        coefs, rhs = region_inequalities(spec)
+        assert coefs.tolist() == (2.0 * np.eye(3)).tolist() and rhs.tolist() == [1.0] * 3
+
     def test_monotone_in_targets(self):
         rng = np.random.default_rng(7)
         specs = [
-            RegionSpec("simple", n=3, resolution=2, alpha_max=2.0),
+            RegionSpec(single_cell(3), resolution=2, alpha_max=2.0),
             spec_macro(ASYMMETRIC_GAINS),
             spec_hanly(2),
-            RegionSpec("mc_bounded", n=3, resolution=2, alpha_max=2.0,
-                       gains=((1.0, 0.5, 0.8), (0.4, 1.2, 0.6)), d=(2, 1, 2)),
-            RegionSpec("mc_exact", n=3, resolution=2, alpha_max=2.0,
-                       gains=((1.0, 0.5, 0.8), (0.4, 1.2, 0.6)), d=(2, 1, 2)),
+            RegionSpec(multi(((1.0, 0.5, 0.8), (0.4, 1.2, 0.6)), (2, 1, 2)),
+                       resolution=2, alpha_max=2.0),
+            RegionSpec(multi(((1.0, 0.5, 0.8), (0.4, 1.2, 0.6)), (2, 1, 2)), noiseless=True,
+                       resolution=2, alpha_max=2.0),
         ]
         for spec in specs:
             pts = rng.uniform(0.0, 2.0, size=(300, 3))
@@ -156,8 +177,8 @@ class TestPredicates:
     def test_mc_exact_memory_bounded_across_chunks(self):
         rng = np.random.default_rng(17)
         gains = tuple(map(tuple, rng.uniform(0.1, 2.0, size=(16, 4))))
-        spec = RegionSpec("mc_exact", n=4, resolution=21, alpha_max=0.06,
-                          gains=gains, d=(1, 4, 8, 16))
+        spec = RegionSpec(multi(gains, (1, 4, 8, 16)), noiseless=True, resolution=21,
+                          alpha_max=0.06)
         pts = spec.grid()
         tracemalloc.start()
         try:
@@ -193,7 +214,7 @@ class TestEngineAgreement:
             assert engine.feasible == bool(cloud.feasible[i])
 
     def test_simple_subsample(self):
-        spec = RegionSpec("simple", n=3, resolution=15, alpha_max=1.2)
+        spec = RegionSpec(single_cell(3), resolution=15, alpha_max=1.2)
         cloud = sample_region(spec)
         positive = np.all(cloud.alphas > 0.0, axis=1)
         idx = np.flatnonzero(positive)
@@ -209,9 +230,8 @@ class TestEngineAgreement:
         gains = ((1.0, 0.5, 0.8), (0.4, 1.2, 0.6))
         d = (2, 1, 2)
         rng = np.random.default_rng(9)
-        for predicate, noiseless in (("mc_exact", True), ("mc_bounded", False)):
-            spec = RegionSpec(predicate, n=3, resolution=9, alpha_max=1.5,
-                              gains=gains, d=d)
+        for noiseless in (True, False):
+            spec = RegionSpec(multi(gains, d), noiseless=noiseless, resolution=9, alpha_max=1.5)
             cloud = sample_region(spec)
             positive = np.all(cloud.alphas > 0.0, axis=1)
             idx = np.flatnonzero(positive)
@@ -226,41 +246,49 @@ class TestEngineAgreement:
                 assert engine.feasible == bool(cloud.feasible[i])
 
 
-def boundary_cases(predicate, rng, n=4, k=3):
-    """A spec and targets scaled onto its float boundary, with a scenario maker per point."""
-    gains, d, kwargs = None, None, {}
-    if predicate == "simple":
-        def make(a):
-            return SingleCell(alphas=QosVector(tuple(a)), gains=(1.0,) * n, sigma=1.0)
-    elif predicate == "macro_div":
-        gains = tuple(map(tuple, rng.uniform(0.05, 2.0, size=(n, k))))
+def boundary_cases(kind, options, rng, n=4, k=3):
+    """A spec, targets on and 1 ulp either side of its float boundary, and check's report per point."""
+    gains = tuple(map(tuple, rng.uniform(0.05, 2.0, size=(n, k) if kind == "macro_diversity" else (k, n))))
+    d = tuple(int(v) for v in rng.integers(1, k + 1, size=n))
+    assignment = tuple(int(v) for v in rng.integers(0, k, size=n))
+    noise = NoiseVector((1.0,) * k)
 
-        def make(a):
-            return MacroDiversity(alphas=QosVector(tuple(a)), gains=GainMatrix(gains),
-                                  noise=NoiseVector((1.0,) * k))
-    else:
-        gains = tuple(map(tuple, rng.uniform(0.05, 2.0, size=(k, n))))
-        d = tuple(int(v) for v in rng.integers(1, k + 1, size=n))
-        kwargs = {"noiseless": predicate == "mc_exact"}
-
-        def make(a):
-            return MultiConnection(alphas=QosVector(tuple(a)), gains=gains, d=d,
-                                   noise=NoiseVector((1.0,) * k))
-    spec = RegionSpec(predicate, n=n, resolution=2, alpha_max=1.0, gains=gains, d=d)
+    def make(a):
+        alphas = QosVector(tuple(a))
+        return {"single_cell": lambda: SingleCell(alphas, (1.0,) * n, 1.0),
+                "macro_diversity": lambda: MacroDiversity(alphas, GainMatrix(gains), noise),
+                "fixed_assignment": lambda: FixedAssignment(alphas, gains, assignment, noise),
+                "multi_connection": lambda: MultiConnection(alphas, gains, d, noise)}[kind]()
+    spec = RegionSpec(make(np.ones(n)), **options, resolution=2, alpha_max=1.0)
     raw = rng.uniform(0.1, 1.0, size=(50, n))
-    pts = np.array([a / feasibility_formula(make(a), **kwargs).modulus for a in raw])
-    return spec, pts, lambda a: feasibility_formula(make(a), **kwargs)
+    on = np.array([a / feasibility_formula(make(a), **options).modulus for a in raw])
+    pts = np.concatenate([np.nextafter(on, 0.0), on, np.nextafter(on, 2.0)])
+    return spec, pts, lambda a: feasibility_formula(make(a), **options)
+
+
+# every map check certifies: the (kind, option) pairs sc_t, sc_o, md_t, md_o, fa, mc_b, mc_e
+MAPS = {
+    "simple": ("single_cell", {}),
+    "simple_original": ("single_cell", {"coordinates": "original"}),
+    "macro_div": ("macro_diversity", {}),
+    "macro_div_original": ("macro_diversity", {"coordinates": "original"}),
+    "fixed_assignment": ("fixed_assignment", {}),
+    "mc_bounded": ("multi_connection", {}),
+    "mc_exact": ("multi_connection", {"noiseless": True}),
+}
 
 
 class TestFormulaAgreement:
-    @pytest.mark.parametrize("predicate", ["simple", "macro_div", "mc_bounded", "mc_exact"])
-    def test_check_and_region_verdicts_agree_on_the_boundary(self, predicate):
+    @pytest.mark.parametrize("kind, options", MAPS.values(), ids=list(MAPS))
+    def test_check_and_region_verdicts_agree_on_the_boundary(self, kind, options):
         rng = np.random.default_rng(29)
         verdicts = set()
         for _ in range(10):
-            spec, pts, formula = boundary_cases(predicate, rng)
+            spec, pts, formula = boundary_cases(kind, options, rng)
+            reports = [formula(p) for p in pts]
+            assert spec.moduli(pts).tolist() == [list(r.per_terminal_modulus) for r in reports]
             feas = evaluate_predicate(spec, pts)
-            assert feas.tolist() == [formula(p).feasible for p in pts]
+            assert feas.tolist() == [r.feasible for r in reports]
             verdicts.update(feas.tolist())
         assert verdicts == {True, False}  # the draws straddle the boundary
 
@@ -324,7 +352,7 @@ class TestCompare:
 
 class TestExport:
     def test_two_by_two_rows(self, tmp_path):
-        cloud = sample_region(RegionSpec("simple", n=2, resolution=2, alpha_max=1.0))
+        cloud = sample_region(RegionSpec(single_cell(2), resolution=2, alpha_max=1.0))
         path = tmp_path / "cloud.csv"
         export_cloud(cloud, path)
         lines = path.read_text().strip().splitlines()
@@ -353,7 +381,7 @@ class TestExport:
         else:  # signed zeros, non-finite and subnormal values, each kept as repr shows it
             values = np.array([[-0.0, 0.0], [np.nan, np.inf], [5e-324, -np.inf],
                                [0.1, 0.30000000000000004]])
-            cloud = RegionCloud(RegionSpec("simple", n=2, resolution=2, alpha_max=1.0),
+            cloud = RegionCloud(RegionSpec(single_cell(2), resolution=2, alpha_max=1.0),
                                 values, np.array([True, False, False, True]))
         path, reference = tmp_path / "cloud.csv", tmp_path / "reference.csv"
         export_cloud(cloud, path)
@@ -365,11 +393,11 @@ class TestExport:
         assert path.read_bytes() == reference.read_bytes()
 
     def test_inequalities_simple(self, tmp_path):
-        coefs, rhs = region_inequalities(RegionSpec("simple", n=3, resolution=2, alpha_max=1.0))
+        coefs, rhs = region_inequalities(RegionSpec(single_cell(3), resolution=2, alpha_max=1.0))
         assert coefs.tolist() == [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         assert rhs.tolist() == [1.0, 1.0, 1.0]
         path = tmp_path / "ineq.csv"
-        export_inequalities(RegionSpec("simple", n=3, resolution=2, alpha_max=1.0), path)
+        export_inequalities(RegionSpec(single_cell(3), resolution=2, alpha_max=1.0), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "coef_1,coef_2,coef_3,rhs,relation"
         assert len(lines) == 4
@@ -388,8 +416,8 @@ class TestExport:
         assert coefs.tolist() == [[1.0, 1.0, 1.0]] and rhs.tolist() == [2.0]
 
     def test_inequalities_mc_exact_unavailable(self):
-        spec = RegionSpec("mc_exact", n=2, resolution=2, alpha_max=1.0,
-                          gains=((1.0, 0.5), (0.4, 1.2)), d=(1, 1))
+        spec = RegionSpec(multi(((1.0, 0.5), (0.4, 1.2)), (1, 1)), noiseless=True,
+                          resolution=2, alpha_max=1.0)
         with pytest.raises(InvalidInputError):
             region_inequalities(spec)
 
@@ -400,14 +428,13 @@ class TestExport:
         n, k = 12, 4
         if predicate == "macro_div":
             gains = rng.uniform(0.0, 2.0, size=(n, k))
-            spec = RegionSpec(predicate, n=n, resolution=2, alpha_max=1.0,
-                              gains=tuple(map(tuple, gains)))
+            spec = RegionSpec(macro(tuple(map(tuple, gains))), resolution=2, alpha_max=1.0)
             G = np.array([[v / sum(row) for v in row] for row in gains.tolist()]).T
         else:
             gains = rng.uniform(0.0, 2.0, size=(k, n))
             d = rng.integers(1, k + 1, size=n)
-            spec = RegionSpec(predicate, n=n, resolution=2, alpha_max=1.0,
-                              gains=tuple(map(tuple, gains)), d=tuple(d.tolist()))
+            spec = RegionSpec(multi(tuple(map(tuple, gains)), tuple(d.tolist())),
+                              resolution=2, alpha_max=1.0)
             G = gains / np.sort(gains, axis=0)[k - d, np.arange(n)]
         expected = np.repeat(G[None], n, axis=0)  # (terminal left out, receiver, coefficient)
         expected[np.arange(n), :, np.arange(n)] = 0.0
@@ -420,8 +447,7 @@ class TestExport:
         assert lines[1:] == [",".join(map(repr, row)) + ",1.0,<" for row in coefs.tolist()]
 
     def test_inequalities_mc_bounded_match_predicate(self):
-        spec = RegionSpec("mc_bounded", n=2, resolution=2, alpha_max=1.0,
-                          gains=((1.0, 0.5), (0.4, 1.2)), d=(2, 1))
+        spec = RegionSpec(multi(((1.0, 0.5), (0.4, 1.2)), (2, 1)), resolution=2, alpha_max=1.0)
         coefs, rhs = region_inequalities(spec)
         rng = np.random.default_rng(15)
         pts = rng.uniform(0.0, 2.0, size=(100, 2))

@@ -384,6 +384,14 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.err == "error: solve: the fixed point lies beyond the float64 range\n"
 
+    def test_fixed_point_near_float_max_is_solved(self, tmp_path, capsys):
+        # p = 1e308 / 0.7 is representable though c + w * t is not: each term is divided first
+        doc = {"scenario": "single_cell", "alphas": [0.3, 0.3], "gains": [1.0, 1.0], "sigma": 1e308}
+        for flags in ([], ["--trace", str(tmp_path / "trace.csv")]):
+            assert main(["solve", write_config(tmp_path, doc), "--json", *flags]) == 0
+            powers = json.loads(capsys.readouterr().out)["powers"]
+            assert powers == [pytest.approx(1e308 / 0.7, rel=1e-15)] * 2
+
     def test_initial_point_invariance(self, tmp_path, capsys):
         path = write_config(tmp_path, pair_doc())
         main(["solve", path, "--init", "0", "--json"])
@@ -504,26 +512,34 @@ class TestRegion:
         assert code == 0
         assert "hanly(K=2) contained in scenario region" in out
 
-    def test_region_samples_the_transformed_condition(self, tmp_path, capsys):
-        # region ignores coordinates, so it can admit targets check refuses in original coordinates
+    def test_region_samples_the_configured_coordinates(self, tmp_path, capsys):
+        # region asks check's question: the original-coordinate map refuses (0.9, 0.05, 0.05)
         doc = {"scenario": "single_cell", "alphas": [0.9, 0.05, 0.05], "gains": [1.0] * 3, "sigma": 1.0}
-        paths = {c: write_config(tmp_path, dict(doc, coordinates=c), f"{c}.json")
-                 for c in ("original", "transformed")}
-        clouds = []
-        for path in paths.values():
+        for coordinates, flag, code in (("original", 0, 2), ("transformed", 1, 0)):
+            path = write_config(tmp_path, dict(doc, coordinates=coordinates), f"{coordinates}.json")
             cloud = tmp_path / "cloud.csv"
             assert main(["region", path, "--alpha-max", "1", "--resolution", "21", "--out", str(cloud)]) == 0
-            clouds.append(cloud.read_bytes())
-        assert clouds[0] == clouds[1] and b"\r\n0.9,0.05,0.05,1\r\n" in clouds[0]
-        assert main(["check", paths["original"]]) == 2  # modulus 1.8
-        assert main(["check", paths["transformed"]]) == 0
+            assert f"\r\n0.9,0.05,0.05,{flag}\r\n".encode() in cloud.read_bytes()
+            assert main(["check", path]) == code  # modulus 1.8 in original coordinates, 0.95 transformed
 
-    def test_fixed_assignment_has_no_region(self, tmp_path, capsys):
+    def test_fixed_assignment_region(self, tmp_path, capsys):
+        cloud = tmp_path / "cloud.csv"
         code = main([
             "region", str(REPO_CONFIGS / "fixed_assignment_2cell.json"),
-            "--out", str(tmp_path / "cloud.csv"),
+            "--alpha-max", "1", "--resolution", "5", "--out", str(cloud),
         ])
+        assert code == 0
+        assert b"\r\n0.5,0.25,1\r\n" in cloud.read_bytes()  # the config's own targets
+        assert main(["check", str(REPO_CONFIGS / "fixed_assignment_2cell.json")]) == 0
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec, allow_large=False):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        monkeypatch.setattr(cli, "sample_region", exhausted)
+        code = main(["region", str(REPO_CONFIGS / "asymmetric_3x2.json"),
+                     "--resolution", "100000", "--out", str(tmp_path / "cloud.csv")])
         assert code == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
 
     def test_inequality_export(self, tmp_path):
         ineq_path = tmp_path / "ineq.csv"

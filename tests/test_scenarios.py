@@ -419,7 +419,7 @@ class TestMinSelectionRule:
 
 def hanly(alphas, receivers):
     """The gain-blind baseline region predicate at one target vector."""
-    spec = RegionSpec("hanly", n=len(alphas), resolution=2, alpha_max=1.0, receivers=receivers)
+    spec = RegionSpec.hanly(len(alphas), receivers, resolution=2, alpha_max=1.0)
     return bool(evaluate_predicate(spec, np.array([alphas]))[0])
 
 
