@@ -17,10 +17,10 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "AdjustmentRule", "EvaluationError", "FeasibilityReport", "GainMatrix",
-        "InfeasibleSystemError", "InvalidFunctionError", "InvalidInputError",
-        "NoiseVector", "NonConvergenceError", "PowerVector", "QosVector",
-        "insert_component", "remove_component", "sup_norm",
+        "EvaluationError", "FeasibilityReport", "GainMatrix", "InfeasibleSystemError",
+        "InvalidFunctionError", "InvalidInputError", "NoiseVector", "NonConvergenceError",
+        "PowerVector", "QosVector", "SolveConfig", "insert_component", "remove_component",
+        "sup_norm",
     ),
     "rules": ("DominationBound", "HolderNorm", "NormOfNorms", "WeightedAbsSum", "dominate"),
     "axioms": (
@@ -29,15 +29,17 @@ _EXPORTS = {
         "check_subhom_at_one",
     ),
     "engine": (
-        "SolveConfig", "SolveRun", "System", "affine_parts", "contraction_modulus", "lift_rule",
+        "AdjustmentRule", "SolveRun", "System", "affine_parts", "contraction_modulus", "lift_rule",
         "linear_oracle", "rate_check", "solve", "write_trace_csv",
     ),
     "scenarios": (
-        "FixedAssignment", "LeaveOneOutMap", "MacroDiversity", "MinSelectionRule",
-        "MultiConnection", "SingleCell", "build_fixed_assignment", "build_macro_diversity",
+        "FixedAssignment", "LeaveOneOutMap", "MacroDiversity", "MultiConnection", "SingleCell",
+        "feasibility_formula", "leave_one_out_map", "macro_diversity_exact_update",
+    ),
+    "reference": (
+        "MinSelectionRule", "build_fixed_assignment", "build_macro_diversity",
         "build_macro_diversity_transformed", "build_multi_connection",
-        "build_single_cell_received", "build_single_cell_transformed", "feasibility_formula",
-        "kth_smallest", "leave_one_out_map", "macro_diversity_exact_update",
+        "build_single_cell_received", "build_single_cell_transformed", "kth_smallest",
         "mc_exact_rules_in_bounded_coords",
     ),
     "capacity": (

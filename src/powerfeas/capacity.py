@@ -14,19 +14,19 @@ the same prefix/suffix sums as the certificate. Where they enter W through a
 divisor table D, G's sums at the all-ones vector are fixed and terminal j's
 modulus is max over k of (alpha_j / D[k][j]) * s[k][j], ``check``'s products
 in ``check``'s order. Either way a grid point gets the moduli ``check``
-reports at those targets; the rule objects built by ``scenarios`` stay the
-independent reference. The inequality export emits the kernel's sums at the
-unit vectors, or one box row per terminal. Both exports write through
+reports at those targets; the rule objects of ``powerfeas.reference`` stay
+the independent reference. The inequality export emits the kernel's sums at
+the unit vectors, or one box row per terminal. Both exports write through
 ``core.write_csv``, the encoder the trace CSV uses too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvalidInputError, QosVector, np, write_csv
+from .core import InvalidInputError, np, write_csv
 from .scenarios import _coefficients, _loo, _loo_sums, _point_sums
 
 MAX_GRID_DIM = 4
@@ -45,8 +45,7 @@ class RegionSpec:
     def __init__(self, scenario, *, coordinates: str = "transformed", noiseless: bool = False,
                  resolution: int, alpha_max: float):
         self._grid_fields(scenario.n, resolution, alpha_max)
-        unit = replace(scenario, alphas=QosVector((1.0,) * self.n))
-        G, _, W, order, _, D = _coefficients(unit, coordinates, noiseless)
+        G, _, W, order, _, D = _coefficients(scenario, coordinates, noiseless, unit_targets=True)
         if D is not None:
             G = _point_sums(G, [1.0] * self.n)
         self.receivers = len(G)
@@ -69,7 +68,7 @@ class RegionSpec:
         if self.resolution < 2:
             raise InvalidInputError("RegionSpec: resolution must be >= 2")
         if not math.isfinite(self.alpha_max) or self.alpha_max <= 0.0:
-            raise InvalidInputError("RegionSpec: alpha_max must be > 0")
+            raise InvalidInputError(f"RegionSpec: alpha_max must be finite and > 0, got {self.alpha_max}")
 
     def moduli(self, pts: np.ndarray) -> np.ndarray:
         """Per-terminal moduli (P x N) at points (P x N): ``check``'s at those targets."""

@@ -10,27 +10,27 @@ iteration run.
 ``check`` certifies a config with the closed form, in pure Python. ``solve``
 computes the fixed point of the update map (``scenarios.leave_one_out_map``)
 by policy iteration in pure Python, or by Picard iteration on numpy arrays
-with ``--trace``, ``--force`` or in ``exact_noiseless`` mode: only those runs,
-``region`` and ``axioms`` load numpy. Neither builds the rule objects.
+with ``--trace``, ``--force`` or in ``exact_noiseless`` mode. A command loads
+only what it runs: ``check`` loads ``core``, ``scenarios`` and this module,
+with neither numpy nor ``dataclasses``; ``solve`` adds ``engine`` (and numpy
+for Picard runs), ``region`` ``capacity`` and numpy, ``axioms`` ``rules``,
+``axioms`` and numpy. The ``engine`` and ``capacity`` functions called here
+import their module on first call (:func:`_deferred`). No command builds the
+rule objects of ``powerfeas.reference``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .capacity import (
-    RegionSpec,
-    compare_regions,
-    export_cloud,
-    export_inequalities,
-    sample_region,
-)
 from .core import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOLERANCE,
     EvaluationError,
     FeasibilityReport,
     InfeasibleSystemError,
@@ -41,15 +41,8 @@ from .core import (
     PowerVector,
     QosVector,
     GainMatrix,
-    np,
-)
-from .engine import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOLERANCE,
     SolveConfig,
-    contraction_modulus,
-    solve,
-    write_trace_csv,
+    np,
 )
 from .scenarios import (
     FixedAssignment,
@@ -68,6 +61,23 @@ EXIT_NO_CONVERGENCE = 3
 
 KINDS = ("single_cell", "macro_diversity", "fixed_assignment", "multi_connection")
 MC_MODES = ("bounded", "exact_noiseless")
+
+
+def _deferred(module: str, name: str):
+    """A function standing in for ``module.name``: imports ``module`` on its first call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+    call.__qualname__ = call.__name__ = name
+    return call
+
+
+solve = _deferred(".engine", "solve")
+contraction_modulus = _deferred(".engine", "contraction_modulus")
+write_trace_csv = _deferred(".engine", "write_trace_csv")
+sample_region = _deferred(".capacity", "sample_region")
+compare_regions = _deferred(".capacity", "compare_regions")
+export_inequalities = _deferred(".capacity", "export_inequalities")
+export_cloud = _deferred(".capacity", "export_cloud")
 
 
 class CliUsageError(Exception):
@@ -107,7 +117,6 @@ def _fields(values, name: str, kind: type) -> tuple:
     return tuple(map(kind, values))
 
 
-@dataclass
 class ScenarioConfig:
     """Mirror of a config document, parsed but not yet checked.
 
@@ -117,15 +126,13 @@ class ScenarioConfig:
     indices in ``assignment``); conversion to 0-based happens there too.
     """
 
-    kind: str
-    alphas: tuple[float, ...]
-    gains: tuple
-    sigma: tuple[float, ...] | float
-    assignment: Optional[tuple[int, ...]] = None
-    d: Optional[tuple[int, ...]] = None
-    mode: Optional[str] = None
-    coordinates: Optional[str] = None
-    solver: SolveConfig = field(default_factory=SolveConfig)
+    def __init__(self, kind: str, alphas: tuple[float, ...], gains: tuple,
+                 sigma: tuple[float, ...] | float, assignment: Optional[tuple[int, ...]] = None,
+                 d: Optional[tuple[int, ...]] = None, mode: Optional[str] = None,
+                 coordinates: Optional[str] = None, solver: Optional[SolveConfig] = None):
+        self.kind, self.alphas, self.gains, self.sigma = kind, alphas, gains, sigma
+        self.assignment, self.d, self.mode, self.coordinates = assignment, d, mode, coordinates
+        self.solver = SolveConfig() if solver is None else solver
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -357,7 +364,8 @@ def cmd_solve(args) -> int:
 
     solve_config = config.solver
     if args.init is not None:
-        solve_config = replace(solve_config, initial=_parse_initial(args.init, config.n))
+        solve_config = SolveConfig(solve_config.tolerance, solve_config.max_iter,
+                                   _parse_initial(args.init, config.n))
     try:
         fixed_point, run = solve(system, solve_config, force=args.force,
                                  trace=args.trace is not None)
@@ -386,6 +394,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from .capacity import RegionSpec
+
     config = load_config(args.config)
     alpha_max = args.alpha_max if args.alpha_max is not None else float(config.receivers + 1)
     spec = RegionSpec(config.scenario(), **config._map_options(),

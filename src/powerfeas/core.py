@@ -1,9 +1,12 @@
 """Shared value types for interference-coupled power adjustment systems.
 
-Everything here is immutable after construction and safe to share across
-threads. Algorithms live in the engine, scenarios and capacity modules;
-this module defines the vocabulary they exchange, plus :func:`write_csv`,
-the one CSV encoder behind every file the package writes.
+The value types are plain classes on :class:`_Frozen`: ``__init__`` checks
+the arguments and sets each field once through ``object.__setattr__``, and
+any later assignment or deletion raises ``AttributeError``, so a value is
+immutable after construction and safe to share across threads. Algorithms
+live in the engine, scenarios and capacity modules; this module defines the
+vocabulary they exchange, including ``engine.solve``'s :class:`SolveConfig`,
+plus :func:`write_csv`, the one CSV encoder behind every file the package writes.
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.
@@ -15,10 +18,9 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class _DeferredModule(types.ModuleType):
@@ -34,6 +36,9 @@ class _DeferredModule(types.ModuleType):
 np = _DeferredModule("numpy")
 
 Vector = Union[Sequence[float], "np.ndarray"]
+
+DEFAULT_TOLERANCE = 1e-10
+DEFAULT_MAX_ITER = 100_000
 
 
 class InvalidInputError(ValueError):
@@ -66,6 +71,33 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class _Frozen:
+    """Base of the immutable value types: ``__init__`` sets the fields once, by :meth:`_set`.
+
+    Two values of one type are equal, and hash alike, when their fields are equal.
+    """
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_fields", tuple(fields.items()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._fields == other._fields if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._fields)})"
 
 
 def _float_tuple(values, what: str) -> tuple[float, ...]:
@@ -134,15 +166,12 @@ def insert_component(x: Vector, i: int, value: float) -> np.ndarray:
     return np.concatenate((arr[:i], [float(value)], arr[i:]))
 
 
-@dataclass(frozen=True)
-class QosVector:
+class QosVector(_Frozen):
     """Per-terminal carrier-to-interference targets (dimensionless, > 0)."""
 
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        alphas = _float_tuple(self.alphas, "QosVector")
-        object.__setattr__(self, "alphas", alphas)
+    def __init__(self, alphas: Vector):
+        alphas = _float_tuple(alphas, "QosVector")
+        self._set(alphas=alphas)
         if len(alphas) < 1:
             raise InvalidInputError("QosVector: need at least one terminal")
         _check_entries(alphas, "QosVector: target for terminal", positive=True)
@@ -160,18 +189,15 @@ class QosVector:
         return np.array(self.alphas, dtype=float)
 
 
-@dataclass(frozen=True)
-class GainMatrix:
-    """Linear channel gains, one row per terminal, one column per receiver.
+class GainMatrix(_Frozen):
+    """Linear channel gains ``h``, one row per terminal, one column per receiver.
 
     Individual entries may be zero (a terminal out of range of a receiver)
     but every row must have a positive sum so relative gains are defined.
     """
 
-    h: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", _matrix_rows(self.h, "GainMatrix"))
+    def __init__(self, h):
+        self._set(h=_matrix_rows(h, "GainMatrix"))
         for i, total in enumerate(self.row_sums):
             if total <= 0.0:
                 raise InvalidInputError(f"GainMatrix: row {i + 1} sums to zero; terminal unreachable")
@@ -203,15 +229,12 @@ class GainMatrix:
         return np.array(self.h, dtype=float)
 
 
-@dataclass(frozen=True)
-class NoiseVector:
-    """Noise power per receiver (watts, >= 0)."""
+class NoiseVector(_Frozen):
+    """Noise power ``sigma_sq`` per receiver (watts, >= 0)."""
 
-    sigma_sq: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = _float_tuple(self.sigma_sq, "NoiseVector")
-        object.__setattr__(self, "sigma_sq", vals)
+    def __init__(self, sigma_sq: Vector):
+        vals = _float_tuple(sigma_sq, "NoiseVector")
+        self._set(sigma_sq=vals)
         if len(vals) < 1:
             raise InvalidInputError("NoiseVector: need at least one receiver")
         _check_entries(vals, "NoiseVector: noise power for receiver")
@@ -229,15 +252,12 @@ class NoiseVector:
         return np.array(self.sigma_sq, dtype=float)
 
 
-@dataclass(frozen=True)
-class PowerVector:
-    """Transmit or received powers (watts, >= 0)."""
+class PowerVector(_Frozen):
+    """Transmit or received powers ``p`` (watts, >= 0)."""
 
-    p: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = _float_tuple(self.p, "PowerVector")
-        object.__setattr__(self, "p", vals)
+    def __init__(self, p: Vector):
+        vals = _float_tuple(p, "PowerVector")
+        self._set(p=vals)
         if len(vals) < 1:
             raise InvalidInputError("PowerVector: need at least one terminal")
         _check_entries(vals, "PowerVector: power for terminal")
@@ -263,32 +283,7 @@ class PowerVector:
         return np.array(self.p, dtype=float)
 
 
-@dataclass(frozen=True)
-class AdjustmentRule:
-    """One terminal's power update: next power = f(other powers) + offset.
-
-    ``f`` maps the (N-1)-vector of the other terminals' powers to a
-    non-negative scalar and must be deterministic; ``offset`` is the
-    additive noise term and must be >= 0.
-    """
-
-    f: Callable[[np.ndarray], float]
-    offset: float
-    terminal_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "terminal_index", int(self.terminal_index))
-        if not callable(self.f):
-            raise InvalidInputError("AdjustmentRule: f must be callable")
-        if not math.isfinite(self.offset) or self.offset < 0.0:
-            raise InvalidInputError(f"AdjustmentRule: offset must be finite and >= 0, got {self.offset}")
-        if self.terminal_index < 0:
-            raise InvalidInputError("AdjustmentRule: terminal_index must be >= 0")
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(_Frozen):
     """Outcome of the admission test: one modulus per terminal.
 
     ``modulus`` (their max) and ``feasible`` (``modulus < 1``) are derived.
@@ -296,19 +291,17 @@ class FeasibilityReport:
     whose weighted sum attains the overall modulus; indices are 0-based.
     """
 
-    per_terminal_modulus: tuple[float, ...]
-    binding: Optional[tuple[int, Optional[int]]] = None
-
-    def __post_init__(self):
-        moduli = _float_tuple(self.per_terminal_modulus, "FeasibilityReport")
-        object.__setattr__(self, "per_terminal_modulus", moduli)
+    def __init__(self, per_terminal_modulus: Vector,
+                 binding: Optional[tuple[int, Optional[int]]] = None):
+        moduli = _float_tuple(per_terminal_modulus, "FeasibilityReport")
         if len(moduli) < 1:
             raise InvalidInputError("FeasibilityReport: no terminals")
-        if self.binding is not None:
-            term, recv = self.binding
+        if binding is not None:
+            term, recv = binding
             if not 0 <= term < len(moduli):
                 raise InvalidInputError("FeasibilityReport: binding terminal out of range")
-            object.__setattr__(self, "binding", (int(term), None if recv is None else int(recv)))
+            binding = (int(term), None if recv is None else int(recv))
+        self._set(per_terminal_modulus=moduli, binding=binding)
 
     @property
     def modulus(self) -> float:
@@ -328,6 +321,18 @@ class FeasibilityReport:
         vals = _float_tuple(moduli, "FeasibilityReport")
         term = vals.index(max(vals)) if binding_terminal is None else binding_terminal
         return cls(vals, (term, binding_receiver))
+
+
+class SolveConfig(_Frozen):
+    """``engine.solve``'s step tolerance, step budget and start point (None: all zeros)."""
+
+    def __init__(self, tolerance: float = DEFAULT_TOLERANCE, max_iter: int = DEFAULT_MAX_ITER,
+                 initial: Optional[PowerVector] = None):
+        self._set(tolerance=tolerance, max_iter=max_iter, initial=initial)
+        if not (math.isfinite(tolerance) and tolerance > 0.0):
+            raise InvalidInputError(f"SolveConfig: tolerance must be > 0, got {tolerance}")
+        if max_iter < 1:
+            raise InvalidInputError(f"SolveConfig: max_iter must be >= 1, got {max_iter}")
 
 
 _CSV_CELLS = 1 << 18  # cells formatted and joined at once

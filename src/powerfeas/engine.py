@@ -27,22 +27,45 @@ from itertools import accumulate
 from operator import add, mul, sub, truediv
 from typing import Callable, Optional, Sequence
 
-from .core import (
-    AdjustmentRule,
+from .core import (  # SolveConfig and its two defaults: re-exported from here
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOLERANCE,
     FeasibilityReport,
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
     NonConvergenceError,
     PowerVector,
+    SolveConfig,
     np,
     remove_component,
     sup_norm,
     write_csv,
 )
 
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MAX_ITER = 100_000
+
+@dataclass(frozen=True)
+class AdjustmentRule:
+    """One terminal's power update: next power = f(other powers) + offset.
+
+    ``f`` maps the (N-1)-vector of the other terminals' powers to a
+    non-negative scalar and must be deterministic; ``offset`` is the
+    additive noise term and must be >= 0.
+    """
+
+    f: Callable[[np.ndarray], float]
+    offset: float
+    terminal_index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "terminal_index", int(self.terminal_index))
+        if not callable(self.f):
+            raise InvalidInputError("AdjustmentRule: f must be callable")
+        if not math.isfinite(self.offset) or self.offset < 0.0:
+            raise InvalidInputError(f"AdjustmentRule: offset must be finite and >= 0, got {self.offset}")
+        if self.terminal_index < 0:
+            raise InvalidInputError("AdjustmentRule: terminal_index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -92,19 +115,6 @@ class System:
             moduli.append(value)
         binder = getattr(self.rules[moduli.index(max(moduli))].f, "binding_inner", None)
         return FeasibilityReport.from_moduli(moduli, binder(ones) if binder is not None else None)
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iter: int = DEFAULT_MAX_ITER
-    initial: Optional[PowerVector] = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise InvalidInputError(f"SolveConfig: tolerance must be > 0, got {self.tolerance}")
-        if self.max_iter < 1:
-            raise InvalidInputError(f"SolveConfig: max_iter must be >= 1, got {self.max_iter}")
 
 
 def lift_rule(f: Callable[[np.ndarray], float], i: int) -> Callable[[np.ndarray], float]:

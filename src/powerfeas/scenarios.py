@@ -1,11 +1,12 @@
-"""Physical reception scenarios and their adjustment-rule systems.
+"""Physical reception scenarios and their update maps.
 
-Each builder turns a scenario description into a :class:`System` whose
-rules come from the norm-like family, in the coordinates that make the
-admission condition sharpest. ``leave_one_out_map`` builds the same update
-map as arrays, a :class:`LeaveOneOutMap`: that is the map the CLI iterates,
-and ``feasibility_formula`` is its certificate. The rule objects stay the
-independent reference the tests compare it with.
+The scenario types check their own shapes and values on construction.
+``leave_one_out_map`` turns a scenario into its update map as arrays, a
+:class:`LeaveOneOutMap`: that is the map the CLI iterates, and
+``feasibility_formula`` is its certificate, in the coordinates that make the
+admission condition sharpest. The rule objects of ``powerfeas.reference``
+write the same maps out again, one rule per terminal: the independent
+reference the tests compare them with.
 
 Every closed form is one leave-one-out sum s[k][j] over n != j of x_n *
 G[k, n], for each receiver k and terminal j, times W[k][j] and reduced over
@@ -33,13 +34,11 @@ Coordinate conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, mul, truediv
 
 from .core import (
-    AdjustmentRule,
     FeasibilityReport,
     GainMatrix,
     InvalidInputError,
@@ -47,18 +46,10 @@ from .core import (
     QosVector,
     Vector,
     _check_entries,
+    _Frozen,
     _matrix_rows,
     np,
 )
-from .engine import System
-
-
-def kth_smallest(values: Vector, m: int) -> float:
-    """m-th smallest component, 1-based; duplicates count separately."""
-    arr = np.sort(np.asarray(values, dtype=float))
-    if not 1 <= m <= arr.size:
-        raise InvalidInputError(f"kth_smallest: m={m} out of range for {arr.size} values")
-    return float(arr[m - 1])
 
 
 def _reference_gains(gains, d) -> list[float]:
@@ -81,19 +72,13 @@ def _reference_gains(gains, d) -> list[float]:
     return ref
 
 
-@dataclass(frozen=True)
-class SingleCell:
+class SingleCell(_Frozen):
     """One receiver; every terminal interferes with every other."""
 
-    alphas: QosVector
-    gains: tuple[float, ...]
-    sigma: float
-
-    def __post_init__(self):
-        gains = tuple(float(v) for v in self.gains)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if len(gains) != len(self.alphas):
+    def __init__(self, alphas: QosVector, gains: Vector, sigma: float):
+        gains = tuple(float(v) for v in gains)
+        self._set(alphas=alphas, gains=gains, sigma=float(sigma))
+        if len(gains) != len(alphas):
             raise InvalidInputError("SingleCell: one gain per terminal required")
         _check_entries(gains, "SingleCell: gain for terminal", positive=True)
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
@@ -104,18 +89,14 @@ class SingleCell:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
-class MacroDiversity:
+class MacroDiversity(_Frozen):
     """All receivers jointly decode every terminal; no cell boundaries."""
 
-    alphas: QosVector
-    gains: GainMatrix
-    noise: NoiseVector
-
-    def __post_init__(self):
-        if self.gains.n_terminals != len(self.alphas):
+    def __init__(self, alphas: QosVector, gains: GainMatrix, noise: NoiseVector):
+        self._set(alphas=alphas, gains=gains, noise=noise)
+        if gains.n_terminals != len(alphas):
             raise InvalidInputError("MacroDiversity: one gain row per terminal required")
-        if len(self.noise) != self.gains.n_receivers:
+        if len(noise) != gains.n_receivers:
             raise InvalidInputError("MacroDiversity: one noise power per receiver required")
 
     @property
@@ -127,31 +108,23 @@ class MacroDiversity:
         return self.gains.n_receivers
 
 
-@dataclass(frozen=True)
-class FixedAssignment:
+class FixedAssignment(_Frozen):
     """Each terminal is decoded only by its assigned receiver.
 
     ``gains`` is receiver-major (K rows by N columns); ``assignment[j]`` is
     the 0-based receiver index serving terminal j.
     """
 
-    alphas: QosVector
-    gains: tuple[tuple[float, ...], ...]
-    assignment: tuple[int, ...]
-    noise: NoiseVector
-
-    def __post_init__(self):
-        gains = _matrix_rows(self.gains, "FixedAssignment gains")
-        assignment = tuple(int(a) for a in self.assignment)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "assignment", assignment)
-        n = len(self.alphas)
-        k = len(gains)
+    def __init__(self, alphas: QosVector, gains, assignment, noise: NoiseVector):
+        gains = _matrix_rows(gains, "FixedAssignment gains")
+        assignment = tuple(int(a) for a in assignment)
+        self._set(alphas=alphas, gains=gains, assignment=assignment, noise=noise)
+        n, k = len(alphas), len(gains)
         if len(gains[0]) != n:
             raise InvalidInputError("FixedAssignment: gain rows must have one column per terminal")
         if len(assignment) != n:
             raise InvalidInputError("FixedAssignment: one assigned receiver per terminal required")
-        if len(self.noise) != k:
+        if len(noise) != k:
             raise InvalidInputError("FixedAssignment: one noise power per receiver required")
         for j, a in enumerate(assignment):
             if not 0 <= a < k:
@@ -173,8 +146,7 @@ class FixedAssignment:
         return len(self.gains)
 
 
-@dataclass(frozen=True)
-class MultiConnection:
+class MultiConnection(_Frozen):
     """Each terminal must meet its SIR target at its d_j best receivers.
 
     ``gains`` is receiver-major (K rows by N columns). ``d[j] = 1`` is
@@ -182,24 +154,16 @@ class MultiConnection:
     the d_j-th largest gain of each terminal, sorted out once on construction.
     """
 
-    alphas: QosVector
-    gains: tuple[tuple[float, ...], ...]
-    d: tuple[int, ...]
-    noise: NoiseVector
-    reference_gains: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        gains = _matrix_rows(self.gains, "MultiConnection gains")
-        d = tuple(int(v) for v in self.d)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "d", d)
-        n = len(self.alphas)
-        k = len(gains)
+    def __init__(self, alphas: QosVector, gains, d, noise: NoiseVector):
+        gains = _matrix_rows(gains, "MultiConnection gains")
+        d = tuple(int(v) for v in d)
+        self._set(alphas=alphas, gains=gains, d=d, noise=noise)
+        n, k = len(alphas), len(gains)
         if len(gains[0]) != n:
             raise InvalidInputError("MultiConnection: gain rows must have one column per terminal")
-        if len(self.noise) != k:
+        if len(noise) != k:
             raise InvalidInputError("MultiConnection: one noise power per receiver required")
-        object.__setattr__(self, "reference_gains", tuple(_reference_gains(gains, d)))
+        object.__setattr__(self, "reference_gains", tuple(_reference_gains(gains, d)))  # derived: not compared
 
     @property
     def n(self) -> int:
@@ -209,245 +173,9 @@ class MultiConnection:
     def receivers(self) -> int:
         return len(self.gains)
 
-    def column(self, j: int) -> tuple[float, ...]:
-        return tuple(row[j] for row in self.gains)
-
     def reference_gain(self, j: int) -> float:
         """d_j-th largest gain of terminal j; the bounded mode divides by it."""
         return self.reference_gains[j]
-
-
-@dataclass(frozen=True)
-class MinSelectionRule:
-    """Scaled d-th smallest of per-receiver weighted sums over own gains.
-
-    Evaluates ``scale * (order-th smallest over k of
-    (sum_m weight_rows[k][m] * |x_m|) / divisors[k])``. Receivers with a
-    zero divisor produce an infinite ratio and are never selected; at least
-    ``order`` positive divisors are therefore required. Non-negative,
-    max-monotone and positively homogeneous, but not sub-additive in
-    general, so certification goes through a domination bound rather than
-    directly through the contraction theorem.
-    """
-
-    weight_rows: tuple[tuple[float, ...], ...]
-    divisors: tuple[float, ...]
-    order: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        rows = _matrix_rows(self.weight_rows, "MinSelectionRule weights")
-        divisors = tuple(float(v) for v in self.divisors)
-        object.__setattr__(self, "weight_rows", rows)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "scale", float(self.scale))
-        if len(divisors) != len(rows):
-            raise InvalidInputError("MinSelectionRule: one divisor per weight row required")
-        _check_entries(divisors, "MinSelectionRule: divisor")
-        if not 1 <= self.order <= len(rows):
-            raise InvalidInputError(f"MinSelectionRule: order {self.order} out of range")
-        if sum(1 for v in divisors if v > 0.0) < self.order:
-            raise InvalidInputError(
-                f"MinSelectionRule: need at least {self.order} positive divisors"
-            )
-        if not math.isfinite(self.scale) or self.scale < 0.0:
-            raise InvalidInputError("MinSelectionRule: scale must be finite and >= 0")
-
-    @property
-    def dim(self) -> int:
-        return len(self.weight_rows[0])
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        arr = np.array(self.weight_rows, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def _divisors(self) -> np.ndarray:
-        arr = np.array(self.divisors, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    def __call__(self, x: Vector) -> float:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dim,):
-            raise InvalidInputError(
-                f"MinSelectionRule: expected a vector of length {self.dim}, got shape {arr.shape}"
-            )
-        sums = self._weights @ np.abs(arr)
-        ratios = np.where(self._divisors > 0.0, sums / np.where(self._divisors > 0.0, self._divisors, 1.0), np.inf)
-        return self.scale * kth_smallest(ratios, self.order)
-
-
-def _others(n: int, i: int) -> list[int]:
-    return [j for j in range(n) if j != i]
-
-
-def build_single_cell_received(sc: SingleCell) -> System:
-    """Received-power update P_i = alpha_i * (sum of other P_n + sigma)."""
-    from .rules import WeightedAbsSum
-
-    n = sc.n
-    rules = []
-    for i in range(n):
-        f = WeightedAbsSum((sc.alphas[i],) * (n - 1))
-        rules.append(AdjustmentRule(f=f, offset=sc.sigma * sc.alphas[i], terminal_index=i))
-    return System(tuple(rules))
-
-
-def build_single_cell_transformed(sc: SingleCell) -> System:
-    """Normalised update q_i = sum of other alpha_n * q_n + sigma, q_i = P_i / alpha_i.
-
-    Its modulus per terminal is the leave-one-out target sum, which is the
-    sharper admission condition: targets may individually exceed 1/(N-1)
-    and still certify here.
-    """
-    from .rules import WeightedAbsSum
-
-    n = sc.n
-    rules = []
-    for i in range(n):
-        f = WeightedAbsSum(tuple(sc.alphas[j] for j in _others(n, i)))
-        rules.append(AdjustmentRule(f=f, offset=sc.sigma, terminal_index=i))
-    return System(tuple(rules))
-
-
-def build_macro_diversity(md: MacroDiversity) -> System:
-    """Received-power update P_i = (alpha_i/h_i) * (max_k interference_k + max noise)."""
-    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
-
-    n = md.n
-    h = md.gains.h
-    row_sums = md.gains.row_sums
-    sigma_hat = md.noise.max()
-    rules = []
-    for i in range(n):
-        scale = md.alphas[i] / row_sums[i]
-        inner = tuple(
-            WeightedAbsSum(tuple(scale * h[nn][k] for nn in _others(n, i)))
-            for k in range(md.receivers)
-        )
-        f = NormOfNorms(inner=inner, outer=HolderNorm(math.inf))
-        rules.append(AdjustmentRule(f=f, offset=scale * sigma_hat, terminal_index=i))
-    return System(tuple(rules))
-
-
-def build_macro_diversity_transformed(md: MacroDiversity) -> System:
-    """Normalised update q_i = max_k sum of other alpha_n * g_nk * q_n + max noise.
-
-    q_i = h_i * P_i / alpha_i; the per-terminal modulus is then exactly the
-    largest leave-one-out weighted target sum over receivers.
-    """
-    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
-
-    n = md.n
-    g = md.gains.relative
-    sigma_hat = md.noise.max()
-    rules = []
-    for i in range(n):
-        inner = tuple(
-            WeightedAbsSum(tuple(md.alphas[nn] * g[nn][k] for nn in _others(n, i)))
-            for k in range(md.receivers)
-        )
-        f = NormOfNorms(inner=inner, outer=HolderNorm(math.inf))
-        rules.append(AdjustmentRule(f=f, offset=sigma_hat, terminal_index=i))
-    return System(tuple(rules))
-
-
-def build_fixed_assignment(fa: FixedAssignment) -> System:
-    """Transmit-power update at each terminal's assigned receiver only."""
-    from .rules import WeightedAbsSum
-
-    n = fa.n
-    rules = []
-    for j in range(n):
-        a = fa.assignment[j]
-        own = fa.gains[a][j]
-        weights = tuple(fa.alphas[j] * fa.gains[a][i] / own for i in _others(n, j))
-        f = WeightedAbsSum(weights)
-        offset = fa.alphas[j] * fa.noise.sigma_sq[a] / own
-        rules.append(AdjustmentRule(f=f, offset=offset, terminal_index=j))
-    return System(tuple(rules))
-
-
-def _mc_bounded_relative_gains(mc: MultiConnection) -> tuple[tuple[float, ...], np.ndarray]:
-    """Reference gains h_j (d_j-th largest per terminal) and g_kj = h_kj / h_j."""
-    href = mc.reference_gains
-    return href, np.array(mc.gains, dtype=float) / href
-
-
-def build_multi_connection(mc: MultiConnection, noiseless: bool) -> System:
-    """Two sub-modes, selected by ``noiseless``.
-
-    * ``noiseless=True``: the exact rule in q_j = p_j / gamma_j coordinates,
-      q_j = d_j-th smallest over receivers of (sum of other gamma_i * h_ki
-      * q_i) / h_kj, with no offset. Noise is deliberately dropped; the
-      caller must opt in rather than have it discarded silently. These
-      rules are not sub-additive, so certify them through a domination
-      bound (see :func:`powerfeas.rules.dominate`).
-    * ``noiseless=False``: the bounded rule in q_j = p_j * h_j / gamma_j
-      coordinates with h_j the d_j-th largest gain of terminal j:
-      q_j = max_k sum of other gamma_i * g_ki * q_i + max noise.
-    """
-    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
-
-    n = mc.n
-    k = mc.receivers
-    rules = []
-    if noiseless:
-        for j in range(n):
-            weight_rows = tuple(
-                tuple(mc.alphas[i] * mc.gains[kk][i] for i in _others(n, j))
-                for kk in range(k)
-            )
-            f = MinSelectionRule(
-                weight_rows=weight_rows,
-                divisors=mc.column(j),
-                order=mc.d[j],
-                scale=1.0,
-            )
-            rules.append(AdjustmentRule(f=f, offset=0.0, terminal_index=j))
-    else:
-        _, g = _mc_bounded_relative_gains(mc)
-        sigma_hat = mc.noise.max()
-        for j in range(n):
-            inner = tuple(
-                WeightedAbsSum(tuple(mc.alphas[i] * g[kk, i] for i in _others(n, j)))
-                for kk in range(k)
-            )
-            f = NormOfNorms(inner=inner, outer=HolderNorm(math.inf))
-            rules.append(AdjustmentRule(f=f, offset=sigma_hat, terminal_index=j))
-    return System(tuple(rules))
-
-
-def mc_exact_rules_in_bounded_coords(mc: MultiConnection) -> tuple[MinSelectionRule, ...]:
-    """The exact noiseless rules rewritten in the bounded mode's coordinates.
-
-    In q_j = p_j * h_j / gamma_j coordinates, terminal j's exact update is
-    h_j * (d_j-th smallest over k of (sum of other gamma_i * g_ki * q_i) /
-    h_kj). The bounded rule replaces the selected ratio with the maximum
-    interference over h_j, so it dominates these rules pointwise on the
-    non-negative orthant; tests assert exactly that ordering.
-    """
-    n = mc.n
-    k = mc.receivers
-    href, g = _mc_bounded_relative_gains(mc)
-    out = []
-    for j in range(n):
-        weight_rows = tuple(
-            tuple(mc.alphas[i] * g[kk, i] for i in _others(n, j)) for kk in range(k)
-        )
-        out.append(
-            MinSelectionRule(
-                weight_rows=weight_rows,
-                divisors=mc.column(j),
-                order=mc.d[j],
-                scale=href[j],
-            )
-        )
-    return tuple(out)
 
 
 def macro_diversity_exact_update(md: MacroDiversity, powers: Vector) -> np.ndarray:
@@ -568,8 +296,7 @@ def _certify(G, W=None, order=None, names_receiver=True) -> FeasibilityReport:
     return FeasibilityReport.from_moduli(moduli, receiver, term)
 
 
-@dataclass(frozen=True, eq=False)
-class LeaveOneOutMap:
+class LeaveOneOutMap(_Frozen):
     """A scenario's update map: one weighted leave-one-out sum per terminal and receiver.
 
     ``step(x)[j] = c[j] + reduce over k of W[k][j] * s[k][j]``, s[k][j] the
@@ -588,19 +315,14 @@ class LeaveOneOutMap:
     ``receiver_weights`` gives the max form ``engine.policy_iteration`` solves.
     """
 
-    G: tuple
-    c: tuple
-    W: tuple | None = None
-    order: tuple | None = None
-    names_receiver: bool = True
-
-    def __post_init__(self):
-        k, n = len(self.G), len(self.c)
+    def __init__(self, G, c, W=None, order=None, names_receiver: bool = True):
+        k, n = len(G), len(c)
         if k < 1:
             raise InvalidInputError("LeaveOneOutMap: G needs at least one receiver row")
+        fields = {"G": G, "c": c, "W": W, "order": order}
         for name, rows, cols, kind in (("G", k, n, float), ("c", n, None, float),
                                        ("W", k, n, float), ("order", n, None, int)):
-            value = getattr(self, name)
+            value = fields[name]
             if value is None:
                 continue
             value = tuple(map(kind, value)) if cols is None else tuple(tuple(map(kind, row)) for row in value)
@@ -609,7 +331,8 @@ class LeaveOneOutMap:
                 raise InvalidInputError(f"LeaveOneOutMap: {name} must have shape {shape}")
             if not all(0.0 <= v < math.inf for v in (chain(*value) if cols else value)):
                 raise InvalidInputError(f"LeaveOneOutMap: {name} entries must be finite and >= 0")
-            object.__setattr__(self, name, value)
+            fields[name] = value
+        self._set(**fields, names_receiver=names_receiver)
         if not all(1 <= rank <= k for rank in self.order or ()):
             raise InvalidInputError(f"LeaveOneOutMap: orders must lie in [1, {k}]")
         ranks = self.order or (1,) * n
@@ -651,12 +374,14 @@ class LeaveOneOutMap:
         return None if self.order is not None else self.W or ((1.0,) * self.n,) * len(self.G)
 
 
-def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False):
+def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False,
+                  unit_targets: bool = False):
     """The fields (G, c, W, order, names_receiver) of a scenario's map, as lists, then D.
 
     ``W`` None means unit weights, ``order`` None the max. ``coordinates``
     selects the original or transformed single-cell and macro-diversity map,
-    ``noiseless`` the exact or bounded multi-connection map, as ``build_*`` does.
+    ``noiseless`` the exact or bounded multi-connection map, as the reference
+    builders do; ``unit_targets`` puts 1 in place of every target.
     This is the one place that decides where the targets enter the map. In
     the transformed maps and multi-connection they scale G's columns, and D
     is None. In the original maps and fixed assignment G does not depend on
@@ -671,8 +396,8 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
 
     # Coefficients fold the targets in as G[k][n] * alpha_n, the product the
     # batch kernel forms at x = alpha, so the certificate at x = 1 rounds alike.
-    alphas = scenario.alphas.alphas
     n = scenario.n
+    alphas = (1.0,) * n if unit_targets else scenario.alphas.alphas
     transformed = coordinates == "transformed"
     W = D = order = None
     if isinstance(scenario, SingleCell):
@@ -702,8 +427,9 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
         ref = scenario.reference_gains
         G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
         c = [scenario.noise.max()] * n
-    if D is not None:
-        W = [list(map(truediv, alphas, row)) for row in D]
+    if D is not None:  # macro diversity's K divisor rows are one list: divide it once
+        first = list(map(truediv, alphas, D[0]))
+        W = [first if row is D[0] else list(map(truediv, alphas, row)) for row in D]
     if W is not None and max(map(max, W)) == math.inf:  # inf * 0 would be NaN, not 0
         raise InvalidInputError("leave_one_out_map: a weight over a gain exceeds the float64 range")
     return G, c, W, order, isinstance(scenario, (MacroDiversity, MultiConnection)), D

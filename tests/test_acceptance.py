@@ -33,19 +33,21 @@ from powerfeas.engine import (
     solve,
 )
 from powerfeas.rules import HolderNorm, WeightedAbsSum
-from powerfeas.scenarios import (
-    FixedAssignment,
-    MacroDiversity,
-    MultiConnection,
-    SingleCell,
+from powerfeas.reference import (
     build_fixed_assignment,
     build_macro_diversity,
     build_macro_diversity_transformed,
     build_multi_connection,
     build_single_cell_received,
     build_single_cell_transformed,
-    feasibility_formula,
     mc_exact_rules_in_bounded_coords,
+)
+from powerfeas.scenarios import (
+    FixedAssignment,
+    MacroDiversity,
+    MultiConnection,
+    SingleCell,
+    feasibility_formula,
 )
 
 SYMMETRIC_GAINS = ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))

@@ -23,7 +23,8 @@ from powerfeas.core import (
 )
 from powerfeas.engine import lift_rule
 from powerfeas.rules import HolderNorm, WeightedAbsSum
-from powerfeas.scenarios import MacroDiversity, build_macro_diversity_transformed
+from powerfeas.reference import build_macro_diversity_transformed
+from powerfeas.scenarios import MacroDiversity
 
 SEED = 424242
 

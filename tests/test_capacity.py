@@ -25,14 +25,16 @@ from powerfeas.core import (
     QosVector,
 )
 from powerfeas.engine import contraction_modulus
+from powerfeas.reference import (
+    build_macro_diversity_transformed,
+    build_multi_connection,
+    build_single_cell_transformed,
+)
 from powerfeas.scenarios import (
     FixedAssignment,
     MacroDiversity,
     MultiConnection,
     SingleCell,
-    build_macro_diversity_transformed,
-    build_multi_connection,
-    build_single_cell_transformed,
     feasibility_formula,
 )
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -532,6 +533,15 @@ class TestRegion:
         assert b"\r\n0.5,0.25,1\r\n" in cloud.read_bytes()  # the config's own targets
         assert main(["check", str(REPO_CONFIGS / "fixed_assignment_2cell.json")]) == 0
 
+    @pytest.mark.parametrize("alpha_max", ["inf", "nan", "0", "-1"])
+    def test_alpha_max_must_be_finite_and_positive(self, tmp_path, capsys, alpha_max):
+        cloud = tmp_path / "cloud.csv"
+        code = main(["region", str(REPO_CONFIGS / "asymmetric_3x2.json"),
+                     f"--alpha-max={alpha_max}", "--out", str(cloud)])
+        assert code == 1 and not cloud.exists()
+        value = float(alpha_max)
+        assert capsys.readouterr().err == f"error: RegionSpec: alpha_max must be finite and > 0, got {value}\n"
+
     def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
         def exhausted(spec, allow_large=False):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
@@ -684,10 +694,15 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "    for flags in (['--json'], []):\n"
         "        assert powerfeas.cli.main(['check', path, *flags]) == 0, path\n"
         "        assert 'numpy' not in sys.modules, path\n"
+        "unused = ('powerfeas.engine', 'powerfeas.capacity', 'powerfeas.reference', 'dataclasses')\n"
+        "loaded = [m for m in unused if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
         f"for path in {configs[:-1]!r}:\n"
         "    for flags in ([], ['--json'], ['--init', '2'], ['--json', '--init', '2']):\n"
         "        assert powerfeas.cli.main(['solve', path, *flags]) == 0, (path, flags)\n"
         "        assert 'numpy' not in sys.modules, (path, flags)\n"
+        "loaded = [m for m in ('powerfeas.capacity', 'powerfeas.reference') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
         f"assert powerfeas.cli.main(['solve', {configs[0]!r}, '--trace', {str(tmp_path / 't.csv')!r}]) == 0\n"
         "assert 'numpy' in sys.modules\n"
         f"assert powerfeas.cli.main(['solve', {configs[-1]!r}, '--json']) == 0\n"
@@ -699,6 +714,31 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
     assert result.returncode == 0, result.stderr
+
+
+KERNELS = {"_point_sums", "_loo_sums", "_loo", "_sums", "_reduce", "_certify", "_coefficients"}
+
+
+def imported(tree):
+    """(module as written, names) of every import statement in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or ""), {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, set()) for alias in node.names)
+
+
+def test_reference_stays_independent_of_the_production_kernels():
+    # the rule objects are an independent cross-check only while neither side reads the other
+    package = REPO / "src" / "powerfeas"
+    tree = ast.parse((package / "reference.py").read_text())
+    for module, names in imported(tree):
+        assert not names & KERNELS, (module, names & KERNELS)
+    assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & KERNELS
+    for path in package.glob("*.py"):
+        if path.name not in ("__init__.py", "reference.py"):
+            for module, names in imported(ast.parse(path.read_text())):
+                assert "reference" not in module.split(".") and "reference" not in names, path.name
 
 
 def test_every_name_the_benchmark_wraps_is_in_cli():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from powerfeas.core import (
-    AdjustmentRule,
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
@@ -21,6 +20,7 @@ from powerfeas.core import (
     sup_norm,
 )
 from powerfeas.engine import (
+    AdjustmentRule,
     SolveConfig,
     SolveRun,
     System,
@@ -32,13 +32,12 @@ from powerfeas.engine import (
     write_trace_csv,
 )
 from powerfeas.rules import WeightedAbsSum
-from powerfeas.scenarios import (
-    MacroDiversity,
-    SingleCell,
+from powerfeas.reference import (
     build_macro_diversity_transformed,
     build_single_cell_received,
     build_single_cell_transformed,
 )
+from powerfeas.scenarios import MacroDiversity, SingleCell
 
 # Exact fixed point of P1 = 0.3*(P2 + 1), P2 = 0.4*(P1 + 1) by elimination:
 # P1 = 0.12*P1 + 0.42  =>  P1 = 0.42/0.88 = 21/44, P2 = 0.4*(21/44) + 0.4 = 26/44

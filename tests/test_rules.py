@@ -13,7 +13,7 @@ from powerfeas.rules import (
     WeightedAbsSum,
     dominate,
 )
-from powerfeas.scenarios import MinSelectionRule
+from powerfeas.reference import MinSelectionRule
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 

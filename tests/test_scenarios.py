@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,28 +15,37 @@ from powerfeas.core import (
 )
 from powerfeas.capacity import RegionSpec, evaluate_predicate
 from powerfeas.engine import SolveConfig, affine_parts, contraction_modulus, linear_oracle, solve
-from powerfeas.scenarios import (
-    FixedAssignment,
-    LeaveOneOutMap,
-    MacroDiversity,
+from powerfeas.reference import (
     MinSelectionRule,
-    MultiConnection,
-    SingleCell,
     build_fixed_assignment,
     build_macro_diversity,
     build_macro_diversity_transformed,
     build_multi_connection,
     build_single_cell_received,
     build_single_cell_transformed,
-    feasibility_formula,
     kth_smallest,
-    leave_one_out_map,
-    macro_diversity_exact_update,
     mc_exact_rules_in_bounded_coords,
 )
-from powerfeas.scenarios import _loo_sums, _point_sums, _sums
+from powerfeas.scenarios import (
+    FixedAssignment,
+    LeaveOneOutMap,
+    MacroDiversity,
+    MultiConnection,
+    SingleCell,
+    feasibility_formula,
+    leave_one_out_map,
+    macro_diversity_exact_update,
+)
+from powerfeas.scenarios import _coefficients, _loo_sums, _point_sums, _sums
 
 ASYMMETRIC_GAINS = GainMatrix(((2.0, 1.0), (1.0, 2.0), (1.0, 1.0)))  # relative 2/3,1/3 | 1/3,2/3 | 1/2,1/2
+
+
+def with_alphas(scenario, alphas):
+    """The same scenario at other targets, through its constructor."""
+    rest = {SingleCell: ("gains", "sigma"), MacroDiversity: ("gains", "noise"),
+            FixedAssignment: ("gains", "assignment", "noise"), MultiConnection: ("gains", "d", "noise")}
+    return type(scenario)(alphas, *(getattr(scenario, name) for name in rest[type(scenario)]))
 
 
 def symmetric_md(alpha, n=3, k=2):
@@ -636,7 +644,7 @@ def large_scenario(case, rng, n=200, k=8, lam=0.95):
                                    tuple(rng.integers(1, k + 1, n).tolist()), noise)
     options = MAP_CASES[case][1]
     unit = feasibility_formula(scenario, **options).modulus
-    return dataclasses.replace(scenario, alphas=QosVector((lam / unit,) * n)), options
+    return with_alphas(scenario, QosVector((lam / unit,) * n)), options
 
 
 @pytest.mark.parametrize("case", LAYOUT_CASES)
@@ -647,7 +655,8 @@ def test_map_results_do_not_depend_on_memory_layout(case):
     c_map = leave_one_out_map(scenario, **options)
     fortran = {name: np.asfortranarray(getattr(c_map, name))
                for name in ("G", "W") if getattr(c_map, name) is not None}
-    f_map = dataclasses.replace(c_map, **fortran)
+    f_map = LeaveOneOutMap(fortran.get("G", c_map.G), c_map.c, fortran.get("W", c_map.W),
+                           c_map.order, c_map.names_receiver)
     for x in (np.ones(c_map.n), *rng.uniform(0.0, 50.0, (4, c_map.n))):
         assert c_map.step(x).tobytes() == f_map.step(x).tobytes()
     # start above p* = 0 too, so the exact noiseless map iterates
@@ -697,6 +706,20 @@ def test_weighted_moduli_lie_within_four_ulp_of_exact(kind):
     np.testing.assert_allclose(step, [float(e) for e in exact], rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("case", ["single_cell-original", "macro_diversity-original", "fixed_assignment"])
+def test_weights_are_the_per_row_quotients(case):
+    # W[k][j] = alpha_j / D[k][j], bit for bit, however many divisor rows share one list
+    draw, options, _ = MAP_CASES[case]
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        scenario = draw(rng)
+        _, _, W, _, _, D = _coefficients(scenario, **options)
+        per_row = [[a / d for a, d in zip(scenario.alphas, row)] for row in D]
+        assert [[w.hex() for w in row] for row in W] == [[w.hex() for w in row] for row in per_row]
+        if case == "macro_diversity-original":  # K divisor rows that are one list give one W row
+            assert all(row is D[0] for row in D) and all(row is W[0] for row in W)
+
+
 @pytest.mark.parametrize("kind", ["fixed_assignment", "exact_noiseless"])
 def test_weights_beyond_float_range_are_rejected(kind):
     # W = alpha / 5e-324 or 1 / 5e-324 is inf, and inf times the zero sum at receiver 1 is NaN
@@ -723,7 +746,7 @@ class TestLeaveOneOutMap:
             lam = feasibility_formula(scenario, **options).modulus
             target = float(rng.uniform(0.3, 0.95))
             alphas = QosVector(tuple(a * target / lam for a in scenario.alphas))
-            scenario = dataclasses.replace(scenario, alphas=alphas)
+            scenario = with_alphas(scenario, alphas)
             yield rng, scenario, leave_one_out_map(scenario, **options), build(scenario), options
 
     @pytest.mark.parametrize("case", sorted(MAP_CASES))
@@ -862,7 +885,7 @@ class TestPolicyIteration:
             scenario = draw(rng)
             lam = feasibility_formula(scenario, **options).modulus
             alphas = QosVector(tuple(a * target / lam for a in scenario.alphas))
-            scenario = dataclasses.replace(scenario, alphas=alphas)
+            scenario = with_alphas(scenario, alphas)
             yield leave_one_out_map(scenario, **options), build(scenario)
 
     def policy_solve(self, array_map, config=None):
@@ -890,7 +913,7 @@ class TestPolicyIteration:
         for array_map, _ in self.draws(case, count=3):
             from_zero = self.policy_solve(array_map)
             above = PowerVector.full(array_map.n, 2.0 * float(from_zero.max()) + 1.0)
-            from_above = self.policy_solve(array_map, dataclasses.replace(self.config, initial=above))
+            from_above = self.policy_solve(array_map, SolveConfig(self.config.tolerance, self.config.max_iter, above))
             np.testing.assert_allclose(from_above, from_zero, rtol=0.0,
                                        atol=2 * self.config.tolerance)
 
@@ -931,7 +954,7 @@ class TestPolicyIteration:
         rng = np.random.default_rng(5)
         md = random_md(rng, 0.5)
         lam = feasibility_formula(md).modulus
-        md = dataclasses.replace(md, alphas=QosVector(tuple(a * 0.9999 / lam for a in md.alphas)))
+        md = MacroDiversity(QosVector(tuple(a * 0.9999 / lam for a in md.alphas)), md.gains, md.noise)
         array_map = leave_one_out_map(md)
         with pytest.raises(InvalidInputError) as excinfo:
             solve(array_map, SolveConfig(tolerance=1e-15), trace=False)
