@@ -28,16 +28,14 @@ _EXPORTS = {
         "check_max_monotone", "check_nonneg", "check_reverse_triangle", "check_subadd",
         "check_subhom_at_one",
     ),
-    "engine": (
-        "AdjustmentRule", "SolveRun", "System", "affine_parts", "contraction_modulus", "lift_rule",
-        "linear_oracle", "rate_check", "solve", "write_trace_csv",
-    ),
+    "engine": ("SolveRun", "contraction_modulus", "rate_check", "solve", "write_trace_csv"),
     "scenarios": (
         "FixedAssignment", "LeaveOneOutMap", "MacroDiversity", "MultiConnection", "SingleCell",
         "feasibility_formula", "leave_one_out_map", "macro_diversity_exact_update",
     ),
     "reference": (
-        "MinSelectionRule", "build_fixed_assignment", "build_macro_diversity",
+        "AdjustmentRule", "MinSelectionRule", "System", "affine_parts", "lift_rule", "linear_oracle",
+        "build_fixed_assignment", "build_macro_diversity",
         "build_macro_diversity_transformed", "build_multi_connection",
         "build_single_cell_received", "build_single_cell_transformed", "kth_smallest",
         "mc_exact_rules_in_bounded_coords",

@@ -16,12 +16,11 @@ on floating-point associativity noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import EvaluationError, InvalidInputError
+from .core import EvaluationError, InvalidInputError, _Frozen
 
 RuleFunction = Callable[[np.ndarray], float]
 
@@ -37,54 +36,39 @@ AXIOM_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Frozen):
     """Inputs and both sides of the violated inequality."""
 
-    inputs: tuple
-    lhs: float
-    rhs: float
+    def __init__(self, inputs: tuple, lhs: float, rhs: float):
+        self._set(inputs=inputs, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(_Frozen):
     """One axiom's verdict: PASS unless a counterexample was found."""
 
-    axiom: str
-    counterexample: Optional[Counterexample] = None
+    def __init__(self, axiom: str, counterexample: Optional[Counterexample] = None):
+        self._set(axiom=axiom, counterexample=counterexample)
 
     @property
     def passed(self) -> bool:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """All six verdicts for one candidate function."""
+class AxiomReport(_Frozen):
+    """All six verdicts for one candidate function, ``results``, in :data:`AXIOM_NAMES` order."""
 
-    dim: int
-    samples: int
-    seed: int
-    nonneg: CheckVerdict
-    subhom_at_one: CheckVerdict
-    subadd: CheckVerdict
-    max_monotone: CheckVerdict
-    reverse_triangle: CheckVerdict
-    extended_subhom: CheckVerdict
+    def __init__(self, dim: int, samples: int, seed: int, results: tuple[CheckVerdict, ...]):
+        results = tuple(results)
+        if tuple(v.axiom for v in results) != AXIOM_NAMES:
+            raise InvalidInputError(f"AxiomReport: need one verdict per axiom, in order {AXIOM_NAMES}")
+        self._set(dim=dim, samples=samples, seed=seed, results=results)
 
     def verdicts(self) -> tuple[CheckVerdict, ...]:
-        return (
-            self.nonneg,
-            self.subhom_at_one,
-            self.subadd,
-            self.max_monotone,
-            self.reverse_triangle,
-            self.extended_subhom,
-        )
+        return self.results
 
     @property
     def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts())
+        return all(v.passed for v in self.results)
 
 
 def _tol(lhs: float, rhs: float) -> float:
@@ -206,18 +190,13 @@ def check_extended_subhom(
                 1.0 + 1e-12, 100.0, samples, seed)
 
 
+_CHECKS = (check_nonneg, check_subhom_at_one, check_subadd, check_max_monotone,
+           check_reverse_triangle, check_extended_subhom)  # in AXIOM_NAMES order
+
+
 def check_all(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int) -> AxiomReport:
     """Run every check with the same seed and collect the verdicts."""
     if dim < 1 or samples < 1:
         raise InvalidInputError(f"check_all: need dim >= 1 and samples >= 1, got {dim} and {samples}")
-    return AxiomReport(
-        dim=dim,
-        samples=samples,
-        seed=seed,
-        nonneg=check_nonneg(f, dim, samples, seed=seed),
-        subhom_at_one=check_subhom_at_one(f, dim, samples, seed=seed),
-        subadd=check_subadd(f, dim, samples, seed=seed),
-        max_monotone=check_max_monotone(f, dim, samples, seed=seed),
-        reverse_triangle=check_reverse_triangle(f, dim, samples, seed=seed),
-        extended_subhom=check_extended_subhom(f, dim, samples, seed=seed),
-    )
+    return AxiomReport(dim, samples, seed, (check(f, dim, samples, seed=seed) for check in _CHECKS))
+

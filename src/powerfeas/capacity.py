@@ -23,10 +23,9 @@ the unit vectors, or one box row per terminal. Both exports write through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvalidInputError, np, write_csv
+from .core import InvalidInputError, _Frozen, np, write_csv
 from .scenarios import _coefficients, _loo, _loo_sums, _point_sums
 
 MAX_GRID_DIM = 4
@@ -114,25 +113,16 @@ def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
     return (spec.moduli(pts) < 1.0).all(axis=1)
 
 
-@dataclass(frozen=True)
-class RegionCloud:
-    """Grid points with their feasibility verdicts, plus the RegionSpec they came from."""
+class RegionCloud(_Frozen):
+    """Grid points ``alphas`` (P x n) with their verdicts ``feasible`` (P), both read-only,
+    plus the RegionSpec they came from."""
 
-    spec: RegionSpec
-    alphas: np.ndarray  # (P, n), read-only
-    feasible: np.ndarray  # (P,), read-only bool
-
-    def __post_init__(self):
-        if self.alphas.shape != (self.spec.point_count, self.spec.n):
+    def __init__(self, spec: RegionSpec, alphas: np.ndarray, feasible: np.ndarray):
+        self._set(spec=spec, alphas=alphas, feasible=feasible)
+        if alphas.shape != (spec.point_count, spec.n):
             raise InvalidInputError("RegionCloud: point count must be resolution**n")
-        if self.feasible.shape != (self.spec.point_count,):
+        if feasible.shape != (spec.point_count,):
             raise InvalidInputError("RegionCloud: one verdict per point required")
-
-    def points(self) -> list[tuple[tuple[float, ...], bool]]:
-        return [
-            (tuple(float(v) for v in row), bool(flag))
-            for row, flag in zip(self.alphas, self.feasible)
-        ]
 
 
 def sample_region(spec: RegionSpec, *, allow_large: bool = False) -> RegionCloud:
@@ -149,15 +139,15 @@ def sample_region(spec: RegionSpec, *, allow_large: bool = False) -> RegionCloud
     return RegionCloud(spec=spec, alphas=pts, feasible=verdicts)
 
 
-@dataclass(frozen=True)
-class RegionComparison:
+class RegionComparison(_Frozen):
     """Set relation between two clouds on the same grid, decided by its witnesses.
 
     A witness is a grid point feasible in one cloud only; None when there is none.
     """
 
-    witness_a_not_b: Optional[tuple[float, ...]]
-    witness_b_not_a: Optional[tuple[float, ...]]
+    def __init__(self, witness_a_not_b: Optional[tuple[float, ...]],
+                 witness_b_not_a: Optional[tuple[float, ...]]):
+        self._set(witness_a_not_b=witness_a_not_b, witness_b_not_a=witness_b_not_a)
 
     @property
     def a_subset_b(self) -> bool:

@@ -12,11 +12,11 @@ computes the fixed point of the update map (``scenarios.leave_one_out_map``)
 by policy iteration in pure Python, or by Picard iteration on numpy arrays
 with ``--trace``, ``--force`` or in ``exact_noiseless`` mode. A command loads
 only what it runs: ``check`` loads ``core``, ``scenarios`` and this module,
-with neither numpy nor ``dataclasses``; ``solve`` adds ``engine`` (and numpy
-for Picard runs), ``region`` ``capacity`` and numpy, ``axioms`` ``rules``,
-``axioms`` and numpy. The ``engine`` and ``capacity`` functions called here
-import their module on first call (:func:`_deferred`). No command builds the
-rule objects of ``powerfeas.reference``.
+without numpy; ``solve`` adds ``engine`` (and numpy for Picard runs),
+``region`` ``capacity`` and numpy, ``axioms`` ``rules``, ``axioms`` and
+numpy. The ``engine`` and ``capacity`` functions called here import their
+module on first call (:func:`_deferred`). No command builds the rule objects
+of ``powerfeas.reference``.
 """
 
 from __future__ import annotations
@@ -274,9 +274,6 @@ class ScenarioConfig:
         """The update map ``solve`` iterates, in array form."""
         return leave_one_out_map(self.scenario(), **self._map_options())
 
-    def formula(self) -> FeasibilityReport:
-        """The admission certificate ``check`` reports: the map at the all-ones vector."""
-        return feasibility_formula(self.scenario(), **self._map_options())
 
 def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
@@ -322,16 +319,15 @@ def _report_json(report: FeasibilityReport) -> dict:
 
 def cmd_check(args) -> int:
     config = load_config(args.config)
-    report = config.formula()
+    scenario = config.scenario()
+    report = feasibility_formula(scenario, **config._map_options())
     if args.json:
         print(json.dumps(_report_json(report)))
     else:
         _print_report(config, report)
         if config.kind == "multi_connection":
             other_mode = "bounded" if config.mode == "exact_noiseless" else "exact_noiseless"
-            other = feasibility_formula(
-                config.scenario(), noiseless=other_mode == "exact_noiseless"
-            )
+            other = feasibility_formula(scenario, noiseless=other_mode == "exact_noiseless")
             agree = "agrees" if other.feasible == report.feasible else "DISAGREES"
             print(
                 f"note: {other_mode} condition gives modulus {_fmt(other.modulus)} "

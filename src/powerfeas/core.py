@@ -1,12 +1,14 @@
 """Shared value types for interference-coupled power adjustment systems.
 
-The value types are plain classes on :class:`_Frozen`: ``__init__`` checks
-the arguments and sets each field once through ``object.__setattr__``, and
-any later assignment or deletion raises ``AttributeError``, so a value is
-immutable after construction and safe to share across threads. Algorithms
-live in the engine, scenarios and capacity modules; this module defines the
-vocabulary they exchange, including ``engine.solve``'s :class:`SolveConfig`,
-plus :func:`write_csv`, the one CSV encoder behind every file the package writes.
+Every immutable value of the package, here and in the other modules, is a
+plain class on :class:`_Frozen`: ``__init__`` checks the arguments and sets
+each field once (:meth:`_Frozen._set`), and any later assignment or deletion
+raises ``AttributeError``, so a value is safe to share across threads. Values
+are equal, and hash alike, when their types and fields are; ``repr`` lists
+the fields in constructor order. Algorithms live in the engine, scenarios and
+capacity modules; this module defines the vocabulary they exchange, including
+``engine.solve``'s :class:`SolveConfig`, plus :func:`write_csv`, the one CSV
+encoder behind every file the package writes.
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.

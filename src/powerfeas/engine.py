@@ -1,16 +1,12 @@
-"""Fixed-point machinery: certification, successive approximation, oracle.
-
-A :class:`System` bundles one adjustment rule per terminal. The update map
-applies every rule synchronously to the previous iterate; when each rule's
-function evaluates below 1 at the all-ones vector, the map is a contraction
-in the sup norm with modulus equal to the largest such value, so Picard
-iteration converges to the unique fixed point from any starting vector.
+"""The solver: certification, fixed-point iteration and the record of a run.
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
-``step(x)`` and ``certificate()``: a :class:`System` of rule objects, or
-``scenarios.LeaveOneOutMap``, which the CLI solves; every run ends in one
-:class:`SolveRun`. Traced, ``solve`` is Picard iteration on the map's numpy
-``step`` and stacks each step's output array once into the run's
+``step(x)`` and ``certificate()``: ``scenarios.LeaveOneOutMap``, which the
+CLI solves, or a rule-object ``reference.System``. When the certificate's
+modulus is below 1 the map is a sup-norm contraction, so its fixed point
+is unique and Picard iteration reaches it from any start; every run ends in
+one :class:`SolveRun`. Traced, ``solve`` is Picard iteration on the map's
+numpy ``step`` and stacks each step's output array once into the run's
 ``(steps + 1, N)`` array, which ``write_trace_csv`` writes through
 ``core.write_csv``. Untraced, it keeps no iterates; a certified map that
 maximises over receivers (``receiver_weights``) is then solved by
@@ -22,127 +18,36 @@ other map runs the Picard loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, sub, truediv
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import (  # SolveConfig and its two defaults: re-exported from here
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOLERANCE,
+from .core import (
     FeasibilityReport,
     InfeasibleSystemError,
-    InvalidFunctionError,
     InvalidInputError,
     NonConvergenceError,
     PowerVector,
     SolveConfig,
+    _Frozen,
     np,
-    remove_component,
     sup_norm,
     write_csv,
 )
 
 
-@dataclass(frozen=True)
-class AdjustmentRule:
-    """One terminal's power update: next power = f(other powers) + offset.
-
-    ``f`` maps the (N-1)-vector of the other terminals' powers to a
-    non-negative scalar and must be deterministic; ``offset`` is the
-    additive noise term and must be >= 0.
-    """
-
-    f: Callable[[np.ndarray], float]
-    offset: float
-    terminal_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "terminal_index", int(self.terminal_index))
-        if not callable(self.f):
-            raise InvalidInputError("AdjustmentRule: f must be callable")
-        if not math.isfinite(self.offset) or self.offset < 0.0:
-            raise InvalidInputError(f"AdjustmentRule: offset must be finite and >= 0, got {self.offset}")
-        if self.terminal_index < 0:
-            raise InvalidInputError("AdjustmentRule: terminal_index must be >= 0")
-
-
-@dataclass(frozen=True)
-class System:
-    """N coupled adjustment rules; rule i consumes the other N-1 powers."""
-
-    rules: tuple[AdjustmentRule, ...]
-
-    def __post_init__(self):
-        rules = tuple(self.rules)
-        object.__setattr__(self, "rules", rules)
-        if len(rules) < 2:
-            raise InvalidInputError("System: need at least two terminals")
-        for i, rule in enumerate(rules):
-            if rule.terminal_index != i:
-                raise InvalidInputError(
-                    f"System: rule at position {i} is labelled terminal {rule.terminal_index}"
-                )
-            dim = getattr(rule.f, "dim", None)
-            if dim is not None and dim != len(rules) - 1:
-                raise InvalidInputError(
-                    f"System: rule {i + 1} consumes {dim} powers, expected {len(rules) - 1}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.rules)
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """One synchronous update: every component from the previous iterate."""
-        out = np.empty(self.n)
-        for i, rule in enumerate(self.rules):
-            out[i] = rule.f(remove_component(x, i)) + rule.offset
-        return out
-
-    def certificate(self) -> FeasibilityReport:
-        """Every rule at the all-ones vector; see :func:`contraction_modulus`."""
-        ones = np.ones(self.n - 1)
-        moduli = []
-        for rule in self.rules:
-            value = float(rule.f(ones))
-            if not math.isfinite(value):
-                raise InvalidFunctionError(
-                    f"contraction_modulus: rule for terminal {rule.terminal_index + 1} "
-                    f"is {value} at the all-ones vector"
-                )
-            moduli.append(value)
-        binder = getattr(self.rules[moduli.index(max(moduli))].f, "binding_inner", None)
-        return FeasibilityReport.from_moduli(moduli, binder(ones) if binder is not None else None)
-
-
-def lift_rule(f: Callable[[np.ndarray], float], i: int) -> Callable[[np.ndarray], float]:
-    """View a rule on the other terminals' powers as a function of all powers.
-
-    The lifted function ignores component ``i``; it inherits every axiom of
-    ``f``, which is what makes the whole update map a contraction.
-    """
-
-    def lifted(x: np.ndarray) -> float:
-        return float(f(remove_component(x, i)))
-
-    return lifted
-
-
 def contraction_modulus(system) -> FeasibilityReport:
-    """Evaluate every terminal's rule at the all-ones vector and report the maximum.
+    """The map's certificate: every terminal's rule at the all-ones vector, and the maximum.
 
     The system is feasible exactly when the maximum is below 1 (strictly);
     the binding entry names the terminal attaining it, plus the receiver
-    when the rule exposes one. A :class:`System` calls its rules one by
+    when the rule exposes one. A rule-object system calls its rules one by
     one; an array map evaluates the same values in closed form.
     """
     return system.certificate()
 
 
-@dataclass(frozen=True)
-class SolveRun:
+class SolveRun(_Frozen):
     """Outcome of one :func:`solve`: the step sizes, and the iterates of a traced run.
 
     ``deltas[t]`` is the sup-norm step of Picard step t, or, for policy
@@ -154,29 +59,22 @@ class SolveRun:
     equal-length power vectors is accepted).
     """
 
-    deltas: tuple[float, ...]
-    converged: bool
-    tolerance: float
-    certified: bool
-    solver: str
-    iterates: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        deltas = tuple(self.deltas)
-        object.__setattr__(self, "deltas", deltas)
+    def __init__(self, deltas: Sequence[float], converged: bool, tolerance: float,
+                 certified: bool, solver: str, iterates: Optional[np.ndarray] = None):
+        deltas = tuple(deltas)
         if deltas and min(deltas) < 0.0:
             raise InvalidInputError("SolveRun: deltas must be >= 0")
-        if self.converged and (not deltas or deltas[-1] > self.tolerance):
+        if converged and (not deltas or deltas[-1] > tolerance):
             raise InvalidInputError("SolveRun: a converged run must end within tolerance")
-        if self.iterates is None:
-            return
-        iterates = np.array(self.iterates, dtype=float)
-        if iterates.ndim != 2 or iterates.shape[1] < 1:
-            raise InvalidInputError("SolveRun: iterates must be a non-empty (steps + 1, N) array")
-        if len(iterates) != len(deltas) + 1:
-            raise InvalidInputError("SolveRun: need exactly one delta per step")
-        iterates.flags.writeable = False
-        object.__setattr__(self, "iterates", iterates)
+        if iterates is not None:
+            iterates = np.array(iterates, dtype=float)
+            if iterates.ndim != 2 or iterates.shape[1] < 1:
+                raise InvalidInputError("SolveRun: iterates must be a non-empty (steps + 1, N) array")
+            if len(iterates) != len(deltas) + 1:
+                raise InvalidInputError("SolveRun: need exactly one delta per step")
+            iterates.flags.writeable = False
+        self._set(deltas=deltas, converged=converged, tolerance=tolerance, certified=certified,
+                  solver=solver, iterates=iterates)
 
     @property
     def iterations_used(self) -> int:
@@ -385,33 +283,6 @@ def _policy_point(G, weights, c, policy) -> list[float]:
     return [cmj + aj * t[r] for cmj, aj, r in zip(cm, a, policy)]
 
 
-def linear_oracle(A: Sequence[Sequence[float]], c: Sequence[float]) -> PowerVector:
-    """Exact solution of p = A p + c by direct elimination with partial pivoting.
-
-    Independent ground truth for affine systems: A must be square and
-    non-negative with a zero diagonal, c non-negative. Raises
-    :class:`InfeasibleSystemError` when (I - A) is singular.
-    """
-    A_arr = np.asarray(A, dtype=float)
-    c_arr = np.asarray(c, dtype=float)
-    if A_arr.ndim != 2 or A_arr.shape[0] != A_arr.shape[1]:
-        raise InvalidInputError(f"linear_oracle: A must be square, got shape {A_arr.shape}")
-    n = A_arr.shape[0]
-    if c_arr.shape != (n,):
-        raise InvalidInputError(f"linear_oracle: c must have length {n}, got shape {c_arr.shape}")
-    if not np.all(np.isfinite(A_arr)) or not np.all(np.isfinite(c_arr)):
-        raise InvalidInputError("linear_oracle: entries must be finite")
-    if np.any(A_arr < 0.0) or np.any(c_arr < 0.0):
-        raise InvalidInputError("linear_oracle: A and c must be non-negative")
-    if np.any(np.diag(A_arr) != 0.0):
-        raise InvalidInputError("linear_oracle: A must have a zero diagonal")
-    try:
-        solution = np.linalg.solve(np.eye(n) - A_arr, c_arr)
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleSystemError(f"linear_oracle: (I - A) is singular: {exc}") from exc
-    return PowerVector(tuple(float(v) for v in solution))
-
-
 def rate_check(run: SolveRun, lam: float) -> bool:
     """Verify the geometric envelope delta[t+1] <= lam * delta[t] on a run.
 
@@ -421,29 +292,6 @@ def rate_check(run: SolveRun, lam: float) -> bool:
         if nxt > lam * prev + 1e-12 * (1.0 + prev):
             return False
     return True
-
-
-def affine_parts(system: System) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (A, c) with update p <- A p + c from a weighted-abs-sum system.
-
-    Valid on the non-negative orthant, where the weighted absolute sums are
-    plain linear forms. Raises for systems built from other rule families.
-    """
-    from .rules import WeightedAbsSum
-
-    n = system.n
-    A = np.zeros((n, n))
-    c = np.zeros(n)
-    for i, rule in enumerate(system.rules):
-        if not isinstance(rule.f, WeightedAbsSum):
-            raise InvalidInputError(
-                f"affine_parts: rule for terminal {i + 1} is not a weighted absolute sum"
-            )
-        others = [j for j in range(n) if j != i]
-        for j, w in zip(others, rule.f.weights):
-            A[i, j] = abs(w)
-        c[i] = rule.offset
-    return A, c
 
 
 def write_trace_csv(run: SolveRun, path) -> None:

@@ -1,22 +1,163 @@
 """The rule-object reference: each scenario's update map written out again, one rule per terminal.
 
-Each builder turns a scenario into an ``engine.System`` of ``powerfeas.rules``
-objects. No command runs them; tests compare them with ``scenarios``'s array
-map and closed form. To keep that comparison independent, this module imports
-none of the scenarios kernels and no other package module imports this one (a
-test checks both); it shares only scenario data such as ``reference_gains``.
+A :class:`System` bundles one :class:`AdjustmentRule` per terminal, each a
+``powerfeas.rules`` object applied to the other terminals' powers; its
+``step`` and ``certificate`` make it an update map ``engine.solve`` accepts.
+Each builder turns a scenario into such a System, :func:`affine_parts` reads
+the (A, c) of an affine one and :func:`linear_oracle` solves p = A p + c
+directly. No command runs any of it; tests compare it with ``scenarios``'s
+array map and closed form and with ``engine.solve``. To keep that comparison
+independent, this module imports neither ``engine`` nor the scenarios kernels
+and no other package module imports this one (a test checks both); it
+shares only scenario data such as ``reference_gains``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Sequence
 
-from .core import InvalidInputError, Vector, _check_entries, _matrix_rows, np
-from .engine import AdjustmentRule, System
+from .core import (
+    FeasibilityReport,
+    InfeasibleSystemError,
+    InvalidFunctionError,
+    InvalidInputError,
+    PowerVector,
+    Vector,
+    _check_entries,
+    _Frozen,
+    _matrix_rows,
+    np,
+    remove_component,
+)
 from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
 from .scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
+
+
+class AdjustmentRule(_Frozen):
+    """One terminal's power update: next power = f(other powers) + offset.
+
+    ``f`` maps the (N-1)-vector of the other terminals' powers to a
+    non-negative scalar and must be deterministic; ``offset`` is the
+    additive noise term and must be >= 0.
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], float], offset: float, terminal_index: int):
+        offset, terminal_index = float(offset), int(terminal_index)
+        self._set(f=f, offset=offset, terminal_index=terminal_index)
+        if not callable(f):
+            raise InvalidInputError("AdjustmentRule: f must be callable")
+        if not math.isfinite(offset) or offset < 0.0:
+            raise InvalidInputError(f"AdjustmentRule: offset must be finite and >= 0, got {offset}")
+        if terminal_index < 0:
+            raise InvalidInputError("AdjustmentRule: terminal_index must be >= 0")
+
+
+class System(_Frozen):
+    """N coupled adjustment rules; rule i consumes the other N-1 powers."""
+
+    def __init__(self, rules: Sequence[AdjustmentRule]):
+        rules = tuple(rules)
+        self._set(rules=rules)
+        if len(rules) < 2:
+            raise InvalidInputError("System: need at least two terminals")
+        for i, rule in enumerate(rules):
+            if rule.terminal_index != i:
+                raise InvalidInputError(
+                    f"System: rule at position {i} is labelled terminal {rule.terminal_index}"
+                )
+            dim = getattr(rule.f, "dim", None)
+            if dim is not None and dim != len(rules) - 1:
+                raise InvalidInputError(
+                    f"System: rule {i + 1} consumes {dim} powers, expected {len(rules) - 1}"
+                )
+
+    @property
+    def n(self) -> int:
+        return len(self.rules)
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One synchronous update: every component from the previous iterate."""
+        out = np.empty(self.n)
+        for i, rule in enumerate(self.rules):
+            out[i] = rule.f(remove_component(x, i)) + rule.offset
+        return out
+
+    def certificate(self) -> FeasibilityReport:
+        """Every rule at the all-ones vector: ``engine.contraction_modulus`` of this system."""
+        ones = np.ones(self.n - 1)
+        moduli = []
+        for rule in self.rules:
+            value = float(rule.f(ones))
+            if not math.isfinite(value):
+                raise InvalidFunctionError(
+                    f"contraction_modulus: rule for terminal {rule.terminal_index + 1} "
+                    f"is {value} at the all-ones vector"
+                )
+            moduli.append(value)
+        binder = getattr(self.rules[moduli.index(max(moduli))].f, "binding_inner", None)
+        return FeasibilityReport.from_moduli(moduli, binder(ones) if binder is not None else None)
+
+
+def lift_rule(f: Callable[[np.ndarray], float], i: int) -> Callable[[np.ndarray], float]:
+    """View a rule on the other terminals' powers as a function of all powers.
+
+    The lifted function ignores component ``i``; it inherits every axiom of
+    ``f``, which is what makes the whole update map a contraction.
+    """
+
+    def lifted(x: np.ndarray) -> float:
+        return float(f(remove_component(x, i)))
+
+    return lifted
+
+
+def affine_parts(system: System) -> tuple[np.ndarray, np.ndarray]:
+    """Extract (A, c) with update p <- A p + c from a weighted-abs-sum system.
+
+    Valid on the non-negative orthant, where the weighted absolute sums are
+    plain linear forms. Raises for systems built from other rule families.
+    """
+    n = system.n
+    A = np.zeros((n, n))
+    c = np.zeros(n)
+    for i, rule in enumerate(system.rules):
+        if not isinstance(rule.f, WeightedAbsSum):
+            raise InvalidInputError(
+                f"affine_parts: rule for terminal {i + 1} is not a weighted absolute sum"
+            )
+        for j, w in zip(_others(n, i), rule.f.weights):
+            A[i, j] = abs(w)
+        c[i] = rule.offset
+    return A, c
+
+
+def linear_oracle(A: Sequence[Sequence[float]], c: Sequence[float]) -> PowerVector:
+    """Exact solution of p = A p + c by direct elimination with partial pivoting.
+
+    Independent ground truth for affine systems: A must be square and
+    non-negative with a zero diagonal, c non-negative. Raises
+    :class:`InfeasibleSystemError` when (I - A) is singular.
+    """
+    A_arr = np.asarray(A, dtype=float)
+    c_arr = np.asarray(c, dtype=float)
+    if A_arr.ndim != 2 or A_arr.shape[0] != A_arr.shape[1]:
+        raise InvalidInputError(f"linear_oracle: A must be square, got shape {A_arr.shape}")
+    n = A_arr.shape[0]
+    if c_arr.shape != (n,):
+        raise InvalidInputError(f"linear_oracle: c must have length {n}, got shape {c_arr.shape}")
+    if not np.all(np.isfinite(A_arr)) or not np.all(np.isfinite(c_arr)):
+        raise InvalidInputError("linear_oracle: entries must be finite")
+    if np.any(A_arr < 0.0) or np.any(c_arr < 0.0):
+        raise InvalidInputError("linear_oracle: A and c must be non-negative")
+    if np.any(np.diag(A_arr) != 0.0):
+        raise InvalidInputError("linear_oracle: A must have a zero diagonal")
+    try:
+        solution = np.linalg.solve(np.eye(n) - A_arr, c_arr)
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleSystemError(f"linear_oracle: (I - A) is singular: {exc}") from exc
+    return PowerVector(tuple(float(v) for v in solution))
 
 
 def kth_smallest(values: Vector, m: int) -> float:
@@ -27,8 +168,7 @@ def kth_smallest(values: Vector, m: int) -> float:
     return float(arr[m - 1])
 
 
-@dataclass(frozen=True)
-class MinSelectionRule:
+class MinSelectionRule(_Frozen):
     """Scaled d-th smallest of per-receiver weighted sums over own gains.
 
     Evaluates ``scale * (order-th smallest over k of
@@ -40,28 +180,22 @@ class MinSelectionRule:
     directly through the contraction theorem.
     """
 
-    weight_rows: tuple[tuple[float, ...], ...]
-    divisors: tuple[float, ...]
-    order: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        rows = _matrix_rows(self.weight_rows, "MinSelectionRule weights")
-        divisors = tuple(float(v) for v in self.divisors)
-        object.__setattr__(self, "weight_rows", rows)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "scale", float(self.scale))
+    def __init__(self, weight_rows: Sequence[Sequence[float]], divisors: Sequence[float],
+                 order: int, scale: float = 1.0):
+        rows = _matrix_rows(weight_rows, "MinSelectionRule weights")
+        divisors = tuple(float(v) for v in divisors)
+        order, scale = int(order), float(scale)
+        self._set(weight_rows=rows, divisors=divisors, order=order, scale=scale)
         if len(divisors) != len(rows):
             raise InvalidInputError("MinSelectionRule: one divisor per weight row required")
         _check_entries(divisors, "MinSelectionRule: divisor")
-        if not 1 <= self.order <= len(rows):
-            raise InvalidInputError(f"MinSelectionRule: order {self.order} out of range")
-        if sum(1 for v in divisors if v > 0.0) < self.order:
+        if not 1 <= order <= len(rows):
+            raise InvalidInputError(f"MinSelectionRule: order {order} out of range")
+        if sum(1 for v in divisors if v > 0.0) < order:
             raise InvalidInputError(
-                f"MinSelectionRule: need at least {self.order} positive divisors"
+                f"MinSelectionRule: need at least {order} positive divisors"
             )
-        if not math.isfinite(self.scale) or self.scale < 0.0:
+        if not math.isfinite(scale) or scale < 0.0:
             raise InvalidInputError("MinSelectionRule: scale must be finite and >= 0")
 
     @property

@@ -8,18 +8,12 @@ All of them evaluate through ``__call__`` on a plain vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .core import (
-    InvalidFunctionError,
-    InvalidInputError,
-    Vector,
-    sup_norm,
-)
+from .core import InvalidFunctionError, InvalidInputError, Vector, _Frozen, sup_norm
 
 
 def _check_dim(x: np.ndarray, dim: int, what: str) -> None:
@@ -27,8 +21,7 @@ def _check_dim(x: np.ndarray, dim: int, what: str) -> None:
         raise InvalidInputError(f"{what}: expected a vector of length {dim}, got shape {x.shape}")
 
 
-@dataclass(frozen=True)
-class WeightedAbsSum:
+class WeightedAbsSum(_Frozen):
     """Weighted sum of absolute components: sum_m |a_m * x_m|.
 
     Zero weights are permitted (a terminal with a degenerate gain simply
@@ -36,11 +29,9 @@ class WeightedAbsSum:
     is still admissible as an adjustment rule.
     """
 
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        object.__setattr__(self, "weights", w)
+    def __init__(self, weights: Vector):
+        w = tuple(float(v) for v in weights)
+        self._set(weights=w)
         if len(w) < 1:
             raise InvalidInputError("WeightedAbsSum: need at least one weight")
         if not all(math.isfinite(v) for v in w):
@@ -62,15 +53,12 @@ class WeightedAbsSum:
         return float(self._abs_weights @ np.abs(arr))
 
 
-@dataclass(frozen=True)
-class HolderNorm:
+class HolderNorm(_Frozen):
     """Holder p-norm, p >= 1; p = inf gives the sup norm."""
 
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        object.__setattr__(self, "p", p)
+    def __init__(self, p: float):
+        p = float(p)
+        self._set(p=p)
         if math.isnan(p) or p < 1.0:
             raise InvalidInputError(f"HolderNorm: p must be >= 1 or inf, got {p}")
 
@@ -87,26 +75,22 @@ class HolderNorm:
         return float(np.power(np.power(arr, self.p).sum(), 1.0 / self.p))
 
 
-@dataclass(frozen=True)
-class NormOfNorms:
+class NormOfNorms(_Frozen):
     """Outer Holder norm applied to a stack of weighted-abs-sum values.
 
     The outer norm must be monotonic for the composition to remain a norm;
     Holder norms (including inf, the default) are, so ``outer`` must be one.
     """
 
-    inner: tuple[WeightedAbsSum, ...]
-    outer: HolderNorm = field(default_factory=lambda: HolderNorm(math.inf))
-
-    def __post_init__(self):
-        inner = tuple(self.inner)
-        object.__setattr__(self, "inner", inner)
+    def __init__(self, inner: tuple[WeightedAbsSum, ...], outer: HolderNorm = HolderNorm(math.inf)):
+        inner = tuple(inner)
+        self._set(inner=inner, outer=outer)
         if len(inner) < 1:
             raise InvalidInputError("NormOfNorms: need at least one inner function")
         dim = inner[0].dim
         if any(w.dim != dim for w in inner):
             raise InvalidInputError("NormOfNorms: inner functions must share one dimension")
-        if not isinstance(self.outer, HolderNorm):
+        if not isinstance(outer, HolderNorm):
             raise InvalidInputError("NormOfNorms: outer must be a HolderNorm")
 
     @property
@@ -134,8 +118,7 @@ class NormOfNorms:
         return None
 
 
-@dataclass(frozen=True)
-class DominationBound:
+class DominationBound(_Frozen):
     """Scaled sup norm that pointwise over-estimates a dominated rule.
 
     ``scale`` equals the dominated function's value at the all-ones vector;
@@ -143,12 +126,8 @@ class DominationBound:
     and sub-homogeneous for every positive scaling factor.
     """
 
-    scale: float
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "dim", int(self.dim))
+    def __init__(self, scale: float, dim: int):
+        self._set(scale=float(scale), dim=int(dim))
         if not math.isfinite(self.scale) or self.scale < 0.0:
             raise InvalidInputError(f"DominationBound: scale must be finite and >= 0, got {self.scale}")
         if self.dim < 1:

@@ -24,22 +24,17 @@ from powerfeas.core import (
     QosVector,
     sup_norm,
 )
-from powerfeas.engine import (
-    SolveConfig,
-    affine_parts,
-    contraction_modulus,
-    linear_oracle,
-    rate_check,
-    solve,
-)
+from powerfeas.engine import SolveConfig, contraction_modulus, rate_check, solve
 from powerfeas.rules import HolderNorm, WeightedAbsSum
 from powerfeas.reference import (
+    affine_parts,
     build_fixed_assignment,
     build_macro_diversity,
     build_macro_diversity_transformed,
     build_multi_connection,
     build_single_cell_received,
     build_single_cell_transformed,
+    linear_oracle,
     mc_exact_rules_in_bounded_coords,
 )
 from powerfeas.scenarios import (

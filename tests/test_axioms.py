@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from powerfeas.axioms import (
+    AXIOM_NAMES,
     CheckVerdict,
     Counterexample,
     check_all,
@@ -21,9 +22,8 @@ from powerfeas.core import (
     NoiseVector,
     QosVector,
 )
-from powerfeas.engine import lift_rule
 from powerfeas.rules import HolderNorm, WeightedAbsSum
-from powerfeas.reference import build_macro_diversity_transformed
+from powerfeas.reference import build_macro_diversity_transformed, lift_rule
 from powerfeas.scenarios import MacroDiversity
 
 SEED = 424242
@@ -152,7 +152,7 @@ class TestReportMachinery:
 
     def test_fail_witness_reproduces_violation(self):
         report = check_all(squared_l1, 2, samples=500, seed=7)
-        verdict = report.subadd
+        verdict = report.verdicts()[AXIOM_NAMES.index("sub-additivity")]
         assert not verdict.passed
         x = np.array(verdict.counterexample.inputs[0])
         y = np.array(verdict.counterexample.inputs[1])

@@ -69,7 +69,7 @@ class TestGrid:
         spec = RegionSpec(single_cell(2), resolution=2, alpha_max=1.0)
         cloud = sample_region(spec)
         assert cloud.spec.point_count == 4
-        assert len(cloud.points()) == 4
+        assert len(cloud.alphas) == 4
 
     def test_lexicographic_order(self):
         spec = RegionSpec(single_cell(2), resolution=3, alpha_max=2.0)

@@ -421,7 +421,7 @@ class TestSolve:
         gains = np.random.default_rng(0).uniform(0.1, 1.0, size=(1000, 16))
         doc = {"scenario": "macro_diversity", "alphas": [1.0] * 1000,
                "gains": gains.tolist(), "sigma": [1.0] * 16}
-        unit = ScenarioConfig.from_dict(doc).formula().modulus
+        unit = cli.feasibility_formula(ScenarioConfig.from_dict(doc).scenario()).modulus
         return dict(doc, alphas=[lam / unit] * 1000)
 
     def test_policy_iteration_at_high_modulus(self, tmp_path, capsys):
@@ -678,7 +678,8 @@ class TestFileErrors:
 def test_cli_import_loads_only_what_subcommands_run(tmp_path):
     # check, solve and region never call the axiom checker or the rule
     # objects; check and untraced policy-iteration solve do no array work:
-    # numpy stays unloaded through them, and loads for Picard iteration
+    # numpy stays unloaded through them, and loads for Picard iteration;
+    # no subcommand, and no name of the package, loads dataclasses
     configs = []
     for name, doc in [("sc_t", pair_doc() | {"coordinates": "transformed"}), ("sc_o", pair_doc()),
                       ("md_t", symmetric_doc()), ("md_o", symmetric_doc() | {"coordinates": "original"}),
@@ -701,14 +702,19 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "    for flags in ([], ['--json'], ['--init', '2'], ['--json', '--init', '2']):\n"
         "        assert powerfeas.cli.main(['solve', path, *flags]) == 0, (path, flags)\n"
         "        assert 'numpy' not in sys.modules, (path, flags)\n"
-        "loaded = [m for m in ('powerfeas.capacity', 'powerfeas.reference') if m in sys.modules]\n"
+        "unused = ('powerfeas.capacity', 'powerfeas.reference', 'dataclasses', 'inspect')\n"
+        "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         f"assert powerfeas.cli.main(['solve', {configs[0]!r}, '--trace', {str(tmp_path / 't.csv')!r}]) == 0\n"
-        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy' in sys.modules and 'dataclasses' not in sys.modules\n"
         f"assert powerfeas.cli.main(['solve', {configs[-1]!r}, '--json']) == 0\n"
+        f"assert powerfeas.cli.main(['region', {configs[2]!r}, '--resolution', '3', '--compare', 'hanly',"
+        f" '--out', {str(tmp_path / 'c.csv')!r}, '--inequalities', {str(tmp_path / 'i.csv')!r}]) == 0\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "import powerfeas\n"
         "missing = [n for n in powerfeas.__all__ if getattr(powerfeas, n, None) is None]\n"
         "assert not missing, missing\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "assert {'check_all', 'WeightedAbsSum', 'solve'} <= set(dir(powerfeas))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -733,12 +739,16 @@ def test_reference_stays_independent_of_the_production_kernels():
     package = REPO / "src" / "powerfeas"
     tree = ast.parse((package / "reference.py").read_text())
     for module, names in imported(tree):
-        assert not names & KERNELS, (module, names & KERNELS)
+        assert not names & KERNELS and "engine" not in module.split("."), (module, names)
     assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & KERNELS
     for path in package.glob("*.py"):
-        if path.name not in ("__init__.py", "reference.py"):
-            for module, names in imported(ast.parse(path.read_text())):
+        for module, names in imported(ast.parse(path.read_text())):
+            assert module.split(".")[0] != "dataclasses", path.name  # one value-type idiom: core._Frozen
+            if path.name not in ("__init__.py", "reference.py"):
                 assert "reference" not in module.split(".") and "reference" not in names, path.name
+    # the solver module holds only what solve runs: no rule objects
+    for module, names in imported(ast.parse((package / "engine.py").read_text())):
+        assert not {"rules", "reference"} & (set(module.split(".")) | names), (module, names)
 
 
 def test_every_name_the_benchmark_wraps_is_in_cli():

@@ -1,9 +1,12 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from powerfeas.axioms import AXIOM_NAMES, AxiomReport, CheckVerdict, Counterexample
+from powerfeas.capacity import RegionCloud, RegionComparison, RegionSpec, sample_region
 from powerfeas.core import (
     FeasibilityReport,
     GainMatrix,
@@ -11,9 +14,21 @@ from powerfeas.core import (
     NoiseVector,
     PowerVector,
     QosVector,
+    SolveConfig,
+    _Frozen,
     insert_component,
     remove_component,
     sup_norm,
+)
+from powerfeas.engine import SolveRun
+from powerfeas.reference import AdjustmentRule, MinSelectionRule, System
+from powerfeas.rules import DominationBound, HolderNorm, NormOfNorms, WeightedAbsSum
+from powerfeas.scenarios import (
+    FixedAssignment,
+    LeaveOneOutMap,
+    MacroDiversity,
+    MultiConnection,
+    SingleCell,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -158,3 +173,84 @@ class TestFeasibilityReport:
     def test_boundary_is_infeasible(self):
         report = FeasibilityReport.from_moduli([1.0, 0.5])
         assert not report.feasible
+
+
+def value_types() -> list[type]:
+    """Every subclass of ``core._Frozen`` the package defines, by name."""
+    found, todo = set(), [_Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("powerfeas.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def value_examples() -> dict:
+    """Per value type, two argument tuples whose values differ in one field."""
+    q, gains = QosVector((0.2, 0.3)), ((1.0, 0.5), (0.5, 1.0))
+    noise, w = NoiseVector((1.0, 2.0)), WeightedAbsSum((0.5,))
+    rules = (AdjustmentRule(w, 1.0, 0), AdjustmentRule(w, 1.0, 1))
+    md = MacroDiversity(q, GainMatrix(gains), noise)
+    cloud = sample_region(RegionSpec(md, resolution=2, alpha_max=1.0))
+    twin_spec = RegionSpec(md, resolution=2, alpha_max=1.0)  # equal grid, another object
+    passes = tuple(map(CheckVerdict, AXIOM_NAMES))
+    witness = Counterexample(((1.0,),), 2.0, 1.0)
+    return {
+        QosVector: (((0.2, 0.3),), ((0.2, 0.4),)),
+        GainMatrix: ((gains,), (((1.0, 0.6), (0.5, 1.0)),)),
+        NoiseVector: (((1.0, 2.0),), ((1.0, 3.0),)),
+        PowerVector: (((1.0, 2.0),), ((2.0, 2.0),)),
+        FeasibilityReport: (((0.5, 0.7), (1, 0)), ((0.5, 0.7), (1, None))),
+        SolveConfig: ((1e-8, 10, PowerVector((1.0, 2.0))), (1e-8, 20, PowerVector((1.0, 2.0)))),
+        SingleCell: ((q, (1.0, 2.0), 0.5), (q, (1.0, 2.0), 0.6)),
+        MacroDiversity: ((q, GainMatrix(gains), noise), (QosVector((0.2, 0.4)), GainMatrix(gains), noise)),
+        FixedAssignment: ((q, gains, (0, 1), noise), (q, gains, (0, 0), noise)),
+        MultiConnection: ((q, gains, (1, 2), noise), (q, gains, (1, 1), noise)),
+        LeaveOneOutMap: ((((1.0, 2.0),), (1.0, 1.0)), (((1.0, 2.0),), (1.0, 3.0))),
+        Counterexample: ((((1.0,),), 2.0, 1.0), (((1.0,),), 3.0, 1.0)),
+        CheckVerdict: (("sub-additivity",), ("sub-additivity", witness)),
+        AxiomReport: ((2, 10, 0, passes), (2, 10, 1, passes)),
+        RegionCloud: ((cloud.spec, cloud.alphas, cloud.feasible),
+                      (twin_spec, cloud.alphas, cloud.feasible)),
+        RegionComparison: (((0.5, 0.5), None), (None, None)),
+        SolveRun: (((0.5, 0.1), True, 0.2, True, "policy"), ((0.5, 0.15), True, 0.2, True, "policy")),
+        AdjustmentRule: ((w, 1.0, 0), (w, 2.0, 0)),
+        System: ((rules,), ((AdjustmentRule(w, 2.0, 0), rules[1]),)),
+        MinSelectionRule: ((((1.0,), (2.0,)), (1.0, 1.0), 1), (((1.0,), (2.0,)), (1.0, 1.0), 2)),
+        WeightedAbsSum: (((0.5,),), ((0.6,),)),
+        HolderNorm: ((2.0,), (3.0,)),
+        NormOfNorms: (((w,),), ((w,), HolderNorm(2.0))),
+        DominationBound: ((0.5, 2), (0.5, 3)),
+    }
+
+
+def test_every_value_type_has_an_example():
+    assert value_types() == sorted(value_examples(), key=lambda cls: cls.__name__)
+    assert len(value_types()) == 24
+
+
+@pytest.mark.parametrize("cls", value_types(), ids=lambda cls: cls.__name__)
+def test_value_types_are_immutable_values(cls):
+    args, other_args = value_examples()[cls]
+    value, same, other = cls(*args), cls(*args), cls(*other_args)
+    names = list(inspect.signature(cls).parameters)
+    fields = tuple(getattr(value, name) for name in names)
+    for name in (names[0], "unknown"):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable"):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert value == same and not value != same
+    assert value != other and not value == other
+    try:
+        hash(fields)
+    except TypeError:  # an array field: the value is unhashable too
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same) and hash(value) != hash(other)
+    twin = type(cls.__name__, (cls,), {})(*args)  # same name and fields, another type
+    assert value != twin and twin != value and value != fields
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, fields))})"

@@ -20,22 +20,22 @@ from powerfeas.core import (
     sup_norm,
 )
 from powerfeas.engine import (
-    AdjustmentRule,
     SolveConfig,
     SolveRun,
-    System,
-    affine_parts,
     contraction_modulus,
-    linear_oracle,
     rate_check,
     solve,
     write_trace_csv,
 )
 from powerfeas.rules import WeightedAbsSum
 from powerfeas.reference import (
+    AdjustmentRule,
+    System,
+    affine_parts,
     build_macro_diversity_transformed,
     build_single_cell_received,
     build_single_cell_transformed,
+    linear_oracle,
 )
 from powerfeas.scenarios import MacroDiversity, SingleCell
 

@@ -14,9 +14,10 @@ from powerfeas.core import (
     sup_norm,
 )
 from powerfeas.capacity import RegionSpec, evaluate_predicate
-from powerfeas.engine import SolveConfig, affine_parts, contraction_modulus, linear_oracle, solve
+from powerfeas.engine import SolveConfig, contraction_modulus, solve
 from powerfeas.reference import (
     MinSelectionRule,
+    affine_parts,
     build_fixed_assignment,
     build_macro_diversity,
     build_macro_diversity_transformed,
@@ -24,6 +25,7 @@ from powerfeas.reference import (
     build_single_cell_received,
     build_single_cell_transformed,
     kth_smallest,
+    linear_oracle,
     mc_exact_rules_in_bounded_coords,
 )
 from powerfeas.scenarios import (
@@ -36,7 +38,7 @@ from powerfeas.scenarios import (
     leave_one_out_map,
     macro_diversity_exact_update,
 )
-from powerfeas.scenarios import _coefficients, _loo_sums, _point_sums, _sums
+from powerfeas.scenarios import _coefficients, _loo_sums, _point_sums, _reduce, _sums
 
 ASYMMETRIC_GAINS = GainMatrix(((2.0, 1.0), (1.0, 2.0), (1.0, 1.0)))  # relative 2/3,1/3 | 1/3,2/3 | 1/2,1/2
 
@@ -649,7 +651,8 @@ def large_scenario(case, rng, n=200, k=8, lam=0.95):
 
 @pytest.mark.parametrize("case", LAYOUT_CASES)
 def test_map_results_do_not_depend_on_memory_layout(case):
-    # one map from C-order and from Fortran-order arrays: the same sums, so the same bits
+    # one map from C-order and from Fortran-order arrays: both sum each receiver's terms as
+    # one contiguous row, pairwise, whatever layout they were given, so the same bits
     rng = np.random.default_rng(LAYOUT_CASES.index(case) + 131)
     scenario, options = large_scenario(case, rng)
     c_map = leave_one_out_map(scenario, **options)
@@ -657,8 +660,11 @@ def test_map_results_do_not_depend_on_memory_layout(case):
                for name in ("G", "W") if getattr(c_map, name) is not None}
     f_map = LeaveOneOutMap(fortran.get("G", c_map.G), c_map.c, fortran.get("W", c_map.W),
                            c_map.order, c_map.names_receiver)
+    W, order = (None if v is None else np.array(v) for v in (c_map.W, c_map.order))
     for x in (np.ones(c_map.n), *rng.uniform(0.0, 50.0, (4, c_map.n))):
-        assert c_map.step(x).tobytes() == f_map.step(x).tobytes()
+        terms = [np.array(row) * x for row in c_map.G]  # one 1-D array per receiver
+        rows = _reduce(np.array([t.sum() - t for t in terms]).T, W, order) + np.array(c_map.c)
+        assert c_map.step(x).tobytes() == f_map.step(x).tobytes() == rows.tobytes()
     # start above p* = 0 too, so the exact noiseless map iterates
     config = SolveConfig(initial=PowerVector.full(c_map.n, 1.0))
     (p_c, trace_c), (p_f, trace_f) = solve(c_map, config), solve(f_map, config)
