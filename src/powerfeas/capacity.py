@@ -16,8 +16,7 @@ modulus is max over k of (alpha_j / D[k][j]) * s[k][j], ``check``'s products
 in ``check``'s order. Either way a grid point gets the moduli ``check``
 reports at those targets; the rule objects of ``powerfeas.reference`` stay
 the independent reference. The inequality export emits the kernel's sums at
-the unit vectors, or one box row per terminal. Both exports write through
-``core.write_csv``, the encoder the trace CSV uses too.
+the unit vectors, or one box row per terminal; ``core.write_csv`` writes both.
 """
 
 from __future__ import annotations
@@ -222,5 +221,5 @@ def export_inequalities(spec: RegionSpec, path) -> None:
     write_csv(
         path,
         [f"coef_{i + 1}" for i in range(spec.n)] + ["rhs", "relation"],
-        [*coefs.T, rhs, ["<"] * len(rhs)],
+        [*coefs.T, rhs, np.full(len(rhs), "<")],
     )

@@ -4,11 +4,12 @@ Every immutable value of the package, here and in the other modules, is a
 plain class on :class:`_Frozen`: ``__init__`` checks the arguments and sets
 each field once (:meth:`_Frozen._set`), and any later assignment or deletion
 raises ``AttributeError``, so a value is safe to share across threads. Values
-are equal, and hash alike, when their types and fields are; ``repr`` lists
-the fields in constructor order. Algorithms live in the engine, scenarios and
-capacity modules; this module defines the vocabulary they exchange, including
-``engine.solve``'s :class:`SolveConfig`, plus :func:`write_csv`, the one CSV
-encoder behind every file the package writes.
+are equal when their types and fields are, array fields by value (a value
+with one has no hash); ``repr`` lists the fields in constructor order.
+Algorithms live in the engine, scenarios and capacity modules; this module
+defines the vocabulary they exchange, including ``engine.solve``'s
+:class:`SolveConfig`, plus :func:`write_csv`, the column-wise CSV encoder of
+the region exports.
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.
@@ -19,6 +20,7 @@ reports) converts to 1-based terminal/receiver numbering.
 from __future__ import annotations
 
 import math
+import sys
 import types
 from functools import cached_property
 from itertools import chain
@@ -93,7 +95,11 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete field {name!r}")
 
     def __eq__(self, other):
-        return self._fields == other._fields if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        arrays = np.ndarray if "numpy" in sys.modules else ()  # numpy unloaded: no array fields
+        return all(np.array_equal(a, b) if isinstance(a, arrays) or isinstance(b, arrays)
+                   else a is b or a == b for (_, a), (_, b) in zip(self._fields, other._fields))
 
     def __hash__(self):
         return hash(self._fields)
@@ -340,29 +346,22 @@ class SolveConfig(_Frozen):
 _CSV_CELLS = 1 << 18  # cells formatted and joined at once
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write ``header`` and equal-length ``columns`` as CSV rows ending in CRLF.
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write ``header`` and equal-length array ``columns`` as CSV rows ending in CRLF.
 
-    A column is a numeric array, whose values are written as ``repr`` with
-    each distinct value formatted once (floats by bit pattern, so -0.0 keeps
-    its sign), or a list of strings, written as they are, and numbers,
-    written as ``repr`` of their float value. The bytes equal those of
-    ``csv.writer`` fed the same strings; strings must need no quoting. Rows
-    are joined about ``_CSV_CELLS`` cells at a time.
+    Each distinct value of a column is formatted once: floats as ``repr``,
+    by bit pattern so -0.0 keeps its sign, and integers and strings as
+    ``str``. The bytes equal those of ``csv.writer`` fed the same strings;
+    strings must need no quoting. Rows are joined about ``_CSV_CELLS``
+    cells at a time.
     """
     cells = []  # per column (text, index): text[index[r]] is the cell of row r
     for column in columns:
-        if isinstance(column, np.ndarray):
-            floats = column.dtype.kind == "f"
-            distinct, index = np.unique(
-                np.asarray(column, dtype=float).view(np.uint64) if floats else column,
-                return_inverse=True,
-            )
-            text = list(map(repr, (distinct.view(float) if floats else distinct).tolist()))
-        else:
-            text = [v if isinstance(v, str) else repr(float(v)) for v in column]
-            index = np.arange(len(text))
-        cells.append((np.array(text, dtype=object), index))
+        floats = column.dtype.kind == "f"
+        keys = np.asarray(column, dtype=float).view(np.uint64) if floats else column
+        distinct, index = np.unique(keys, return_inverse=True)
+        text = map(repr if floats else str, (distinct.view(float) if floats else distinct).tolist())
+        cells.append((np.array(list(text), dtype=object), index))
     step = max(1, _CSV_CELLS // len(cells))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

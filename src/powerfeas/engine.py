@@ -6,13 +6,13 @@ CLI solves, or a rule-object ``reference.System``. When the certificate's
 modulus is below 1 the map is a sup-norm contraction, so its fixed point
 is unique and Picard iteration reaches it from any start; every run ends in
 one :class:`SolveRun`. Traced, ``solve`` is Picard iteration on the map's
-numpy ``step`` and stacks each step's output array once into the run's
-``(steps + 1, N)`` array, which ``write_trace_csv`` writes through
-``core.write_csv``. Untraced, it keeps no iterates; a certified map that
-maximises over receivers (``receiver_weights``) is then solved by
-:func:`policy_iteration` in pure Python, numpy unloaded: a few K x K solves
-whatever the modulus, on sums with a ``math.fsum`` receiver total. Every
-other map runs the Picard loop.
+numpy ``step``, one reduction giving each step's size and finite check, and
+stacks each output array once into the run's ``(steps + 1, N)`` array, which
+``write_trace_csv`` formats row by row. Untraced, it keeps no iterates; a
+certified map that maximises over receivers (``receiver_weights``) is then
+solved by :func:`policy_iteration` in pure Python, numpy unloaded: a few
+K x K solves whatever the modulus, on sums with a ``math.fsum`` receiver
+total. Every other map runs the Picard loop.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from .core import (
     NonConvergenceError,
     PowerVector,
     SolveConfig,
+    _CSV_CELLS,
     _Frozen,
     np,
-    sup_norm,
-    write_csv,
 )
 
 
@@ -140,20 +139,20 @@ def solve(
     deltas: list[float] = []
     stall = 4 * math.ceil(1.0 / (1.0 - lam)) if certified else math.inf
     best, since = math.inf, 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run's inf: isfinite ends it
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run's inf or NaN: delta ends it
         for _ in range(config.max_iter):
-            nxt = np.asarray(system.step(x), dtype=float)
-            if not np.isfinite(nxt).all():
+            nxt = system.step(x)
+            delta = float(abs(nxt - x).max())  # x is finite: delta is finite exactly when nxt is
+            if not delta < math.inf:
                 raise NonConvergenceError(
                     "solve: iterates left the finite range (diverging run)",
                     trace=SolveRun(deltas, False, config.tolerance, certified, "picard", iterates),
                 )
-            if (nxt < 0.0).any():
+            if nxt.min() < 0.0:
                 i = int(np.argmax(nxt < 0.0))
                 raise InvalidInputError(
                     f"solve: the update gives terminal {i + 1} the negative power {float(nxt[i])!r}"
                 )
-            delta = sup_norm(nxt - x)
             deltas.append(delta)
             if trace:
                 iterates.append(nxt)
@@ -288,17 +287,20 @@ def rate_check(run: SolveRun, lam: float) -> bool:
 
     The comparison allows 1e-12 * (1 + delta[t]) of floating-point slack.
     """
-    for prev, nxt in zip(run.deltas, run.deltas[1:]):
-        if nxt > lam * prev + 1e-12 * (1.0 + prev):
-            return False
-    return True
+    return not any(nxt > lam * prev + 1e-12 * (1.0 + prev)
+                   for prev, nxt in zip(run.deltas, run.deltas[1:]))
 
 
 def write_trace_csv(run: SolveRun, path) -> None:
-    """Dump a traced run as CSV: iter, p_1..p_N, delta (delta blank on row 0)."""
+    """Dump a traced run as CSV: iter, p_1..p_N, delta (blank on row 0), each value its ``repr``.
+
+    The bytes are ``csv.writer``'s for the same strings; rows are formatted
+    and written about ``_CSV_CELLS`` values at a time.
+    """
     rows, n = run.iterates.shape
-    write_csv(
-        path,
-        ["iter"] + [f"p_{i + 1}" for i in range(n)] + ["delta"],
-        [np.arange(rows), *run.iterates.T, ["", *run.deltas]],
-    )
+    deltas, step = ["", *map(repr, run.deltas)], max(1, _CSV_CELLS // n)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["iter", *(f"p_{i + 1}" for i in range(n)), "delta"]) + "\r\n")
+        for start in range(0, rows, step):
+            chunk = enumerate(run.iterates[start:start + step].tolist(), start)
+            fh.write("".join(f"{t},{','.join(map(repr, row))},{deltas[t]}\r\n" for t, row in chunk))

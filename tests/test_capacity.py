@@ -296,6 +296,14 @@ class TestFormulaAgreement:
 
 
 class TestCompare:
+    def test_clouds_compare_by_value(self):
+        spec = spec_macro(ASYMMETRIC_GAINS, resolution=5)
+        cloud, again = sample_region(spec), sample_region(spec)
+        assert cloud.alphas is not again.alphas and cloud == again
+        flipped = cloud.feasible.copy()
+        flipped[0] = not flipped[0]
+        assert cloud != RegionCloud(spec, cloud.alphas, flipped)
+
     def test_symmetric_baseline_strictly_inside(self):
         macro = sample_region(spec_macro(SYMMETRIC_GAINS, resolution=101))
         baseline = sample_region(spec_hanly(2, resolution=101))

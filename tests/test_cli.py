@@ -375,6 +375,24 @@ class TestSolve:
         assert lines[0] == "error: solve: iterates left the finite range (diverging run)"
         assert lines[1:] == ([f"partial trace written to {trace_path}"] if trace else [])
 
+    def test_nan_step_exits_three_with_row_zero_trace(self, tmp_path):
+        # gains of 100 against --init 1e307: own terms overflow, so inf - inf gives NaN powers
+        doc = {"scenario": "macro_diversity", "alphas": [0.3, 0.4], "sigma": [1.0, 1.0],
+               "gains": [[1.0, 100.0], [100.0, 1.0]], "coordinates": "original"}
+        trace_path = tmp_path / "trace.csv"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["solve", write_config(tmp_path, doc), "--init", "1e307",
+                         "--trace", str(trace_path)])
+        assert code == 3 and not caught, [str(w.message) for w in caught]
+        assert err.getvalue().splitlines() == [
+            "error: solve: iterates left the finite range (diverging run)",
+            f"partial trace written to {trace_path}",
+        ]
+        assert trace_path.read_bytes() == b"iter,p_1,p_2,delta\r\n0,1e+307,1e+307,\r\n"
+
     def test_fixed_point_beyond_float_range_exits_one(self, tmp_path, capsys):
         # T(p) is not finite; with --init 1e308 math.fsum already overflows at the greedy start
         large = {"scenario": "single_cell", "alphas": [0.4, 0.4, 0.4], "gains": [1, 1, 1],

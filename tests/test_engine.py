@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from powerfeas.core import (
+    FeasibilityReport,
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
@@ -37,7 +38,7 @@ from powerfeas.reference import (
     build_single_cell_transformed,
     linear_oracle,
 )
-from powerfeas.scenarios import MacroDiversity, SingleCell
+from powerfeas.scenarios import MacroDiversity, SingleCell, leave_one_out_map
 
 # Exact fixed point of P1 = 0.3*(P2 + 1), P2 = 0.4*(P1 + 1) by elimination:
 # P1 = 0.12*P1 + 0.42  =>  P1 = 0.42/0.88 = 21/44, P2 = 0.4*(21/44) + 0.4 = 26/44
@@ -259,9 +260,14 @@ class TestTraceCsv:
         first = lines[1].split(",")
         assert first[0] == "0" and first[-1] == ""
 
-    @pytest.mark.parametrize("which", ["converged", "partial", "signed_zero"])
+    @pytest.mark.parametrize("which", ["converged", "partial", "signed_zero", "deck_shaped"])
     def test_bytes_equal_csv_writer_with_repr(self, tmp_path, which):
-        if which == "signed_zero":  # one column holding 0.0 and -0.0
+        if which == "deck_shaped":  # N=200 at lambda 0.96: several hundred distinct-valued rows
+            gains = tuple(np.random.default_rng(7).uniform(0.2, 1.0, 200).tolist())
+            cell = SingleCell(alphas=QosVector((0.96 / 199,) * 200), gains=gains, sigma=1.0)
+            _, trace = solve(leave_one_out_map(cell))
+            assert trace.iterates.shape[0] > 500
+        elif which == "signed_zero":  # one column holding 0.0 and -0.0
             trace = SolveRun(deltas=(0.0, 5e-324), converged=False, tolerance=1e-10,
                              certified=True, solver="picard",
                              iterates=[[0.0, 1.0], [-0.0, 1.0], [0.0, 5e-324]])
@@ -299,6 +305,15 @@ class TestSolveRun:
         with pytest.raises(InvalidInputError):
             SolveRun((-1.0,), False, 1e-10, True, "policy")
 
+    def test_equality_compares_iterates_by_value(self):
+        def run(iterates):
+            return SolveRun((1.0,), False, 1e-10, True, "picard", iterates=iterates)
+
+        assert run([[0.0], [1.0]]) == run([[0.0], [1.0]])
+        assert run([[0.0], [1.0]]) != run([[0.0], [2.0]])
+        assert run([[0.0], [1.0]]) != run([[0.0, 0.0], [1.0, 1.0]])
+        assert run([[0.0], [1.0]]) != run(None) and run(None) == run(None)
+
 
 class TestTraceArray:
     def test_iterates_are_one_read_only_float_array(self):
@@ -313,6 +328,21 @@ class TestTraceArray:
             trace.iterates[0, 0] = 1.0
         assert trace.final == fixed_point
         assert fixed_point.p == tuple(trace.iterates[-1].tolist())
+
+    def test_nan_step_ends_with_partial_trace(self):
+        class NanAfterOneStep:  # a certified map whose second step returns NaN
+            n = 2
+
+            def certificate(self):
+                return FeasibilityReport((0.5, 0.5))
+
+            def step(self, x):
+                return np.full(2, math.nan) if x.any() else np.ones(2)
+
+        with pytest.raises(NonConvergenceError, match="left the finite range") as excinfo:
+            solve(NanAfterOneStep())
+        trace = excinfo.value.trace
+        assert trace.deltas == (1.0,) and trace.iterates.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
     def test_negative_rule_output_rejected(self):
         ok = AdjustmentRule(f=WeightedAbsSum((0.5,)), offset=1.0, terminal_index=0)
