@@ -19,10 +19,11 @@ _EXPORTS = {
     "core": (
         "EvaluationError", "FeasibilityReport", "GainMatrix", "InfeasibleSystemError",
         "InvalidFunctionError", "InvalidInputError", "NoiseVector", "NonConvergenceError",
-        "PowerVector", "QosVector", "SolveConfig", "insert_component", "remove_component",
-        "sup_norm",
+        "PowerVector", "QosVector", "SolveConfig", "remove_component", "sup_norm",
     ),
-    "rules": ("DominationBound", "HolderNorm", "NormOfNorms", "WeightedAbsSum", "dominate"),
+    "rules": (
+        "AdjustmentRule", "HolderNorm", "NormOfNorms", "System", "WeightedAbsSum", "lift_rule",
+    ),
     "axioms": (
         "AxiomReport", "CheckVerdict", "Counterexample", "check_all", "check_extended_subhom",
         "check_max_monotone", "check_nonneg", "check_reverse_triangle", "check_subadd",
@@ -31,14 +32,7 @@ _EXPORTS = {
     "engine": ("SolveRun", "contraction_modulus", "rate_check", "solve", "write_trace_csv"),
     "scenarios": (
         "FixedAssignment", "LeaveOneOutMap", "MacroDiversity", "MultiConnection", "SingleCell",
-        "feasibility_formula", "leave_one_out_map", "macro_diversity_exact_update",
-    ),
-    "reference": (
-        "AdjustmentRule", "MinSelectionRule", "System", "affine_parts", "lift_rule", "linear_oracle",
-        "build_fixed_assignment", "build_macro_diversity",
-        "build_macro_diversity_transformed", "build_multi_connection",
-        "build_single_cell_received", "build_single_cell_transformed", "kth_smallest",
-        "mc_exact_rules_in_bounded_coords",
+        "feasibility_formula", "leave_one_out_map",
     ),
     "capacity": (
         "RegionCloud", "RegionComparison", "RegionSpec", "compare_regions", "evaluate_predicate",

@@ -14,8 +14,7 @@ the same prefix/suffix sums as the certificate. Where they enter W through a
 divisor table D, G's sums at the all-ones vector are fixed and terminal j's
 modulus is max over k of (alpha_j / D[k][j]) * s[k][j], ``check``'s products
 in ``check``'s order. Either way a grid point gets the moduli ``check``
-reports at those targets; the rule objects of ``powerfeas.reference`` stay
-the independent reference. The inequality export emits the kernel's sums at
+reports at those targets. The inequality export emits the kernel's sums at
 the unit vectors, or one box row per terminal; ``core.write_csv`` writes both.
 """
 

@@ -15,8 +15,8 @@ only what it runs: ``check`` loads ``core``, ``scenarios`` and this module,
 without numpy; ``solve`` adds ``engine`` (and numpy for Picard runs),
 ``region`` ``capacity`` and numpy, ``axioms`` ``rules``, ``axioms`` and
 numpy. The ``engine`` and ``capacity`` functions called here import their
-module on first call (:func:`_deferred`). No command builds the rule objects
-of ``powerfeas.reference``.
+module on first call (:func:`_deferred`). No command builds a
+``rules.System``.
 """
 
 from __future__ import annotations
@@ -136,8 +136,6 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        if not isinstance(doc, dict):
-            raise InvalidInputError("config: top level must be an object")
         known = {"scenario", "n", "k", "alphas", "gains", "sigma", "assignment",
                  "d", "mode", "coordinates", "solver"}
         unknown = set(doc) - known
@@ -275,15 +273,22 @@ class ScenarioConfig:
         return leave_one_out_map(self.scenario(), **self._map_options())
 
 
-def load_config(path) -> ScenarioConfig:
+def _read_json(path, what: str) -> dict:
+    """The JSON object in file ``path``; each error starts with ``what``, which names the file."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(
-                f"config {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+                f"{what}: line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
-    return ScenarioConfig.from_dict(doc)
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{what}: top level must be an object")
+    return doc
+
+
+def load_config(path) -> ScenarioConfig:
+    return ScenarioConfig.from_dict(_read_json(path, f"config {path}"))
 
 
 def _print_report(config: ScenarioConfig, report: FeasibilityReport) -> None:
@@ -354,8 +359,13 @@ def cmd_solve(args) -> int:
     system = config.build()
     report = contraction_modulus(system)
     if not report.feasible and not args.force:
-        _print_report(config, report)
-        print("refusing to iterate an uncertified system (use --force to override)")
+        refusal = "refusing to iterate an uncertified system (use --force to override)"
+        if args.json:  # check --json's line: the certificate is the one check reports
+            print(json.dumps(_report_json(report)))
+            print(refusal, file=sys.stderr)
+        else:
+            _print_report(config, report)
+            print(refusal)
         return EXIT_INFEASIBLE
 
     solve_config = config.solver
@@ -447,12 +457,21 @@ def _parse_function_spec(spec: str, dim: Optional[int]):
         return f, f.dim, spec
     if spec.startswith("norm-of-norms:"):
         path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            doc = json.load(fh)
-        inner = tuple(WeightedAbsSum(tuple(float(v) for v in row)) for row in doc["inner"])
-        outer_doc = doc.get("outer", "inf")
-        p = math.inf if outer_doc in ("inf", "infinity") else float(outer_doc)
-        f = NormOfNorms(inner=inner, outer=HolderNorm(p))
+        what = f"norm-of-norms file {path}"
+        doc = _read_json(path, what)
+        if "inner" not in doc:
+            raise InvalidInputError(f"{what}: inner is required")
+        rows, outer = doc["inner"], doc.get("outer", "inf")
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and row and not set(map(type, row)) - {int, float} for row in rows)):
+            raise InvalidInputError(f"{what}: inner must be a non-empty list of non-empty rows of numbers")
+        if outer not in ("inf", "infinity") and type(outer) not in (int, float):
+            raise InvalidInputError(f"{what}: outer must be a number or \"inf\", got {json.dumps(outer)}")
+        try:
+            p = math.inf if outer in ("inf", "infinity") else float(outer)
+            f = NormOfNorms(inner=tuple(map(WeightedAbsSum, rows)), outer=HolderNorm(p))
+        except (InvalidInputError, OverflowError) as exc:  # OverflowError: an int beyond float
+            raise InvalidInputError(f"{what}: {exc}") from exc
         if dim is not None and dim != f.dim:
             raise InvalidInputError(f"axioms: --dim {dim} does not match inner dimension {f.dim}")
         return f, f.dim, f"norm-of-norms:{path}"

@@ -165,15 +165,6 @@ def remove_component(x: Vector, i: int) -> np.ndarray:
     return np.concatenate((arr[:i], arr[i + 1:]))
 
 
-def insert_component(x: Vector, i: int, value: float) -> np.ndarray:
-    """Inverse of :func:`remove_component`: put ``value`` back at position ``i``."""
-    arr = np.asarray(x, dtype=float)
-    n = arr.shape[0] + 1
-    if not 0 <= i < n:
-        raise IndexError(f"insert_component: index {i} out of range for length {n}")
-    return np.concatenate((arr[:i], [float(value)], arr[i:]))
-
-
 class QosVector(_Frozen):
     """Per-terminal carrier-to-interference targets (dimensionless, > 0)."""
 

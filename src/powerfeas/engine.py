@@ -2,7 +2,7 @@
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
 ``step(x)`` and ``certificate()``: ``scenarios.LeaveOneOutMap``, which the
-CLI solves, or a rule-object ``reference.System``. When the certificate's
+CLI solves, or a ``rules.System`` of norm-like rules. When the certificate's
 modulus is below 1 the map is a sup-norm contraction, so its fixed point
 is unique and Picard iteration reaches it from any start; every run ends in
 one :class:`SolveRun`. Traced, ``solve`` is Picard iteration on the map's

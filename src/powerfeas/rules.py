@@ -1,19 +1,31 @@
-"""Constructors for the norm-like functions used as adjustment rules.
+"""The paper's general rule family: norm-like functions and the systems built from them.
 
-Rules are closed data (weights plus a combinator tree), not opaque
-callables, so feasibility reports can name the binding weighted sum.
-All of them evaluate through ``__call__`` on a plain vector.
+The functions are closed data (weights plus a combinator tree), not opaque
+callables, so feasibility reports can name the binding weighted sum; all of
+them evaluate through ``__call__`` on a plain vector. A :class:`System`
+bundles one :class:`AdjustmentRule` per terminal, each such a function (or
+any other the ``axioms`` checks admit) applied to the other terminals'
+powers; its ``step`` and ``certificate`` make it an update map
+``engine.solve`` accepts. No command builds one: the commands solve
+``scenarios.LeaveOneOutMap``, and ``engine`` does not import this module.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import InvalidFunctionError, InvalidInputError, Vector, _Frozen, sup_norm
+from .core import (
+    FeasibilityReport,
+    InvalidFunctionError,
+    InvalidInputError,
+    Vector,
+    _Frozen,
+    remove_component,
+)
 
 
 def _check_dim(x: np.ndarray, dim: int, what: str) -> None:
@@ -118,41 +130,79 @@ class NormOfNorms(_Frozen):
         return None
 
 
-class DominationBound(_Frozen):
-    """Scaled sup norm that pointwise over-estimates a dominated rule.
+class AdjustmentRule(_Frozen):
+    """One terminal's power update: next power = f(other powers) + offset.
 
-    ``scale`` equals the dominated function's value at the all-ones vector;
-    the bound is valid whenever that function is non-negative, max-monotone
-    and sub-homogeneous for every positive scaling factor.
+    ``f`` maps the (N-1)-vector of the other terminals' powers to a
+    non-negative scalar and must be deterministic; ``offset`` is the
+    additive noise term and must be >= 0.
     """
 
-    def __init__(self, scale: float, dim: int):
-        self._set(scale=float(scale), dim=int(dim))
-        if not math.isfinite(self.scale) or self.scale < 0.0:
-            raise InvalidInputError(f"DominationBound: scale must be finite and >= 0, got {self.scale}")
-        if self.dim < 1:
-            raise InvalidInputError("DominationBound: dim must be >= 1")
-
-    def __call__(self, x: Vector) -> float:
-        arr = np.asarray(x, dtype=float)
-        _check_dim(arr, self.dim, "DominationBound")
-        return sup_norm(arr) * self.scale
+    def __init__(self, f: Callable[[np.ndarray], float], offset: float, terminal_index: int):
+        offset, terminal_index = float(offset), int(terminal_index)
+        self._set(f=f, offset=offset, terminal_index=terminal_index)
+        if not callable(f):
+            raise InvalidInputError("AdjustmentRule: f must be callable")
+        if not math.isfinite(offset) or offset < 0.0:
+            raise InvalidInputError(f"AdjustmentRule: offset must be finite and >= 0, got {offset}")
+        if terminal_index < 0:
+            raise InvalidInputError("AdjustmentRule: terminal_index must be >= 0")
 
 
-def dominate(f: Callable[[np.ndarray], float], dim: int) -> DominationBound:
-    """Build the sup-norm bound for ``f`` from its value at the all-ones vector.
+class System(_Frozen):
+    """N coupled adjustment rules; rule i consumes the other N-1 powers."""
 
-    The caller asserts that ``f`` is non-negative, max-monotone and
-    sub-homogeneous for all positive factors (the axioms module can verify
-    this on samples); under those hypotheses the returned bound satisfies
-    ``bound(x) >= f(x)`` everywhere.
+    def __init__(self, rules: Sequence[AdjustmentRule]):
+        rules = tuple(rules)
+        self._set(rules=rules)
+        if len(rules) < 2:
+            raise InvalidInputError("System: need at least two terminals")
+        for i, rule in enumerate(rules):
+            if rule.terminal_index != i:
+                raise InvalidInputError(
+                    f"System: rule at position {i} is labelled terminal {rule.terminal_index}"
+                )
+            dim = getattr(rule.f, "dim", None)
+            if dim is not None and dim != len(rules) - 1:
+                raise InvalidInputError(
+                    f"System: rule {i + 1} consumes {dim} powers, expected {len(rules) - 1}"
+                )
+
+    @property
+    def n(self) -> int:
+        return len(self.rules)
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One synchronous update: every component from the previous iterate."""
+        out = np.empty(self.n)
+        for i, rule in enumerate(self.rules):
+            out[i] = rule.f(remove_component(x, i)) + rule.offset
+        return out
+
+    def certificate(self) -> FeasibilityReport:
+        """Every rule at the all-ones vector: ``engine.contraction_modulus`` of this system."""
+        ones = np.ones(self.n - 1)
+        moduli = []
+        for rule in self.rules:
+            value = float(rule.f(ones))
+            if not math.isfinite(value):
+                raise InvalidFunctionError(
+                    f"contraction_modulus: rule for terminal {rule.terminal_index + 1} "
+                    f"is {value} at the all-ones vector"
+                )
+            moduli.append(value)
+        binder = getattr(self.rules[moduli.index(max(moduli))].f, "binding_inner", None)
+        return FeasibilityReport.from_moduli(moduli, binder(ones) if binder is not None else None)
+
+
+def lift_rule(f: Callable[[np.ndarray], float], i: int) -> Callable[[np.ndarray], float]:
+    """View a rule on the other terminals' powers as a function of all powers.
+
+    The lifted function ignores component ``i``; it inherits every axiom of
+    ``f``, which is what makes the whole update map a contraction.
     """
-    try:
-        at_ones = float(f(np.ones(int(dim))))
-    except Exception as exc:
-        raise InvalidFunctionError(f"dominate: function failed at the all-ones vector: {exc}") from exc
-    if not math.isfinite(at_ones) or at_ones < 0.0:
-        raise InvalidFunctionError(
-            f"dominate: function value at the all-ones vector must be finite and >= 0, got {at_ones}"
-        )
-    return DominationBound(scale=at_ones, dim=int(dim))
+
+    def lifted(x: np.ndarray) -> float:
+        return float(f(remove_component(x, i)))
+
+    return lifted

@@ -4,9 +4,8 @@ The scenario types check their own shapes and values on construction.
 ``leave_one_out_map`` turns a scenario into its update map as arrays, a
 :class:`LeaveOneOutMap`: that is the map the CLI iterates, and
 ``feasibility_formula`` is its certificate, in the coordinates that make the
-admission condition sharpest. The rule objects of ``powerfeas.reference``
-write the same maps out again, one rule per terminal: the independent
-reference the tests compare them with.
+admission condition sharpest. The tests write the same maps out again as
+one rule object per terminal, an independent reference to compare with.
 
 Every closed form is one leave-one-out sum s[k][j] over n != j of x_n *
 G[k, n], for each receiver k and terminal j, times W[k][j] and reduced over
@@ -23,9 +22,9 @@ Coordinate conventions:
 * single cell: "original" works on received powers P_i with update
   P_i = alpha_i * (sum of other received powers + sigma); "transformed"
   divides through, q_i = P_i / alpha_i.
-* macro diversity: "original" works on received powers with the bounded
-  update P_i = (alpha_i / h_i) * (max-receiver interference + max noise);
-  "transformed" uses q_i = h_i * P_i / alpha_i.
+* macro diversity: "original" works on transmit powers P_i with the
+  bounded update P_i = (alpha_i / h_i) * (max-receiver interference + max
+  noise), h_i the gain row sum; "transformed" uses q_i = h_i * P_i / alpha_i.
 * multiple connection: the exact noiseless mode is expressed in
   q_j = p_j / gamma_j; the bounded mode in q_j = p_j * h_j / gamma_j with
   h_j the d_j-th largest gain of terminal j.
@@ -178,29 +177,6 @@ class MultiConnection(_Frozen):
         return self.reference_gains[j]
 
 
-def macro_diversity_exact_update(md: MacroDiversity, powers: Vector) -> np.ndarray:
-    """One step of the exact per-receiver update the bounded rule over-estimates.
-
-    Terminal i's exact requirement balances its target against the sum of
-    per-receiver gain-to-interference ratios:
-    P_i = alpha_i / sum_k [ h_ik / (Y_ik + sigma_k^2) ]. Needs every
-    denominator positive (positive noise or interference).
-    """
-    p = np.asarray(powers, dtype=float)
-    n, k = md.n, md.receivers
-    if p.shape != (n,):
-        raise InvalidInputError(f"macro_diversity_exact_update: expected {n} powers")
-    h = md.gains.as_array()
-    interference = _sums(np.ascontiguousarray(h.T), p)  # Y_ik: leave-one-out received power
-    denom = interference + md.noise.as_array()[None, :]
-    if np.any(denom <= 0.0):
-        raise InvalidInputError(
-            "macro_diversity_exact_update: zero interference-plus-noise at some receiver"
-        )
-    totals = (h / denom).sum(axis=1)
-    return np.asarray(md.alphas.as_array() / totals, dtype=float)
-
-
 _CHUNK = 1 << 16  # (terminal, receiver, point) sums the kernel holds at once: 0.5 MB, cache-sized
 
 
@@ -308,10 +284,9 @@ class LeaveOneOutMap(_Frozen):
     numpy, and it builds C-order arrays on first use, so :func:`_sums` adds
     in one order.
 
-    The map is the same one the ``build_*`` rule objects apply, one call per
-    terminal, and its certificate is the map at the all-ones vector without
-    ``c``. ``names_receiver`` is False when the binding pair names no
-    receiver: a single cell has just one, fixed assignment one per terminal.
+    Its certificate is the map at the all-ones vector without ``c``.
+    ``names_receiver`` is False when the binding pair names no receiver: a
+    single cell has just one, fixed assignment one per terminal.
     ``receiver_weights`` gives the max form ``engine.policy_iteration`` solves.
     """
 
@@ -380,12 +355,12 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
 
     ``W`` None means unit weights, ``order`` None the max. ``coordinates``
     selects the original or transformed single-cell and macro-diversity map,
-    ``noiseless`` the exact or bounded multi-connection map, as the reference
-    builders do; ``unit_targets`` puts 1 in place of every target.
-    This is the one place that decides where the targets enter the map. In
-    the transformed maps and multi-connection they scale G's columns, and D
-    is None. In the original maps and fixed assignment G does not depend on
-    them and W[k][j] = alpha_j / D[k][j], D the divisors (inf: never selected).
+    ``noiseless`` the exact or bounded multi-connection map; ``unit_targets``
+    puts 1 in place of every target. This is the one place that decides
+    where the targets enter the map. In the transformed maps and
+    multi-connection they scale G's columns, and D is None. In the original
+    maps and fixed assignment G does not depend on them and W[k][j] =
+    alpha_j / D[k][j], D the divisors (inf: never selected).
     """
     if coordinates not in ("original", "transformed"):
         raise InvalidInputError(f"leave_one_out_map: unknown coordinates {coordinates!r}")
@@ -446,8 +421,7 @@ def feasibility_formula(scenario, *, coordinates: str = "transformed",
     """Closed-form admission condition for a scenario, no rule objects and no numpy involved.
 
     The certificate of :func:`leave_one_out_map` with the same arguments, by
-    :func:`_certify` on the same coefficients. Must agree with
-    ``contraction_modulus`` of the matching build to 1e-12.
+    :func:`_certify` on the same coefficients.
     """
     G, _, W, order, named, _ = _coefficients(scenario, coordinates, noiseless)
     return _certify(G, W, order, named)

@@ -26,7 +26,14 @@ from powerfeas.core import (
 )
 from powerfeas.engine import SolveConfig, contraction_modulus, rate_check, solve
 from powerfeas.rules import HolderNorm, WeightedAbsSum
-from powerfeas.reference import (
+from powerfeas.scenarios import (
+    FixedAssignment,
+    MacroDiversity,
+    MultiConnection,
+    SingleCell,
+    feasibility_formula,
+)
+from reference import (
     affine_parts,
     build_fixed_assignment,
     build_macro_diversity,
@@ -36,13 +43,6 @@ from powerfeas.reference import (
     build_single_cell_transformed,
     linear_oracle,
     mc_exact_rules_in_bounded_coords,
-)
-from powerfeas.scenarios import (
-    FixedAssignment,
-    MacroDiversity,
-    MultiConnection,
-    SingleCell,
-    feasibility_formula,
 )
 
 SYMMETRIC_GAINS = ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))

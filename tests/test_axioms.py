@@ -22,9 +22,9 @@ from powerfeas.core import (
     NoiseVector,
     QosVector,
 )
-from powerfeas.rules import HolderNorm, WeightedAbsSum
-from powerfeas.reference import build_macro_diversity_transformed, lift_rule
+from powerfeas.rules import HolderNorm, WeightedAbsSum, lift_rule
 from powerfeas.scenarios import MacroDiversity
+from reference import build_macro_diversity_transformed
 
 SEED = 424242
 

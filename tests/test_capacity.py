@@ -25,17 +25,17 @@ from powerfeas.core import (
     QosVector,
 )
 from powerfeas.engine import contraction_modulus
-from powerfeas.reference import (
-    build_macro_diversity_transformed,
-    build_multi_connection,
-    build_single_cell_transformed,
-)
 from powerfeas.scenarios import (
     FixedAssignment,
     MacroDiversity,
     MultiConnection,
     SingleCell,
     feasibility_formula,
+)
+from reference import (
+    build_macro_diversity_transformed,
+    build_multi_connection,
+    build_single_cell_transformed,
 )
 
 SYMMETRIC_GAINS = ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))

@@ -352,6 +352,17 @@ class TestSolve:
         assert code == 2
         assert "refusing" in out
 
+    def test_json_refusal_prints_checks_json_line(self, tmp_path, capsys):
+        # the paper's test rejects this feasible single cell (lambda 2.1): solve refuses it
+        path = write_config(tmp_path, {"scenario": "single_cell", "alphas": [2, 0.1, 0.1],
+                                       "gains": [1, 1, 1], "sigma": 1})
+        assert main(["check", path, "--json"]) == 2
+        check_out = capsys.readouterr().out
+        assert main(["solve", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == check_out and json.loads(captured.out)["modulus"] == 2.1
+        assert captured.err == "refusing to iterate an uncertified system (use --force to override)\n"
+
     def test_forced_divergence_exit_three(self, tmp_path, capsys):
         doc = symmetric_doc(1.5)
         doc["solver"] = {"max_iter": 300}
@@ -648,6 +659,19 @@ class TestAxioms:
         code = main(["axioms", "--function", f"norm-of-norms:{spec_path}", "--seed", "11"])
         assert code == 0
 
+    @pytest.mark.parametrize("text, fault", [
+        ("{}", "inner is required"),
+        ('{"inner": 3}', "inner must be a non-empty list of non-empty rows of numbers"),
+        ("[[0.5, 0.5]]", "top level must be an object"),
+        ('{"inner": [[0.5, 0.5]], "outer": null}', 'outer must be a number or "inf", got null'),
+        ('{"inner": [[0.5, 0.5]]', "line 1 column 23: Expecting ',' delimiter"),
+    ], ids=["empty", "inner_not_rows", "top_level_list", "outer_null", "not_json"])
+    def test_norm_of_norms_file_errors_name_the_file_and_the_fault(self, tmp_path, capsys, text, fault):
+        spec_path = tmp_path / "non.json"
+        spec_path.write_text(text)
+        assert main(["axioms", "--function", f"norm-of-norms:{spec_path}"]) == 1
+        assert capsys.readouterr().err == f"error: norm-of-norms file {spec_path}: {fault}\n"
+
     def test_unknown_spec(self):
         assert main(["axioms", "--function", "mystery", "--dim", "2"]) == 1
 
@@ -713,14 +737,15 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "    for flags in (['--json'], []):\n"
         "        assert powerfeas.cli.main(['check', path, *flags]) == 0, path\n"
         "        assert 'numpy' not in sys.modules, path\n"
-        "unused = ('powerfeas.engine', 'powerfeas.capacity', 'powerfeas.reference', 'dataclasses')\n"
+        "unused = ('powerfeas.engine', 'powerfeas.capacity', 'powerfeas.rules', 'powerfeas.axioms',"
+        " 'dataclasses')\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         f"for path in {configs[:-1]!r}:\n"
         "    for flags in ([], ['--json'], ['--init', '2'], ['--json', '--init', '2']):\n"
         "        assert powerfeas.cli.main(['solve', path, *flags]) == 0, (path, flags)\n"
         "        assert 'numpy' not in sys.modules, (path, flags)\n"
-        "unused = ('powerfeas.capacity', 'powerfeas.reference', 'dataclasses', 'inspect')\n"
+        "unused = ('powerfeas.capacity', 'powerfeas.rules', 'powerfeas.axioms', 'dataclasses', 'inspect')\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         f"assert powerfeas.cli.main(['solve', {configs[0]!r}, '--trace', {str(tmp_path / 't.csv')!r}]) == 0\n"
@@ -728,7 +753,8 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         f"assert powerfeas.cli.main(['solve', {configs[-1]!r}, '--json']) == 0\n"
         f"assert powerfeas.cli.main(['region', {configs[2]!r}, '--resolution', '3', '--compare', 'hanly',"
         f" '--out', {str(tmp_path / 'c.csv')!r}, '--inequalities', {str(tmp_path / 'i.csv')!r}]) == 0\n"
-        "assert 'dataclasses' not in sys.modules\n"
+        "loaded = [m for m in ('powerfeas.rules', 'powerfeas.axioms', 'dataclasses') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
         "import powerfeas\n"
         "missing = [n for n in powerfeas.__all__ if getattr(powerfeas, n, None) is None]\n"
         "assert not missing, missing\n"
@@ -753,20 +779,18 @@ def imported(tree):
 
 
 def test_reference_stays_independent_of_the_production_kernels():
-    # the rule objects are an independent cross-check only while neither side reads the other
-    package = REPO / "src" / "powerfeas"
-    tree = ast.parse((package / "reference.py").read_text())
+    # the test-side rule objects are an independent cross-check only while they read no kernel
+    tree = ast.parse((REPO / "tests" / "reference.py").read_text())
     for module, names in imported(tree):
         assert not names & KERNELS and "engine" not in module.split("."), (module, names)
     assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & KERNELS
+    package = REPO / "src" / "powerfeas"
     for path in package.glob("*.py"):
         for module, names in imported(ast.parse(path.read_text())):
             assert module.split(".")[0] != "dataclasses", path.name  # one value-type idiom: core._Frozen
-            if path.name not in ("__init__.py", "reference.py"):
-                assert "reference" not in module.split(".") and "reference" not in names, path.name
     # the solver module holds only what solve runs: no rule objects
     for module, names in imported(ast.parse((package / "engine.py").read_text())):
-        assert not {"rules", "reference"} & (set(module.split(".")) | names), (module, names)
+        assert "rules" not in set(module.split(".")) | names, (module, names)
 
 
 def test_every_name_the_benchmark_wraps_is_in_cli():

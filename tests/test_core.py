@@ -16,13 +16,11 @@ from powerfeas.core import (
     QosVector,
     SolveConfig,
     _Frozen,
-    insert_component,
     remove_component,
     sup_norm,
 )
 from powerfeas.engine import SolveRun
-from powerfeas.reference import AdjustmentRule, MinSelectionRule, System
-from powerfeas.rules import DominationBound, HolderNorm, NormOfNorms, WeightedAbsSum
+from powerfeas.rules import AdjustmentRule, HolderNorm, NormOfNorms, System, WeightedAbsSum
 from powerfeas.scenarios import (
     FixedAssignment,
     LeaveOneOutMap,
@@ -30,6 +28,7 @@ from powerfeas.scenarios import (
     MultiConnection,
     SingleCell,
 )
+from reference import insert_component
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=8)
@@ -217,17 +216,15 @@ def value_examples() -> dict:
         SolveRun: (((0.5, 0.1), True, 0.2, True, "policy"), ((0.5, 0.15), True, 0.2, True, "policy")),
         AdjustmentRule: ((w, 1.0, 0), (w, 2.0, 0)),
         System: ((rules,), ((AdjustmentRule(w, 2.0, 0), rules[1]),)),
-        MinSelectionRule: ((((1.0,), (2.0,)), (1.0, 1.0), 1), (((1.0,), (2.0,)), (1.0, 1.0), 2)),
         WeightedAbsSum: (((0.5,),), ((0.6,),)),
         HolderNorm: ((2.0,), (3.0,)),
         NormOfNorms: (((w,),), ((w,), HolderNorm(2.0))),
-        DominationBound: ((0.5, 2), (0.5, 3)),
     }
 
 
 def test_every_value_type_has_an_example():
     assert value_types() == sorted(value_examples(), key=lambda cls: cls.__name__)
-    assert len(value_types()) == 24
+    assert len(value_types()) == 22
 
 
 @pytest.mark.parametrize("cls", value_types(), ids=lambda cls: cls.__name__)

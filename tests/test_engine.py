@@ -28,17 +28,15 @@ from powerfeas.engine import (
     solve,
     write_trace_csv,
 )
-from powerfeas.rules import WeightedAbsSum
-from powerfeas.reference import (
-    AdjustmentRule,
-    System,
+from powerfeas.rules import AdjustmentRule, System, WeightedAbsSum
+from powerfeas.scenarios import MacroDiversity, SingleCell, leave_one_out_map
+from reference import (
     affine_parts,
     build_macro_diversity_transformed,
     build_single_cell_received,
     build_single_cell_transformed,
     linear_oracle,
 )
-from powerfeas.scenarios import MacroDiversity, SingleCell, leave_one_out_map
 
 # Exact fixed point of P1 = 0.3*(P2 + 1), P2 = 0.4*(P1 + 1) by elimination:
 # P1 = 0.12*P1 + 0.42  =>  P1 = 0.42/0.88 = 21/44, P2 = 0.4*(21/44) + 0.4 = 26/44
@@ -369,12 +367,14 @@ def test_lambda_sweep_script_runs_both_solvers():
     # the in-process measurement tool: policy iteration against Picard on one small map
     repo = Path(__file__).resolve().parent.parent
     result = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "lambda_sweep.py"), "--n", "20", "--k", "2",
-         "--lambdas", "0.9", "--picard-max-iter", "2000"],
+        [sys.executable, str(repo / "scripts" / "lambda_sweep.py"), "--n", "20", "--k", "3",
+         "--lambdas", "0.9,0.99", "--picard-max-iter", "5000"],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(repo / "src")),
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0].startswith("lambda 0.9")
-    assert lines[1].startswith("  policy iteration: ") and " iterations, " in lines[1]
-    assert lines[2].startswith("  picard: ") and " iterations, " in lines[2]
+    assert [line.split()[:2] for line in lines[::3]] == [["lambda", "0.9"], ["lambda", "0.99"]]
+    for line in lines[1::3] + lines[2::3]:  # a count, not an error, from both solvers at each lambda
+        solver, result = line.split(":")
+        assert solver.strip() in ("policy iteration", "picard") and result.split()[1] == "iterations,"
+        assert int(result.split()[0]) >= 1, line

@@ -6,14 +6,8 @@ from hypothesis import given, strategies as st
 
 from powerfeas.axioms import check_all
 from powerfeas.core import InvalidFunctionError, InvalidInputError
-from powerfeas.rules import (
-    DominationBound,
-    HolderNorm,
-    NormOfNorms,
-    WeightedAbsSum,
-    dominate,
-)
-from powerfeas.reference import MinSelectionRule
+from powerfeas.rules import HolderNorm, NormOfNorms, WeightedAbsSum
+from reference import DominationBound, MinSelectionRule, dominate
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 

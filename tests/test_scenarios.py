@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerfeas.core import (
     GainMatrix,
@@ -15,19 +17,6 @@ from powerfeas.core import (
 )
 from powerfeas.capacity import RegionSpec, evaluate_predicate
 from powerfeas.engine import SolveConfig, contraction_modulus, solve
-from powerfeas.reference import (
-    MinSelectionRule,
-    affine_parts,
-    build_fixed_assignment,
-    build_macro_diversity,
-    build_macro_diversity_transformed,
-    build_multi_connection,
-    build_single_cell_received,
-    build_single_cell_transformed,
-    kth_smallest,
-    linear_oracle,
-    mc_exact_rules_in_bounded_coords,
-)
 from powerfeas.scenarios import (
     FixedAssignment,
     LeaveOneOutMap,
@@ -36,7 +25,21 @@ from powerfeas.scenarios import (
     SingleCell,
     feasibility_formula,
     leave_one_out_map,
+)
+from reference import (
+    MinSelectionRule,
+    affine_parts,
+    build_fixed_assignment,
+    build_macro_diversity,
+    build_macro_diversity_transformed,
+    build_multi_connection,
+    build_single_cell_received,
+    build_single_cell_transformed,
+    dominate,
+    kth_smallest,
+    linear_oracle,
     macro_diversity_exact_update,
+    mc_exact_rules_in_bounded_coords,
 )
 from powerfeas.scenarios import _coefficients, _loo_sums, _point_sums, _reduce, _sums
 
@@ -88,6 +91,61 @@ def random_mc(rng, target):
     lam = feasibility_formula(mc, noiseless=False).modulus
     scaled = QosVector(tuple(a * target / lam for a in alphas))
     return MultiConnection(alphas=scaled, gains=mc.gains, d=d, noise=mc.noise)
+
+
+# The property suite. Each case is one of the seven maps, (scenario kind, map options, the
+# reference's rule-object build); hypothesis draws its scenarios, and the properties below
+# check the array map, the closed form and both solvers against the reference, never a kernel
+# against itself. The draws are derandomized: every run checks the same examples.
+CASES = {
+    "single_cell-transformed": ("single_cell", {}, build_single_cell_transformed),
+    "single_cell-original": ("single_cell", {"coordinates": "original"}, build_single_cell_received),
+    "macro_diversity-transformed": ("macro_diversity", {}, build_macro_diversity_transformed),
+    "macro_diversity-original": ("macro_diversity", {"coordinates": "original"}, build_macro_diversity),
+    "fixed_assignment": ("fixed_assignment", {}, build_fixed_assignment),
+    "multi_connection-bounded": ("multi_connection", {}, partial(build_multi_connection, noiseless=False)),
+    "multi_connection-exact_noiseless": (
+        "multi_connection", {"noiseless": True}, partial(build_multi_connection, noiseless=True)),
+}
+PROPERTY = settings(max_examples=10, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def scenarios_of(draw, kind):
+    """A ``kind`` scenario of N <= 6 terminals and K <= 4 receivers, every gain positive."""
+    n, k = draw(st.integers(2, 6)), 1 if kind == "single_cell" else draw(st.integers(1, 4))
+
+    def values(size, low, high, kind=st.floats):
+        return tuple(draw(st.lists(kind(low, high), min_size=size, max_size=size)))
+
+    alphas, noise = QosVector(values(n, 0.2, 1.0)), NoiseVector(values(k, 0.1, 1.0))
+    if kind == "single_cell":
+        return SingleCell(alphas, values(n, 0.5, 2.0), draw(st.floats(0.1, 2.0)))
+    if kind == "macro_diversity":
+        return MacroDiversity(alphas, GainMatrix([values(k, 0.1, 2.0) for _ in range(n)]), noise)
+    gains = [values(n, 0.05, 2.0) for _ in range(k)]
+    if kind == "fixed_assignment":
+        return FixedAssignment(alphas, gains, values(n, 0, k - 1, st.integers), noise)
+    return MultiConnection(alphas, gains, values(n, 1, k, st.integers), noise)
+
+
+def scaled(scenario, lam, *options):
+    """``scenario`` at targets whose largest modulus over ``options`` is ``lam`` (moduli are linear in them)."""
+    top = max(feasibility_formula(scenario, **o).modulus for o in options)
+    return with_alphas(scenario, QosVector(tuple(a * lam / top for a in scenario.alphas)))
+
+
+@st.composite
+def map_cases(draw, case, top=0.95):
+    """(scenario, array map, rule-object System) of ``case`` at a modulus lambda in [0.3, top]."""
+    kind, options, build = CASES[case]
+    scenario = scaled(draw(scenarios_of(kind)), draw(st.floats(0.3, top)), options)
+    return scenario, leave_one_out_map(scenario, **options), build(scenario)
+
+
+def points(n, high=5.0):
+    """Non-negative power vectors of length n, zeros included."""
+    return st.lists(st.just(0.0) | st.floats(0.05, high), min_size=n, max_size=n).map(np.array)
 
 
 class TestOrderStatistics:
@@ -218,16 +276,13 @@ class TestMacroDiversity:
             h_i = md.gains.row_sums[i]
             assert q[i] == pytest.approx(h_i * p[i] / md.alphas[i], rel=1e-9)
 
-    def test_bounded_update_overestimates_exact_update(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            md = random_md(rng, target=float(rng.uniform(0.4, 0.95)))
-            system = build_macro_diversity(md)
-            for _ in range(20):
-                powers = rng.uniform(0.05, 5.0, size=md.n)
-                bounded = system.step(powers)
-                exact = macro_diversity_exact_update(md, powers)
-                assert np.all(bounded >= exact - 1e-12)
+    @PROPERTY
+    @given(data=st.data())
+    def test_bounded_update_overestimates_exact_update(self, data):
+        # the array map's bounded transmit-power step against the reference's exact one
+        md, array_map, _ = data.draw(map_cases("macro_diversity-original"))
+        powers = data.draw(st.lists(st.floats(0.05, 5.0), min_size=md.n, max_size=md.n).map(np.array))
+        assert np.all(array_map.step(powers) >= macro_diversity_exact_update(md, powers) - 1e-12)
 
 
 class TestFixedAssignment:
@@ -384,18 +439,15 @@ class TestMultiConnection:
         assert trace.converged
         assert max(fixed_point.p) <= 1e-9
 
-    def test_bounded_rule_dominates_exact_rule_pointwise(self):
-        rng = np.random.default_rng(77)
-        for _ in range(5):
-            mc = random_mc(rng, target=float(rng.uniform(0.4, 0.95)))
-            bounded = build_multi_connection(mc, noiseless=False)
-            exact_scaled = mc_exact_rules_in_bounded_coords(mc)
-            xs = rng.uniform(0.0, 10.0, size=(200, mc.n - 1))
-            for j in range(mc.n):
-                f_bounded = bounded.rules[j].f
-                f_exact = exact_scaled[j]
-                for x in xs:
-                    assert f_bounded(x) >= f_exact(x) - 1e-12
+    @PROPERTY
+    @given(data=st.data())
+    def test_bounded_rule_dominates_exact_rule_pointwise(self, data):
+        # and the sup-norm domination bound dominates the exact rule too
+        mc, _, bounded = data.draw(map_cases("multi_connection-bounded"))
+        x = data.draw(points(mc.n - 1, high=10.0))
+        for j, exact in enumerate(mc_exact_rules_in_bounded_coords(mc)):
+            assert bounded.rules[j].f(x) >= exact(x) - 1e-12
+            assert dominate(exact, mc.n - 1)(x) >= exact(x) - 1e-12
 
     def test_domination_survives_zero_gains(self):
         gains = ((1.0, 0.0, 0.5), (0.5, 2.0, 0.0), (0.0, 1.0, 1.5))
@@ -446,60 +498,6 @@ class TestHanly:
 
 
 class TestFormulaEngineAgreement:
-    def test_single_cell(self):
-        sc = SingleCell(alphas=QosVector((0.6, 0.3, 0.2)), gains=(1.0,) * 3, sigma=1.0)
-        for coordinates, build in (
-            ("transformed", build_single_cell_transformed),
-            ("original", build_single_cell_received),
-        ):
-            formula = feasibility_formula(sc, coordinates=coordinates)
-            engine = contraction_modulus(build(sc))
-            assert formula.per_terminal_modulus == pytest.approx(
-                engine.per_terminal_modulus, abs=1e-12
-            )
-            assert formula.feasible == engine.feasible
-
-    def test_macro_diversity_random(self):
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            md = random_md(rng, target=float(rng.uniform(0.3, 1.4)))
-            for coordinates, build in (
-                ("transformed", build_macro_diversity_transformed),
-                ("original", build_macro_diversity),
-            ):
-                formula = feasibility_formula(md, coordinates=coordinates)
-                engine = contraction_modulus(build(md))
-                assert formula.per_terminal_modulus == pytest.approx(
-                    engine.per_terminal_modulus, abs=1e-12
-                )
-                assert formula.feasible == engine.feasible
-                assert formula.binding == engine.binding or coordinates == "original"
-
-    def test_fixed_assignment(self):
-        fa = FixedAssignment(
-            alphas=QosVector((0.5, 0.25, 0.4)),
-            gains=((2.0, 0.5, 0.1), (0.4, 1.0, 0.3)),
-            assignment=(0, 1, 1),
-            noise=NoiseVector((1.0, 0.5)),
-        )
-        formula = feasibility_formula(fa)
-        engine = contraction_modulus(build_fixed_assignment(fa))
-        assert formula.per_terminal_modulus == pytest.approx(
-            engine.per_terminal_modulus, abs=1e-12
-        )
-
-    def test_multi_connection_both_modes(self):
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            mc = random_mc(rng, target=float(rng.uniform(0.3, 1.4)))
-            for noiseless in (True, False):
-                formula = feasibility_formula(mc, noiseless=noiseless)
-                engine = contraction_modulus(build_multi_connection(mc, noiseless=noiseless))
-                assert formula.per_terminal_modulus == pytest.approx(
-                    engine.per_terminal_modulus, abs=1e-12
-                )
-                assert formula.feasible == engine.feasible
-
     def test_symmetric_reduces_to_leave_one_out_sum_vs_receivers(self):
         # with g = 1/K the transformed condition is sum_{n != i} alpha_n < K
         md = symmetric_md(0.99, n=3, k=2)
@@ -526,45 +524,6 @@ class TestFormulaEngineAgreement:
         )
         # while the gain-blind baseline even admits target sums up to 3
         assert hanly(degenerate.alphas.as_array(), 3)
-
-
-def random_fa(rng):
-    n = int(rng.integers(2, 7))
-    k = int(rng.integers(1, 5))
-    gains = rng.uniform(0.05, 2.0, size=(k, n))
-    return FixedAssignment(
-        alphas=QosVector(tuple(rng.uniform(0.2, 1.0, size=n))),
-        gains=tuple(map(tuple, gains)),
-        assignment=tuple(int(a) for a in rng.integers(0, k, size=n)),
-        noise=NoiseVector(tuple(rng.uniform(0.1, 1.0, size=k))),
-    )
-
-
-def random_sc(rng):
-    n = int(rng.integers(2, 7))
-    return SingleCell(
-        alphas=QosVector(tuple(rng.uniform(0.2, 1.0, size=n))),
-        gains=tuple(rng.uniform(0.5, 2.0, size=n)),
-        sigma=float(rng.uniform(0.1, 2.0)),
-    )
-
-
-# (scenario draw, map options, independent rule-object build) per coordinate system / mode
-MAP_CASES = {
-    "single_cell-transformed": (random_sc, {}, build_single_cell_transformed),
-    "single_cell-original": (random_sc, {"coordinates": "original"}, build_single_cell_received),
-    "macro_diversity-transformed": (
-        lambda rng: random_md(rng, 0.5), {}, build_macro_diversity_transformed),
-    "macro_diversity-original": (
-        lambda rng: random_md(rng, 0.5), {"coordinates": "original"}, build_macro_diversity),
-    "fixed_assignment": (random_fa, {}, build_fixed_assignment),
-    "multi_connection-bounded": (
-        lambda rng: random_mc(rng, 0.5), {},
-        lambda mc: build_multi_connection(mc, noiseless=False)),
-    "multi_connection-exact_noiseless": (
-        lambda rng: random_mc(rng, 0.5), {"noiseless": True},
-        lambda mc: build_multi_connection(mc, noiseless=True)),
-}
 
 
 class TestLeaveOneOutSums:
@@ -644,7 +603,7 @@ def large_scenario(case, rng, n=200, k=8, lam=0.95):
     else:
         scenario = MultiConnection(ones, tuple(map(tuple, rng.uniform(0.05, 2.0, (k, n)))),
                                    tuple(rng.integers(1, k + 1, n).tolist()), noise)
-    options = MAP_CASES[case][1]
+    options = CASES[case][1]
     unit = feasibility_formula(scenario, **options).modulus
     return with_alphas(scenario, QosVector((lam / unit,) * n)), options
 
@@ -713,17 +672,17 @@ def test_weighted_moduli_lie_within_four_ulp_of_exact(kind):
 
 
 @pytest.mark.parametrize("case", ["single_cell-original", "macro_diversity-original", "fixed_assignment"])
-def test_weights_are_the_per_row_quotients(case):
+@PROPERTY
+@given(data=st.data())
+def test_weights_are_the_per_row_quotients(case, data):
     # W[k][j] = alpha_j / D[k][j], bit for bit, however many divisor rows share one list
-    draw, options, _ = MAP_CASES[case]
-    rng = np.random.default_rng(59)
-    for _ in range(20):
-        scenario = draw(rng)
-        _, _, W, _, _, D = _coefficients(scenario, **options)
-        per_row = [[a / d for a, d in zip(scenario.alphas, row)] for row in D]
-        assert [[w.hex() for w in row] for row in W] == [[w.hex() for w in row] for row in per_row]
-        if case == "macro_diversity-original":  # K divisor rows that are one list give one W row
-            assert all(row is D[0] for row in D) and all(row is W[0] for row in W)
+    kind, options, _ = CASES[case]
+    scenario = data.draw(scenarios_of(kind))
+    _, _, W, _, _, D = _coefficients(scenario, **options)
+    per_row = [[a / d for a, d in zip(scenario.alphas, row)] for row in D]
+    assert [[w.hex() for w in row] for row in W] == [[w.hex() for w in row] for row in per_row]
+    if case == "macro_diversity-original":  # K divisor rows that are one list give one W row
+        assert all(row is D[0] for row in D) and all(row is W[0] for row in W)
 
 
 @pytest.mark.parametrize("kind", ["fixed_assignment", "exact_noiseless"])
@@ -742,54 +701,49 @@ def test_weights_beyond_float_range_are_rejected(kind):
 class TestLeaveOneOutMap:
     """The array map against the rule objects, which stay an independent reference."""
 
-    @staticmethod
-    def draws(case, count=8):
-        draw, options, build = MAP_CASES[case]
-        rng = np.random.default_rng(sorted(MAP_CASES).index(case) + 71)
-        for _ in range(count):
-            scenario = draw(rng)
-            # every modulus is linear in the targets: rescale to lambda in [0.3, 0.95]
-            lam = feasibility_formula(scenario, **options).modulus
-            target = float(rng.uniform(0.3, 0.95))
-            alphas = QosVector(tuple(a * target / lam for a in scenario.alphas))
-            scenario = with_alphas(scenario, alphas)
-            yield rng, scenario, leave_one_out_map(scenario, **options), build(scenario), options
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_step_matches_rule_objects(self, case, data):
+        _, array_map, system = data.draw(map_cases(case))
+        n = array_map.n
+        for x in (np.zeros(n), np.ones(n), *np.eye(n), data.draw(points(n))):
+            step = array_map.step(x)
+            np.testing.assert_allclose(step, system.step(x), rtol=1e-12, atol=0.0)
+            assert np.all(step >= 0.0)
 
-    @pytest.mark.parametrize("case", sorted(MAP_CASES))
-    def test_step_matches_rule_objects(self, case):
-        for rng, _, array_map, system, _ in self.draws(case):
-            n = array_map.n
-            points = [np.zeros(n), np.ones(n), *np.eye(n)]
-            for _ in range(6):
-                x = rng.uniform(0.5, 5.0, size=n)
-                x[rng.random(n) < 0.4] = 0.0
-                points.append(x)
-            for x in points:
-                step = array_map.step(x)
-                np.testing.assert_allclose(step, system.step(x), rtol=1e-12, atol=0.0)
-                assert np.all(step >= 0.0)
-
-    @pytest.mark.parametrize("case", sorted(MAP_CASES))
-    def test_certificate_is_the_formula_and_the_rule_modulus(self, case):
-        for _, scenario, array_map, system, options in self.draws(case):
-            certificate = contraction_modulus(array_map)
-            assert certificate == feasibility_formula(scenario, **options)
-            rules = contraction_modulus(system)
-            np.testing.assert_allclose(
-                certificate.per_terminal_modulus, rules.per_terminal_modulus, rtol=0.0, atol=1e-12
-            )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_certificate_is_the_formula_and_the_rule_modulus(self, case, data):
+        scenario, array_map, system = data.draw(map_cases(case, top=1.4))  # infeasible ones too
+        certificate = contraction_modulus(array_map)
+        assert certificate == feasibility_formula(scenario, **CASES[case][1])
+        rules = contraction_modulus(system)
+        np.testing.assert_allclose(
+            certificate.per_terminal_modulus, rules.per_terminal_modulus, rtol=0.0, atol=1e-12
+        )
+        # within that 1e-12 of 1 the two roundings may fall on either side of the strict boundary
+        # (a fixed assignment at exact modulus 1 - 2.9e-17: certificate 1.0, rules 1 - 2**-53)
+        if abs(rules.modulus - 1.0) > 1e-12:
             assert certificate.feasible == rules.feasible
+        if case == "macro_diversity-transformed":  # the binding pair attains the modulus in the rules
+            term, receiver = certificate.binding
+            inner = system.rules[term].f.inner_values(np.ones(array_map.n - 1))
+            assert abs(inner[receiver] - rules.modulus) <= 1e-12
 
-    @pytest.mark.parametrize("case", sorted(MAP_CASES))
-    def test_solve_matches_rule_objects(self, case):
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_solve_matches_rule_objects(self, case, data):
+        _, array_map, system = data.draw(map_cases(case))
         config = SolveConfig(tolerance=1e-10)
-        for _, _, array_map, system, _ in self.draws(case, count=4):
-            p_map, trace = solve(array_map, config)
-            p_rules, _ = solve(system, config)
-            assert trace.converged and trace.certified
-            np.testing.assert_allclose(
-                p_map.as_array(), p_rules.as_array(), rtol=0.0, atol=2 * config.tolerance
-            )
+        p_map, trace = solve(array_map, config)
+        p_rules, _ = solve(system, config)
+        assert trace.converged and trace.certified
+        np.testing.assert_allclose(
+            p_map.as_array(), p_rules.as_array(), rtol=0.0, atol=2 * config.tolerance
+        )
 
     def test_rejects_wrong_length(self):
         sc = SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
@@ -822,58 +776,23 @@ class TestLeaveOneOutMap:
             np.ones(2)).tolist() == [1.0, 1.0]
 
 
-def random_single_cell_feasible_both(rng, target):
-    """Targets scaled so both coordinate systems certify feasibility."""
-    n = int(rng.integers(2, 6))
-    alphas = rng.uniform(0.2, 1.0, size=n)
-    sc = SingleCell(
-        alphas=QosVector(tuple(alphas)),
-        gains=tuple(rng.uniform(0.5, 2.0, size=n)),
-        sigma=float(rng.uniform(0.1, 2.0)),
-    )
-    lam = max(
-        feasibility_formula(sc, coordinates="original").modulus,
-        feasibility_formula(sc, coordinates="transformed").modulus,
-    )
-    return SingleCell(
-        alphas=QosVector(tuple(a * target / lam for a in alphas)),
-        gains=sc.gains,
-        sigma=sc.sigma,
-    )
-
-
-def random_md_feasible_both(rng, target):
-    md = random_md(rng, target=0.5)
-    lam = max(
-        feasibility_formula(md, coordinates="original").modulus,
-        feasibility_formula(md, coordinates="transformed").modulus,
-    )
-    scaled = QosVector(tuple(a * target / lam for a in md.alphas))
-    return MacroDiversity(alphas=scaled, gains=md.gains, noise=md.noise)
-
-
 class TestTransformConsistency:
-    def test_twenty_random_systems(self):
-        rng = np.random.default_rng(59)
-        for trial in range(20):
-            target = float(rng.uniform(0.3, 0.9))
-            if trial % 2 == 0:
-                sc = random_single_cell_feasible_both(rng, target)
-                p, _ = solve(build_single_cell_received(sc), SolveConfig(tolerance=1e-12))
-                q, _ = solve(build_single_cell_transformed(sc), SolveConfig(tolerance=1e-12))
-                mapped = [pi / ai for pi, ai in zip(p, sc.alphas)]
-            else:
-                md = random_md_feasible_both(rng, target)
-                p, _ = solve(build_macro_diversity(md), SolveConfig(tolerance=1e-12))
-                q, _ = solve(build_macro_diversity_transformed(md), SolveConfig(tolerance=1e-12))
-                mapped = [
-                    hi * pi / ai for hi, pi, ai in zip(md.gains.row_sums, p, md.alphas)
-                ]
-            for qi, mi in zip(q, mapped):
-                assert qi == pytest.approx(mi, rel=1e-8)
+    @settings(PROPERTY, max_examples=20)
+    @given(data=st.data())
+    def test_twenty_random_systems(self, data):
+        # solve's powers in original and transformed coordinates: q_j = h_j * p_j / alpha_j, with
+        # h_j the gain row sum in macro diversity and 1 in a single cell (received powers)
+        kind = data.draw(st.sampled_from(["single_cell", "macro_diversity"]))
+        options = ({"coordinates": "original"}, {"coordinates": "transformed"})
+        scenario = scaled(data.draw(scenarios_of(kind)), data.draw(st.floats(0.3, 0.95)), *options)
+        p, q = (solve(leave_one_out_map(scenario, **o), SolveConfig(tolerance=1e-12), trace=False)[0]
+                for o in options)
+        h = scenario.gains.row_sums if kind == "macro_diversity" else (1.0,) * scenario.n
+        for qi, pi, hi, ai in zip(q, p, h, scenario.alphas):
+            assert qi == pytest.approx(hi * pi / ai, rel=1e-8)
 
 
-POLICY_CASES = [case for case in sorted(MAP_CASES) if case != "multi_connection-exact_noiseless"]
+POLICY_CASES = [case for case in sorted(CASES) if case != "multi_connection-exact_noiseless"]
 AFFINE_CASES = ("fixed_assignment", "single_cell-original", "single_cell-transformed")
 MAX_CASES = ("macro_diversity-original", "macro_diversity-transformed", "multi_connection-bounded")
 
@@ -884,15 +803,9 @@ class TestPolicyIteration:
     config = SolveConfig(tolerance=1e-10)
 
     @staticmethod
-    def draws(case, count=6):
-        draw, options, build = MAP_CASES[case]
-        rng = np.random.default_rng(sorted(MAP_CASES).index(case) + 113)
-        for target in np.linspace(0.3, 0.99, count):
-            scenario = draw(rng)
-            lam = feasibility_formula(scenario, **options).modulus
-            alphas = QosVector(tuple(a * target / lam for a in scenario.alphas))
-            scenario = with_alphas(scenario, alphas)
-            yield leave_one_out_map(scenario, **options), build(scenario)
+    def draw(data, case):
+        """(array map, rule-object System) of ``case`` at lambda up to 0.99: policy iteration's cost stays flat."""
+        return data.draw(map_cases(case, top=0.99))[1:]
 
     def policy_solve(self, array_map, config=None):
         p, run = solve(array_map, config or self.config, trace=False)
@@ -901,46 +814,55 @@ class TestPolicyIteration:
         return p.as_array()
 
     @pytest.mark.parametrize("case", AFFINE_CASES)
-    def test_affine_maps_match_linear_oracle(self, case):
-        for array_map, system in self.draws(case):
-            exact = linear_oracle(*affine_parts(system)).as_array()
-            np.testing.assert_allclose(self.policy_solve(array_map), exact, rtol=0.0, atol=1e-9)
+    @PROPERTY
+    @given(data=st.data())
+    def test_affine_maps_match_linear_oracle(self, case, data):
+        array_map, system = self.draw(data, case)
+        exact = linear_oracle(*affine_parts(system)).as_array()
+        np.testing.assert_allclose(self.policy_solve(array_map), exact, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("case", MAX_CASES)
-    def test_max_maps_match_picard(self, case):
-        for array_map, _ in self.draws(case):
-            picard, trace = solve(array_map, self.config)
-            assert isinstance(trace.iterates, np.ndarray)
-            np.testing.assert_allclose(self.policy_solve(array_map), picard.as_array(),
-                                       rtol=0.0, atol=2 * self.config.tolerance)
+    @PROPERTY
+    @given(data=st.data())
+    def test_max_maps_match_picard(self, case, data):
+        array_map, _ = self.draw(data, case)
+        picard, trace = solve(array_map, self.config, force=True)
+        assert trace.solver == "picard" and isinstance(trace.iterates, np.ndarray)
+        np.testing.assert_allclose(self.policy_solve(array_map), picard.as_array(),
+                                   rtol=0.0, atol=2 * self.config.tolerance)
 
     @pytest.mark.parametrize("case", POLICY_CASES)
-    def test_start_point_does_not_matter(self, case):
-        for array_map, _ in self.draws(case, count=3):
-            from_zero = self.policy_solve(array_map)
-            above = PowerVector.full(array_map.n, 2.0 * float(from_zero.max()) + 1.0)
-            from_above = self.policy_solve(array_map, SolveConfig(self.config.tolerance, self.config.max_iter, above))
-            np.testing.assert_allclose(from_above, from_zero, rtol=0.0,
-                                       atol=2 * self.config.tolerance)
+    @settings(PROPERTY, max_examples=5)
+    @given(data=st.data())
+    def test_start_point_does_not_matter(self, case, data):
+        array_map, _ = self.draw(data, case)
+        from_zero = self.policy_solve(array_map)
+        above = PowerVector.full(array_map.n, 2.0 * float(from_zero.max()) + 1.0)
+        from_above = self.policy_solve(array_map, SolveConfig(self.config.tolerance, self.config.max_iter, above))
+        np.testing.assert_allclose(from_above, from_zero, rtol=0.0, atol=2 * self.config.tolerance)
 
     @pytest.mark.parametrize("case", POLICY_CASES)
-    def test_residual_bound_holds(self, case):
-        for array_map, system in self.draws(case):
-            lam = contraction_modulus(array_map).modulus
-            p = self.policy_solve(array_map)
-            assert sup_norm(array_map.step(p) - p) <= self.config.tolerance * (1.0 - lam)
-            # the rule objects, rounding their own way, agree within the tolerance
-            assert sup_norm(system.step(p) - p) <= self.config.tolerance
+    @PROPERTY
+    @given(data=st.data())
+    def test_residual_bound_holds(self, case, data):
+        array_map, system = self.draw(data, case)
+        lam = contraction_modulus(array_map).modulus
+        p = self.policy_solve(array_map)
+        assert sup_norm(array_map.step(p) - p) <= self.config.tolerance * (1.0 - lam)
+        # the rule objects, rounding their own way, agree within the tolerance
+        assert sup_norm(system.step(p) - p) <= self.config.tolerance
 
-    def test_order_statistics_and_forced_runs_keep_picard(self):
+    @settings(PROPERTY, max_examples=4)
+    @given(data=st.data())
+    def test_order_statistics_and_forced_runs_keep_picard(self, data):
         for case, force in (("multi_connection-exact_noiseless", False),
                             ("macro_diversity-transformed", True)):
-            for array_map, _ in self.draws(case, count=2):
-                traced_p, trace = solve(array_map, self.config, force=force)
-                p, run = solve(array_map, self.config, force=force, trace=False)
-                assert run.solver == "picard" and run.iterates is None
-                assert p == traced_p and run.deltas == trace.deltas
-                assert (run.converged, run.certified) == (trace.converged, trace.certified)
+            array_map, _ = self.draw(data, case)
+            traced_p, trace = solve(array_map, self.config, force=force)
+            p, run = solve(array_map, self.config, force=force, trace=False)
+            assert run.solver == "picard" and run.iterates is None
+            assert p == traced_p and run.deltas == trace.deltas
+            assert (run.converged, run.certified) == (trace.converged, trace.certified)
         assert leave_one_out_map(random_mc(np.random.default_rng(1), 0.5),
                                  noiseless=True).receiver_weights is None
 
