@@ -439,18 +439,22 @@ def _parse_function_spec(spec: str, dim: Optional[int]):
     """Returns (callable, dim, label) for the axiom checker."""
     from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
 
+    def number(field: str, raw: str) -> float:
+        try:
+            return float(raw)
+        except ValueError:
+            raise InvalidInputError(f"axioms: --function {spec!r}: {field} {raw!r} is not a number") from None
     if spec == "squared-l1":
         if dim is None:
             raise InvalidInputError("axioms: --dim is required for squared-l1")
         return _squared_l1, dim, "squared-l1"
     if spec.startswith("holder:"):
-        raw = spec.split(":", 1)[1]
-        p = math.inf if raw in ("inf", "infinity") else float(raw)
+        p = number("p", spec.split(":", 1)[1])  # float() reads "inf" and "infinity" too
         if dim is None:
             raise InvalidInputError("axioms: --dim is required for holder norms")
         return HolderNorm(p), dim, spec
     if spec.startswith("weighted:"):
-        weights = tuple(float(v) for v in spec.split(":", 1)[1].split(","))
+        weights = tuple(number("weight", v) for v in spec.split(":", 1)[1].split(","))
         f = WeightedAbsSum(weights)
         if dim is not None and dim != f.dim:
             raise InvalidInputError(f"axioms: --dim {dim} does not match {f.dim} weights")

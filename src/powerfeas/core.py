@@ -335,6 +335,7 @@ class SolveConfig(_Frozen):
 
 
 _CSV_CELLS = 1 << 18  # cells formatted and joined at once
+_FORK_CELLS = 1 << 15  # trace cells from which a forked helper repays its fork (~16k-24k reprs)
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

@@ -8,16 +8,17 @@ is unique and Picard iteration reaches it from any start; every run ends in
 one :class:`SolveRun`. Traced, ``solve`` is Picard iteration on the map's
 numpy ``step``, one reduction giving each step's size and finite check, and
 stacks each output array once into the run's ``(steps + 1, N)`` array, which
-``write_trace_csv`` formats row by row. Untraced, it keeps no iterates; a
-certified map that maximises over receivers (``receiver_weights``) is then
-solved by :func:`policy_iteration` in pure Python, numpy unloaded: a few
-K x K solves whatever the modulus, on sums with a ``math.fsum`` receiver
-total. Every other map runs the Picard loop.
+``write_trace_csv`` formats row by row, on two processes if large. Untraced,
+it keeps no iterates; a certified map that maximises over receivers
+(``receiver_weights``) is then solved by :func:`policy_iteration` in pure
+Python, numpy unloaded: a few K x K solves whatever the modulus, on sums with
+a ``math.fsum`` receiver total. Every other map runs the Picard loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from itertools import accumulate
 from operator import add, mul, sub, truediv
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from .core import (
     PowerVector,
     SolveConfig,
     _CSV_CELLS,
+    _FORK_CELLS,
     _Frozen,
     np,
 )
@@ -294,13 +296,40 @@ def rate_check(run: SolveRun, lam: float) -> bool:
 def write_trace_csv(run: SolveRun, path) -> None:
     """Dump a traced run as CSV: iter, p_1..p_N, delta (blank on row 0), each value its ``repr``.
 
-    The bytes are ``csv.writer``'s for the same strings; rows are formatted
-    and written about ``_CSV_CELLS`` values at a time.
+    The bytes are ``csv.writer``'s for the same strings. From ``_FORK_CELLS`` values on, with two or more
+    cores, a forked helper formats the second half of the rows; if fork or the helper fails, this process does.
     """
     rows, n = run.iterates.shape
     deltas, step = ["", *map(repr, run.deltas)], max(1, _CSV_CELLS // n)
+
+    def _trace_lines(start: int, stop: int):
+        for lo in range(start, stop, step):
+            chunk = enumerate(run.iterates[lo:min(lo + step, stop)].tolist(), lo)
+            yield "".join(f"{t},{','.join(map(repr, row))},{deltas[t]}\r\n" for t, row in chunk)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    half = rows // 2 if rows * n >= _FORK_CELLS and cores >= 2 and hasattr(os, "fork") else rows
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["iter", *(f"p_{i + 1}" for i in range(n)), "delta"]) + "\r\n")
-        for start in range(0, rows, step):
-            chunk = enumerate(run.iterates[start:start + step].tolist(), start)
-            fh.write("".join(f"{t},{','.join(map(repr, row))},{deltas[t]}\r\n" for t, row in chunk))
+        print(",".join(["iter", *(f"p_{i + 1}" for i in range(n)), "delta"]), end="\r\n", file=fh, flush=True)
+        read, write = os.pipe()
+        try:
+            pid = os.fork() if half < rows else -1
+        except OSError:
+            pid = -1
+        if pid == 0:  # the helper: touches only its pipe and leaves by os._exit, 0 once all is sent
+            try:
+                os.close(read)
+                text = "".join(_trace_lines(half, rows)).encode("ascii")
+                os._exit(0 if os.write(write, text) == len(text) else 1)
+            finally:
+                os._exit(1)
+        os.close(write)
+        pipe = open(read, "rb")
+        try:
+            fh.writelines(_trace_lines(0, half))
+            sent = pipe.read()  # at once b"" without a helper: nothing else holds the write end
+        finally:  # the pipe closes before the wait, so a helper still writing gets EPIPE
+            pipe.close()
+            status = os.waitpid(pid, 0)[1] if pid > 0 else 1
+        whole = status == 0 and sent.count(b"\n") == rows - half
+        fh.write(sent.decode("ascii") if whole else "".join(_trace_lines(half, rows)))

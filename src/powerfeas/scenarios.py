@@ -172,10 +172,6 @@ class MultiConnection(_Frozen):
     def receivers(self) -> int:
         return len(self.gains)
 
-    def reference_gain(self, j: int) -> float:
-        """d_j-th largest gain of terminal j; the bounded mode divides by it."""
-        return self.reference_gains[j]
-
 
 _CHUNK = 1 << 16  # (terminal, receiver, point) sums the kernel holds at once: 0.5 MB, cache-sized
 

@@ -672,6 +672,16 @@ class TestAxioms:
         assert main(["axioms", "--function", f"norm-of-norms:{spec_path}"]) == 1
         assert capsys.readouterr().err == f"error: norm-of-norms file {spec_path}: {fault}\n"
 
+    @pytest.mark.parametrize("spec, fault", [
+        ("weighted:x", "weight 'x'"),
+        ("weighted:", "weight ''"),
+        ("holder:abc", "p 'abc'"),
+        ("holder:", "p ''"),
+    ])
+    def test_inline_spec_errors_name_the_spec_and_the_field(self, capsys, spec, fault):
+        assert main(["axioms", "--function", spec, "--dim", "2"]) == 1
+        assert capsys.readouterr().err == f"error: axioms: --function {spec!r}: {fault} is not a number\n"
+
     def test_unknown_spec(self):
         assert main(["axioms", "--function", "mystery", "--dim", "2"]) == 1
 

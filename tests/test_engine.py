@@ -1,6 +1,8 @@
 import csv
+import errno
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +20,10 @@ from powerfeas.core import (
     PowerVector,
     QosVector,
     GainMatrix,
+    _FORK_CELLS,
     sup_norm,
 )
+from powerfeas import engine
 from powerfeas.engine import (
     SolveConfig,
     SolveRun,
@@ -246,6 +250,50 @@ class TestAffineParts:
             affine_parts(system)
 
 
+def _csv_writer_bytes(trace, path) -> bytes:
+    """The trace as ``csv.writer`` writes it, each value its ``repr``: the reference bytes."""
+    n = trace.iterates.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter"] + [f"p_{i + 1}" for i in range(n)] + ["delta"])
+        for t, row in enumerate(trace.iterates):
+            delta = "" if t == 0 else repr(trace.deltas[t - 1])
+            writer.writerow([t] + [repr(float(v)) for v in row] + [delta])
+    return path.read_bytes()
+
+
+def _written_bytes(trace, path) -> bytes:
+    """``write_trace_csv``'s bytes; it leaves no child process and no open descriptor behind."""
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    write_trace_csv(trace, path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert fds is None or sorted(os.listdir("/proc/self/fd")) == fds
+    return path.read_bytes()
+
+
+def _random_run(rows, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return SolveRun(tuple(rng.uniform(0.0, 1.0, rows - 1).tolist()), False, 1e-10, True, "picard",
+                    iterates=rng.uniform(0.0, 2.0, (rows, n)) * rng.choice([1e-300, 1.0, 1e300], (rows, n)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers ``write_trace_csv`` forks, on a process that may use two cores."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    return pids
+
+
 class TestTraceCsv:
     def test_columns_and_rows(self, tmp_path):
         system = build_single_cell_received(PAIR_CELL)
@@ -259,7 +307,7 @@ class TestTraceCsv:
         assert first[0] == "0" and first[-1] == ""
 
     @pytest.mark.parametrize("which", ["converged", "partial", "signed_zero", "deck_shaped"])
-    def test_bytes_equal_csv_writer_with_repr(self, tmp_path, which):
+    def test_bytes_equal_csv_writer_with_repr(self, tmp_path, forks, which):
         if which == "deck_shaped":  # N=200 at lambda 0.96: several hundred distinct-valued rows
             gains = tuple(np.random.default_rng(7).uniform(0.2, 1.0, 200).tolist())
             cell = SingleCell(alphas=QosVector((0.96 / 199,) * 200), gains=gains, sigma=1.0)
@@ -277,16 +325,96 @@ class TestTraceCsv:
                 solve(build_macro_diversity_transformed(symmetric_3x2(1.5)),
                       SolveConfig(max_iter=40), force=True)
             trace = excinfo.value.trace
-        path, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
-        write_trace_csv(trace, path)
-        n = trace.iterates.shape[1]
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter"] + [f"p_{i + 1}" for i in range(n)] + ["delta"])
-            for t, row in enumerate(trace.iterates):
-                delta = "" if t == 0 else repr(trace.deltas[t - 1])
-                writer.writerow([t] + [repr(float(v)) for v in row] + [delta])
-        assert path.read_bytes() == reference.read_bytes()
+        written = _written_bytes(trace, tmp_path / "trace.csv")
+        assert written == _csv_writer_bytes(trace, tmp_path / "reference.csv")
+        assert len(forks) == (which == "deck_shaped")  # only the deck-sized trace is worth a helper
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("forced", [False, True], ids=["serial", "forked"])
+    def test_few_rows_on_either_path(self, tmp_path, forks, monkeypatch, rows, forced):
+        if forced:
+            monkeypatch.setattr(engine, "_FORK_CELLS", 1)
+        trace = _random_run(rows, 3)
+        assert _written_bytes(trace, tmp_path / "trace.csv") == _csv_writer_bytes(trace, tmp_path / "ref.csv")
+        assert len(forks) == forced
+
+    @pytest.mark.parametrize("side", ["below", "at"])
+    def test_fork_threshold(self, tmp_path, forks, side):
+        n = 128
+        rows = _FORK_CELLS // n - (side == "below")
+        trace = _random_run(rows, n, seed=rows)
+        assert _written_bytes(trace, tmp_path / "trace.csv") == _csv_writer_bytes(trace, tmp_path / "ref.csv")
+        assert len(forks) == (side == "at")
+
+    def test_one_core_formats_in_one_process(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        trace = _random_run(_FORK_CELLS // 100 + 1, 100)
+        assert _written_bytes(trace, tmp_path / "trace.csv") == _csv_writer_bytes(trace, tmp_path / "ref.csv")
+        assert forks == []
+
+    def test_failed_fork_formats_in_one_process(self, tmp_path, forks, monkeypatch):
+        def fork():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(os, "fork", fork)
+        trace = _random_run(_FORK_CELLS // 100 + 1, 100)
+        assert _written_bytes(trace, tmp_path / "trace.csv") == _csv_writer_bytes(trace, tmp_path / "ref.csv")
+
+    def test_error_here_stops_a_blocked_helper(self, tmp_path, forks, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        parent = os.getpid()
+
+        def repr_until_forked(value):  # this process fails once a helper is formatting
+            if forks and os.getpid() == parent:
+                raise Stop
+            return repr(value)
+
+        def hung(*_):
+            raise AssertionError("write_trace_csv waits on a helper blocked on its pipe")
+
+        monkeypatch.setattr(engine, "repr", repr_until_forked, raising=False)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:  # the helper's ~0.7 MB overfill the pipe: it blocks until the pipe closes
+            with pytest.raises(Stop):
+                _written_bytes(_random_run(301, 150), tmp_path / "trace.csv")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failure", ["closes_early", "short_pipe", "exits_nonzero"])
+    def test_failed_helper_is_replaced(self, tmp_path, forks, monkeypatch, failure):
+        trace = _random_run(301, 150, seed=3)
+        reference = _csv_writer_bytes(trace, tmp_path / "ref.csv")
+        second_half = reference[reference.index(b"\r\n150,") + 2:]
+        sent, status = {
+            "closes_early": (b"", 0),
+            "short_pipe": (second_half[:len(second_half) // 2], 0),
+            "exits_nonzero": (second_half.replace(b"1", b"2"), 3),  # every row, but wrong
+        }[failure]
+        real_fork, real_pipe, fds = os.fork, os.pipe, []
+
+        def pipe():
+            fds[:] = real_pipe()
+            return tuple(fds)
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:  # the helper sends ``sent`` instead of its rows
+                os.close(fds[0])
+                os.write(fds[1], sent)
+                os._exit(status)
+            return pid
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        assert _written_bytes(trace, tmp_path / "trace.csv") == reference
 
 
 class TestSolveRun:

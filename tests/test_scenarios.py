@@ -400,8 +400,8 @@ class TestMultiConnection:
             d=(1, 1),
             noise=NoiseVector((1.0, 1.0)),
         )
-        assert mc.reference_gain(0) == 1.0
-        assert mc.reference_gain(1) == 2.0
+        assert mc.reference_gains[0] == 1.0
+        assert mc.reference_gains[1] == 2.0
         assert mc.reference_gains == (1.0, 2.0)
 
     def test_exact_mode_has_no_offset(self):
