@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "capacity": (
         "RegionCloud", "RegionComparison", "RegionSpec", "compare_regions", "evaluate_predicate",
-        "export_cloud", "export_inequalities", "region_inequalities", "sample_region",
+        "export_cloud", "export_inequalities", "hanly", "region_inequalities", "sample_region",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -16,6 +16,8 @@ modulus is max over k of (alpha_j / D[k][j]) * s[k][j], ``check``'s products
 in ``check``'s order. Either way a grid point gets the moduli ``check``
 reports at those targets. The inequality export emits the kernel's sums at
 the unit vectors, or one box row per terminal; ``core.write_csv`` writes both.
+A region is compared with any verdicts on its cloud's own points, such as the
+gain-blind baseline :func:`hanly`, sum(alpha) < K.
 """
 
 from __future__ import annotations
@@ -29,43 +31,33 @@ from .scenarios import _coefficients, _loo, _loo_sums, _point_sums
 MAX_GRID_DIM = 4
 
 
-class RegionSpec:
+class RegionSpec(_Frozen):
     """The targets at which ``check`` certifies a scenario, on a grid of ``resolution`` per axis.
 
     Takes the map options ``feasibility_formula`` takes and reads the map's
     coefficients at unit targets; ``receivers`` is the map's row count K.
     ``_kernel`` is (G, W, order, None) when the targets scale G, and (s, None,
-    None, D) when they enter W, s the sums of G at the all-ones vector.
-    :meth:`hanly` is the gain-blind baseline sum(alpha) < K, from n and K alone.
+    None, D) when they enter W, s the sums of G at the all-ones vector. Both
+    are derived once here, and equality does not compare them.
     """
 
     def __init__(self, scenario, *, coordinates: str = "transformed", noiseless: bool = False,
                  resolution: int, alpha_max: float):
-        self._grid_fields(scenario.n, resolution, alpha_max)
-        G, _, W, order, _, D = _coefficients(scenario, coordinates, noiseless, unit_targets=True)
-        if D is not None:
-            G = _point_sums(G, [1.0] * self.n)
-        self.receivers = len(G)
-        self._kernel = tuple(None if v is None else np.array(v) for v in (G, W, order, D))
-
-    @classmethod
-    def hanly(cls, n: int, receivers: int, *, resolution: int, alpha_max: float) -> "RegionSpec":
-        """The gain-blind baseline sum(alpha) < K on the same kind of grid."""
-        spec = cls.__new__(cls)
-        spec._grid_fields(n, resolution, alpha_max)
-        spec.receivers, spec._kernel = int(receivers), None
-        if spec.receivers < 1:
-            raise InvalidInputError("RegionSpec: hanly needs at least one receiver")
-        return spec
-
-    def _grid_fields(self, n, resolution, alpha_max) -> None:
-        self.n, self.resolution, self.alpha_max = int(n), int(resolution), float(alpha_max)
-        if self.n < 1:
-            raise InvalidInputError("RegionSpec: need at least one axis")
+        self._set(scenario=scenario, coordinates=coordinates, noiseless=noiseless,
+                  resolution=int(resolution), alpha_max=float(alpha_max))
         if self.resolution < 2:
             raise InvalidInputError("RegionSpec: resolution must be >= 2")
         if not math.isfinite(self.alpha_max) or self.alpha_max <= 0.0:
             raise InvalidInputError(f"RegionSpec: alpha_max must be finite and > 0, got {self.alpha_max}")
+        G, _, W, order, _, D = _coefficients(scenario, coordinates, noiseless, unit_targets=True)
+        if D is not None:
+            G = _point_sums(G, [1.0] * self.n)
+        object.__setattr__(self, "receivers", len(G))  # derived: not compared
+        object.__setattr__(self, "_kernel", tuple(None if v is None else np.array(v) for v in (G, W, order, D)))
+
+    @property
+    def n(self) -> int:
+        return self.scenario.n
 
     def moduli(self, pts: np.ndarray) -> np.ndarray:
         """Per-terminal moduli (P x N) at points (P x N): ``check``'s at those targets."""
@@ -90,13 +82,6 @@ class RegionSpec:
         axes = np.meshgrid(*([self.axis_values()] * self.n), indexing="ij")
         return np.stack(axes, axis=-1).reshape(-1, self.n)
 
-    def same_grid(self, other: "RegionSpec") -> bool:
-        return (
-            self.n == other.n
-            and self.resolution == other.resolution
-            and self.alpha_max == other.alpha_max
-        )
-
 
 def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
     """Vectorised predicate over rows of ``alphas`` (shape (P, n)): every modulus < 1."""
@@ -105,10 +90,12 @@ def evaluate_predicate(spec: RegionSpec, alphas: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"evaluate_predicate: points have {pts.shape[1]} axes, spec has {spec.n}"
         )
-
-    if spec._kernel is None:
-        return pts.sum(axis=1) < spec.receivers
     return (spec.moduli(pts) < 1.0).all(axis=1)
+
+
+def hanly(alphas: np.ndarray, receivers: int) -> np.ndarray:
+    """The gain-blind baseline over rows of ``alphas``: sum(alpha) < K, boundary excluded."""
+    return np.atleast_2d(np.asarray(alphas, dtype=float)).sum(axis=1) < receivers
 
 
 class RegionCloud(_Frozen):
@@ -138,9 +125,9 @@ def sample_region(spec: RegionSpec, *, allow_large: bool = False) -> RegionCloud
 
 
 class RegionComparison(_Frozen):
-    """Set relation between two clouds on the same grid, decided by its witnesses.
+    """Set relation between two regions on the same grid points, decided by its witnesses.
 
-    A witness is a grid point feasible in one cloud only; None when there is none.
+    A witness is a grid point feasible in one region only; None when there is none.
     """
 
     def __init__(self, witness_a_not_b: Optional[tuple[float, ...]],
@@ -166,19 +153,17 @@ class RegionComparison(_Frozen):
         return "incomparable"
 
 
-def compare_regions(a: RegionCloud, b: RegionCloud) -> RegionComparison:
-    """Compare feasible sets pointwise; witnesses are the first grid points
-    (lexicographic) feasible on one side only."""
-    if not a.spec.same_grid(b.spec):
-        raise InvalidInputError("compare_regions: clouds were sampled on different grids")
-    only_a = a.feasible & ~b.feasible
-    only_b = b.feasible & ~a.feasible
-    idx_a = int(np.argmax(only_a)) if only_a.any() else None
-    idx_b = int(np.argmax(only_b)) if only_b.any() else None
-    return RegionComparison(
-        witness_a_not_b=None if idx_a is None else tuple(float(v) for v in a.alphas[idx_a]),
-        witness_b_not_a=None if idx_b is None else tuple(float(v) for v in b.alphas[idx_b]),
-    )
+def compare_regions(cloud: RegionCloud, verdicts: np.ndarray) -> RegionComparison:
+    """Compare the cloud's feasible set (a) with ``verdicts`` (b), one bool per cloud point;
+    witnesses are the first grid points (lexicographic) feasible on one side only."""
+    verdicts = np.asarray(verdicts, dtype=bool)
+    if verdicts.shape != cloud.feasible.shape:
+        raise InvalidInputError(
+            f"compare_regions: {verdicts.shape} verdicts for a cloud of {len(cloud.feasible)} points"
+        )
+    witnesses = [tuple(map(float, cloud.alphas[np.argmax(only)])) if only.any() else None
+                 for only in (cloud.feasible & ~verdicts, verdicts & ~cloud.feasible)]
+    return RegionComparison(*witnesses)
 
 
 def export_cloud(cloud: RegionCloud, path) -> None:
@@ -199,8 +184,6 @@ def region_inequalities(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
     smallest (the exact multi-connection map) makes the region a union of
     such systems, with no single inequality list, so this raises instead.
     """
-    if spec._kernel is None:
-        return np.ones((1, spec.n)), np.array([float(spec.receivers)])
     G, _, order, D = spec._kernel
     if order is not None:
         raise InvalidInputError(

@@ -124,14 +124,16 @@ class ScenarioConfig:
     the scenario types check shapes and values when :meth:`scenario` builds
     one, for every command. Holds user-level values (1-based receiver
     indices in ``assignment``); conversion to 0-based happens there too.
+    ``receivers`` is the K that loading reads off the gains' shape.
     """
 
-    def __init__(self, kind: str, alphas: tuple[float, ...], gains: tuple,
+    def __init__(self, kind: str, alphas: tuple[float, ...], gains: tuple, receivers: int,
                  sigma: tuple[float, ...] | float, assignment: Optional[tuple[int, ...]] = None,
                  d: Optional[tuple[int, ...]] = None, mode: Optional[str] = None,
                  coordinates: Optional[str] = None, solver: Optional[SolveConfig] = None):
         self.kind, self.alphas, self.gains, self.sigma = kind, alphas, gains, sigma
-        self.assignment, self.d, self.mode, self.coordinates = assignment, d, mode, coordinates
+        self.receivers, self.assignment, self.d, self.mode = receivers, assignment, d, mode
+        self.coordinates = coordinates
         self.solver = SolveConfig() if solver is None else solver
 
     @classmethod
@@ -227,21 +229,13 @@ class ScenarioConfig:
             if solver.initial is not None and len(solver.initial) != n:
                 raise InvalidInputError("config: solver.initial needs one power per terminal")
 
-        return cls(kind=kind, alphas=alphas, gains=gains, sigma=sigma,
+        return cls(kind=kind, alphas=alphas, gains=gains, receivers=k, sigma=sigma,
                    assignment=assignment, d=d, mode=mode,
                    coordinates=coordinates, solver=solver)
 
     @property
     def n(self) -> int:
         return len(self.alphas)
-
-    @property
-    def receivers(self) -> int:
-        if self.kind == "single_cell":
-            return 1
-        if self.kind == "macro_diversity":
-            return len(self.gains[0])
-        return len(self.gains)
 
     def scenario(self):
         qos = QosVector(self.alphas)
@@ -400,7 +394,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_region(args) -> int:
-    from .capacity import RegionSpec
+    from .capacity import RegionSpec, hanly
 
     config = load_config(args.config)
     alpha_max = args.alpha_max if args.alpha_max is not None else float(config.receivers + 1)
@@ -413,9 +407,7 @@ def cmd_region(args) -> int:
         export_inequalities(spec, args.inequalities)
         print(f"wrote inequality rows to {args.inequalities}")
     if args.compare:
-        baseline = RegionSpec.hanly(spec.n, spec.receivers, resolution=args.resolution,
-                                    alpha_max=alpha_max)
-        comparison = compare_regions(cloud, sample_region(baseline, allow_large=args.force_dim))
+        comparison = compare_regions(cloud, hanly(cloud.alphas, spec.receivers))
         label = f"hanly(K={spec.receivers})"
         wording = {
             "equal": f"equal to {label}",

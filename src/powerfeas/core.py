@@ -192,7 +192,7 @@ class GainMatrix(_Frozen):
     """Linear channel gains ``h``, one row per terminal, one column per receiver.
 
     Individual entries may be zero (a terminal out of range of a receiver)
-    but every row must have a positive sum so relative gains are defined.
+    but every row must have a positive, finite sum so relative gains are defined.
     """
 
     def __init__(self, h):
@@ -200,6 +200,8 @@ class GainMatrix(_Frozen):
         for i, total in enumerate(self.row_sums):
             if total <= 0.0:
                 raise InvalidInputError(f"GainMatrix: row {i + 1} sums to zero; terminal unreachable")
+            if not math.isfinite(total):
+                raise InvalidInputError(f"GainMatrix: row {i + 1} sum overflows float64")
         for i, grow in enumerate(self.relative):
             if abs(sum(grow) - 1.0) > 1e-12:
                 raise InvalidInputError(f"GainMatrix: relative gains of row {i + 1} do not sum to 1")

@@ -15,6 +15,7 @@ from powerfeas.capacity import (
     RegionSpec,
     compare_regions,
     evaluate_predicate,
+    hanly,
     sample_region,
 )
 from powerfeas.core import (
@@ -159,15 +160,14 @@ def test_symmetric_macro_diversity_exact():
     md = symmetric_md(0.99)
     system = build_macro_diversity_transformed(md)
     # warm-up so the timed section measures the checks, not import costs
-    baseline = RegionSpec.hanly(3, 2, resolution=2, alpha_max=1.0)
     targets = np.array([[0.99, 0.99, 0.99]])
     feasibility_formula(md)
     contraction_modulus(system)
-    evaluate_predicate(baseline, targets)
+    hanly(targets, 2)
 
     start = time.perf_counter()
     formula = feasibility_formula(md)
-    baseline_admits = evaluate_predicate(baseline, targets)[0]
+    baseline_admits = hanly(targets, 2)[0]
     elapsed = time.perf_counter() - start
 
     engine = contraction_modulus(system)
@@ -189,18 +189,17 @@ def test_degenerate_third_receiver():
     # the deaf third receiver leaves the admission condition unchanged
     assert np.array_equal(cloud_true.feasible, sample_region(spec_two).feasible)
 
-    inflated = sample_region(RegionSpec.hanly(3, 3, resolution=31, alpha_max=3.0))
-    comparison = compare_regions(cloud_true, inflated)
+    comparison = compare_regions(cloud_true, hanly(cloud_true.alphas, 3))
     assert comparison.a_subset_b
     assert not comparison.b_subset_a  # the gain-blind baseline over-admits
     witness = comparison.witness_b_not_a
     assert witness is not None
-    assert evaluate_predicate(inflated.spec, np.array([witness]))[0]
+    assert hanly(np.array([witness]), 3)[0]
     assert not evaluate_predicate(spec_true, np.array([witness]))[0]
 
     # the named separating point, verified by predicate evaluation
     point = np.array([[1.4, 1.4, 0.1]])
-    assert evaluate_predicate(inflated.spec, point)[0]  # 2.9 < 3
+    assert hanly(point, 3)[0]  # 2.9 < 3
     assert not evaluate_predicate(spec_true, point)[0]  # (1.4 + 1.4)/2 = 1.4 >= 1
 
 
@@ -215,16 +214,18 @@ def test_asymmetric_boundary_and_comparison():
     assert not feasibility_formula(asymmetric_md((1.01, 1.01, 0.67))).feasible
 
     spec_macro = RegionSpec(asymmetric_md((0.5, 0.5, 0.5)), resolution=41, alpha_max=3.0)
-    spec_hanly = RegionSpec.hanly(3, 2, resolution=41, alpha_max=3.0)
-    comparison = compare_regions(sample_region(spec_macro), sample_region(spec_hanly))
+    cloud = sample_region(spec_macro)
+    comparison = compare_regions(cloud, hanly(cloud.alphas, 2))
     assert comparison.relation == "incomparable"
+    in_macro = functools.partial(evaluate_predicate, spec_macro)
+    in_hanly = functools.partial(hanly, receivers=2)
     for witness, inside, outside in (
-        (comparison.witness_a_not_b, spec_macro, spec_hanly),
-        (comparison.witness_b_not_a, spec_hanly, spec_macro),
+        (comparison.witness_a_not_b, in_macro, in_hanly),
+        (comparison.witness_b_not_a, in_hanly, in_macro),
     ):
         assert witness is not None
-        assert evaluate_predicate(inside, np.array([witness]))[0]
-        assert not evaluate_predicate(outside, np.array([witness]))[0]
+        assert inside(np.array([witness]))[0]
+        assert not outside(np.array([witness]))[0]
     assert time.perf_counter() - start < 10.0
 
 

@@ -1,6 +1,7 @@
 import csv
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from powerfeas.capacity import (
     evaluate_predicate,
     export_cloud,
     export_inequalities,
+    hanly,
     region_inequalities,
     sample_region,
 )
@@ -56,10 +58,6 @@ def multi(gains, d):
     return MultiConnection(QosVector((0.1,) * len(d)), gains, d, NoiseVector((1.0,) * len(gains)))
 
 
-def spec_hanly(receivers, resolution=31, alpha_max=3.0):
-    return RegionSpec.hanly(3, receivers, resolution=resolution, alpha_max=alpha_max)
-
-
 def spec_macro(gains, resolution=31, alpha_max=3.0):
     return RegionSpec(macro(gains), resolution=resolution, alpha_max=alpha_max)
 
@@ -86,18 +84,19 @@ class TestGrid:
         assert cloud.spec.point_count == 32
 
     def test_resolution_61_point_count(self):
-        spec = spec_hanly(2, resolution=61)
+        spec = spec_macro(SYMMETRIC_GAINS, resolution=61)
         assert spec.point_count == 226_981
 
 
 class TestPredicates:
     def test_hanly_simplex_with_boundary_excluded(self):
-        spec = spec_hanly(2)
-        cloud = sample_region(spec)
-        sums = cloud.alphas.sum(axis=1)
-        assert np.array_equal(cloud.feasible, sums < 2.0)
+        pts = spec_macro(SYMMETRIC_GAINS).grid()
+        verdicts = hanly(pts, 2)
+        assert verdicts.dtype == bool and verdicts.shape == (31**3,)
+        assert verdicts.tolist() == [sum(row) < 2.0 for row in pts.tolist()]
         for corner in ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)):
-            assert not evaluate_predicate(spec, np.array([corner]))[0]
+            assert not hanly(np.array([corner]), 2)[0]
+            assert hanly(np.array([corner]), 3)[0]
 
     def test_simple_is_leave_one_out(self):
         spec = RegionSpec(single_cell(3), resolution=11, alpha_max=1.5)
@@ -163,17 +162,17 @@ class TestPredicates:
         specs = [
             RegionSpec(single_cell(3), resolution=2, alpha_max=2.0),
             spec_macro(ASYMMETRIC_GAINS),
-            spec_hanly(2),
             RegionSpec(multi(((1.0, 0.5, 0.8), (0.4, 1.2, 0.6)), (2, 1, 2)),
                        resolution=2, alpha_max=2.0),
             RegionSpec(multi(((1.0, 0.5, 0.8), (0.4, 1.2, 0.6)), (2, 1, 2)), noiseless=True,
                        resolution=2, alpha_max=2.0),
         ]
-        for spec in specs:
+        predicates = [partial(evaluate_predicate, spec) for spec in specs] + [partial(hanly, receivers=2)]
+        for predicate in predicates:
             pts = rng.uniform(0.0, 2.0, size=(300, 3))
-            feas = evaluate_predicate(spec, pts)
+            feas = predicate(pts)
             shrink = pts * rng.uniform(0.0, 1.0, size=pts.shape)
-            feas_shrunk = evaluate_predicate(spec, shrink)
+            feas_shrunk = predicate(shrink)
             assert np.all(feas_shrunk[feas])  # shrinking targets keeps feasibility
 
     def test_mc_exact_memory_bounded_across_chunks(self):
@@ -306,45 +305,54 @@ class TestCompare:
 
     def test_symmetric_baseline_strictly_inside(self):
         macro = sample_region(spec_macro(SYMMETRIC_GAINS, resolution=101))
-        baseline = sample_region(spec_hanly(2, resolution=101))
-        comparison = compare_regions(macro, baseline)
+        comparison = compare_regions(macro, hanly(macro.alphas, 2))
         assert comparison.relation == "b_subset_a"  # hanly inside macro-diversity
         witness = comparison.witness_a_not_b
         assert witness is not None
         assert evaluate_predicate(macro.spec, np.array([witness]))[0]
-        assert not evaluate_predicate(baseline.spec, np.array([witness]))[0]
+        assert not hanly(np.array([witness]), 2)[0]
         # the named separating point works too
         point = np.array([[0.99, 0.99, 0.99]])
         assert evaluate_predicate(macro.spec, point)[0]
-        assert not evaluate_predicate(baseline.spec, point)[0]
+        assert not hanly(point, 2)[0]
 
     def test_degenerate_receiver_not_contained_in_true_region(self):
         macro = sample_region(spec_macro(DEGENERATE_GAINS))
-        inflated = sample_region(spec_hanly(3))
-        comparison = compare_regions(macro, inflated)
+        comparison = compare_regions(macro, hanly(macro.alphas, 3))
         assert comparison.a_subset_b  # true region inside the inflated baseline
         assert not comparison.b_subset_a
         witness = comparison.witness_b_not_a
         assert witness is not None
-        assert evaluate_predicate(inflated.spec, np.array([witness]))[0]
+        assert hanly(np.array([witness]), 3)[0]
         assert not evaluate_predicate(macro.spec, np.array([witness]))[0]
         # verified instance of the gap, not assumed:
         point = np.array([[1.4, 1.4, 0.1]])
-        assert evaluate_predicate(inflated.spec, point)[0]
+        assert hanly(point, 3)[0]
         assert not evaluate_predicate(macro.spec, point)[0]
 
     def test_asymmetric_incomparable(self):
         macro = sample_region(spec_macro(ASYMMETRIC_GAINS, resolution=41))
-        baseline = sample_region(spec_hanly(2, resolution=41))
-        comparison = compare_regions(macro, baseline)
+        comparison = compare_regions(macro, hanly(macro.alphas, 2))
         assert comparison.relation == "incomparable"
+        in_macro, in_hanly = partial(evaluate_predicate, macro.spec), partial(hanly, receivers=2)
         for witness, inside, outside in (
-            (comparison.witness_a_not_b, macro.spec, baseline.spec),
-            (comparison.witness_b_not_a, baseline.spec, macro.spec),
+            (comparison.witness_a_not_b, in_macro, in_hanly),
+            (comparison.witness_b_not_a, in_hanly, in_macro),
         ):
             assert witness is not None
-            assert evaluate_predicate(inside, np.array([witness]))[0]
-            assert not evaluate_predicate(outside, np.array([witness]))[0]
+            assert inside(np.array([witness]))[0]
+            assert not outside(np.array([witness]))[0]
+
+    def test_witnesses_are_the_first_points_on_one_side_only(self):
+        cloud = sample_region(spec_macro(ASYMMETRIC_GAINS, resolution=5))
+        verdicts = cloud.feasible.copy()
+        assert compare_regions(cloud, verdicts).relation == "equal"
+        inside, outside = np.flatnonzero(cloud.feasible)[[1, 3]], np.flatnonzero(~cloud.feasible)[[2, 4]]
+        verdicts[inside], verdicts[outside] = False, True
+        comparison = compare_regions(cloud, verdicts)
+        assert comparison.witness_a_not_b == tuple(cloud.alphas[inside[0]].tolist())
+        assert comparison.witness_b_not_a == tuple(cloud.alphas[outside[0]].tolist())
+        assert comparison.relation == "incomparable"
 
     def test_relation_follows_the_witnesses(self):
         for witnesses, relation in (((None, None), "equal"), (((1.0,), None), "b_subset_a"),
@@ -353,11 +361,12 @@ class TestCompare:
             assert comparison.relation == relation
             assert (comparison.a_subset_b, comparison.b_subset_a) == (witnesses[0] is None, witnesses[1] is None)
 
-    def test_grid_mismatch_rejected(self):
-        a = sample_region(spec_hanly(2, resolution=11))
-        b = sample_region(spec_hanly(2, resolution=13))
-        with pytest.raises(InvalidInputError):
-            compare_regions(a, b)
+    def test_shape_mismatch_rejected(self):
+        a = sample_region(spec_macro(SYMMETRIC_GAINS, resolution=11))
+        b = sample_region(spec_macro(SYMMETRIC_GAINS, resolution=13))
+        for verdicts in (b.feasible, hanly(b.alphas, 2), a.feasible[:-1], a.feasible[:, None]):
+            with pytest.raises(InvalidInputError, match="^compare_regions: "):
+                compare_regions(a, verdicts)
 
 
 class TestExport:
@@ -420,10 +429,6 @@ class TestExport:
         assert coefs[0, 1] == pytest.approx(1.0 / 3.0)
         assert coefs[0, 2] == pytest.approx(0.5)
         assert rhs[0] == 1.0
-
-    def test_inequalities_hanly(self):
-        coefs, rhs = region_inequalities(spec_hanly(2))
-        assert coefs.tolist() == [[1.0, 1.0, 1.0]] and rhs.tolist() == [2.0]
 
     def test_inequalities_mc_exact_unavailable(self):
         spec = RegionSpec(multi(((1.0, 0.5), (0.4, 1.2)), (1, 1)), noiseless=True,

@@ -238,11 +238,14 @@ def test_one_terminal_exit_one(tmp_path, capsys, kind):
      "NoiseVector: noise power for receiver 2 must be finite and >= 0, got nan"),
     (dict(symmetric_doc(), sigma=[1.0]), "MacroDiversity: one noise power per receiver required"),
     (dict(symmetric_doc(), gains=[[1.0, 1.0], [1.0, 1.0]]), "MacroDiversity: one gain row per terminal required"),
+    (dict(symmetric_doc(), gains=[[1e308, 1e308], [1.0, 1.0], [1.0, 1.0]]),
+     "GainMatrix: row 1 sum overflows float64"),
     (dict(multi_connection_doc(), gains=[[1.0, 0.5, 0.2], [0.3, 1.0]]),
      "MultiConnection gains: row 2 has length 2, expected 3"),
     (dict(multi_connection_doc(), sigma=[1.0]), "MultiConnection: one noise power per receiver required"),
 ], ids=["sc_zero_gain", "sc_negative_sigma", "sc_gain_count", "negative_target", "zero_target",
-        "md_nan_noise", "md_short_sigma", "md_gain_rows", "mc_ragged_gains", "mc_short_sigma"])
+        "md_nan_noise", "md_short_sigma", "md_gain_rows", "md_row_sum_overflow", "mc_ragged_gains",
+        "mc_short_sigma"])
 def test_malformed_configs_fail_alike_on_every_command(tmp_path, capsys, doc, message):
     # the scenario types check every command's input: region once skipped them
     path = write_config(tmp_path, doc)
@@ -541,6 +544,46 @@ class TestRegion:
         out = capsys.readouterr().out
         assert code == 0
         assert "hanly(K=2) contained in scenario region" in out
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in REPO_CONFIGS.glob("*.json")))
+    def test_compare_prints_the_relation_of_the_written_cloud(self, tmp_path, capsys, name):
+        # recomputed from the CSV alone: the baseline is sum(alpha) < K on the cloud's points
+        doc = json.loads((REPO_CONFIGS / name).read_text())
+        gains = doc["gains"]  # K: one for a single cell, columns for macro diversity, else rows
+        k = 1 if doc["scenario"] == "single_cell" else len(gains[0] if doc["scenario"] == "macro_diversity" else gains)
+        cloud = tmp_path / "cloud.csv"
+        assert main(["region", str(REPO_CONFIGS / name), "--resolution", "21", "--out", str(cloud),
+                     "--compare", "hanly"]) == 0
+        rows = np.loadtxt(cloud, delimiter=",", skiprows=1)
+        alphas, scenario = rows[:, :-1], rows[:, -1] == 1.0
+        baseline = alphas.sum(axis=1) < k
+        only_scenario, only_baseline = scenario & ~baseline, baseline & ~scenario
+        label = f"hanly(K={k})"
+        relation = {(False, False): f"equal to {label}", (False, True): f"scenario region contained in {label}",
+                    (True, False): f"{label} contained in scenario region",
+                    (True, True): "incomparable"}[(bool(only_scenario.any()), bool(only_baseline.any()))]
+        want = [f"wrote {len(rows)} points to {cloud}", f"relation vs {label}: {relation}"]
+        for only, side in ((only_scenario, "scenario region"), (only_baseline, label)):
+            if only.any():
+                want.append(f"witness only in {side}: {tuple(alphas[np.flatnonzero(only)[0]].tolist())}")
+        assert capsys.readouterr().out.splitlines() == want
+
+    def test_one_grid_and_one_predicate_call_per_op(self, tmp_path, monkeypatch):
+        calls = {"grid": 0, "evaluate_predicate": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        count(capacity.RegionSpec, "grid")
+        count(capacity, "evaluate_predicate")
+        assert main(["region", str(REPO_CONFIGS / "asymmetric_3x2.json"), "--resolution", "5",
+                     "--out", str(tmp_path / "cloud.csv"), "--inequalities", str(tmp_path / "ineq.csv"),
+                     "--compare", "hanly"]) == 0
+        assert calls == {"grid": 1, "evaluate_predicate": 1}
 
     def test_region_samples_the_configured_coordinates(self, tmp_path, capsys):
         # region asks check's question: the original-coordinate map refuses (0.9, 0.05, 0.05)

@@ -186,13 +186,16 @@ def value_types() -> list[type]:
 
 
 def value_examples() -> dict:
-    """Per value type, two argument tuples whose values differ in one field."""
+    """Per value type, two sets of arguments whose values differ in one field.
+
+    A set is a tuple of positional arguments, or a dict of keyword arguments.
+    """
     q, gains = QosVector((0.2, 0.3)), ((1.0, 0.5), (0.5, 1.0))
     noise, w = NoiseVector((1.0, 2.0)), WeightedAbsSum((0.5,))
     rules = (AdjustmentRule(w, 1.0, 0), AdjustmentRule(w, 1.0, 1))
     md = MacroDiversity(q, GainMatrix(gains), noise)
     cloud = sample_region(RegionSpec(md, resolution=2, alpha_max=1.0))
-    twin_spec = RegionSpec(md, resolution=2, alpha_max=1.0)  # equal grid, another object
+    flipped = ~cloud.feasible
     passes = tuple(map(CheckVerdict, AXIOM_NAMES))
     witness = Counterexample(((1.0,),), 2.0, 1.0)
     return {
@@ -210,8 +213,9 @@ def value_examples() -> dict:
         Counterexample: ((((1.0,),), 2.0, 1.0), (((1.0,),), 3.0, 1.0)),
         CheckVerdict: (("sub-additivity",), ("sub-additivity", witness)),
         AxiomReport: ((2, 10, 0, passes), (2, 10, 1, passes)),
-        RegionCloud: ((cloud.spec, cloud.alphas, cloud.feasible),
-                      (twin_spec, cloud.alphas, cloud.feasible)),
+        RegionSpec: ({"scenario": md, "resolution": 2, "alpha_max": 1.0},
+                     {"scenario": md, "resolution": 2, "alpha_max": 2.0}),
+        RegionCloud: ((cloud.spec, cloud.alphas, cloud.feasible), (cloud.spec, cloud.alphas, flipped)),
         RegionComparison: (((0.5, 0.5), None), (None, None)),
         SolveRun: (((0.5, 0.1), True, 0.2, True, "policy"), ((0.5, 0.15), True, 0.2, True, "policy")),
         AdjustmentRule: ((w, 1.0, 0), (w, 2.0, 0)),
@@ -224,13 +228,17 @@ def value_examples() -> dict:
 
 def test_every_value_type_has_an_example():
     assert value_types() == sorted(value_examples(), key=lambda cls: cls.__name__)
-    assert len(value_types()) == 22
+    assert len(value_types()) == 23
+
+
+def construct(cls, args):
+    return cls(**args) if isinstance(args, dict) else cls(*args)
 
 
 @pytest.mark.parametrize("cls", value_types(), ids=lambda cls: cls.__name__)
 def test_value_types_are_immutable_values(cls):
     args, other_args = value_examples()[cls]
-    value, same, other = cls(*args), cls(*args), cls(*other_args)
+    value, same, other = construct(cls, args), construct(cls, args), construct(cls, other_args)
     names = list(inspect.signature(cls).parameters)
     fields = tuple(getattr(value, name) for name in names)
     for name in (names[0], "unknown"):
@@ -248,6 +256,6 @@ def test_value_types_are_immutable_values(cls):
             hash(value)
     else:
         assert hash(value) == hash(same) and hash(value) != hash(other)
-    twin = type(cls.__name__, (cls,), {})(*args)  # same name and fields, another type
+    twin = construct(type(cls.__name__, (cls,), {}), args)  # same name and fields, another type
     assert value != twin and twin != value and value != fields
     assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, fields))})"

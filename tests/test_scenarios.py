@@ -15,7 +15,7 @@ from powerfeas.core import (
     QosVector,
     sup_norm,
 )
-from powerfeas.capacity import RegionSpec, evaluate_predicate
+from powerfeas.capacity import hanly as hanly_verdicts
 from powerfeas.engine import SolveConfig, contraction_modulus, solve
 from powerfeas.scenarios import (
     FixedAssignment,
@@ -481,8 +481,7 @@ class TestMinSelectionRule:
 
 def hanly(alphas, receivers):
     """The gain-blind baseline region predicate at one target vector."""
-    spec = RegionSpec.hanly(len(alphas), receivers, resolution=2, alpha_max=1.0)
-    return bool(evaluate_predicate(spec, np.array([alphas]))[0])
+    return bool(hanly_verdicts(np.array([alphas]), receivers)[0])
 
 
 class TestHanly:
