@@ -14,9 +14,7 @@ import time
 
 import numpy as np
 
-from powerfeas.core import (
-    GainMatrix, InvalidInputError, NoiseVector, NonConvergenceError, QosVector, sup_norm,
-)
+from powerfeas.core import InvalidInputError, NonConvergenceError, sup_norm
 from powerfeas.engine import SolveConfig, solve
 from powerfeas.scenarios import MacroDiversity, leave_one_out_map
 
@@ -40,12 +38,12 @@ def main():
     parser.add_argument("--lambdas", default="0.9,0.99,0.999,0.9999")
     parser.add_argument("--picard-max-iter", type=int, default=20_000)
     args = parser.parse_args()
-    gains = GainMatrix(np.random.default_rng(args.seed).uniform(0.1, 1.0, size=(args.n, args.k)))
-    noise = NoiseVector((1.0,) * args.k)
-    unit = leave_one_out_map(MacroDiversity(QosVector((1.0,) * args.n), gains, noise))
+    gains = np.random.default_rng(args.seed).uniform(0.1, 1.0, size=(args.n, args.k))
+    noise = (1.0,) * args.k
+    unit = leave_one_out_map(MacroDiversity((1.0,) * args.n, gains, noise))
     for lam in map(float, args.lambdas.split(",")):
         alpha = lam / unit.certificate().modulus
-        array_map = leave_one_out_map(MacroDiversity(QosVector((alpha,) * args.n), gains, noise))
+        array_map = leave_one_out_map(MacroDiversity((alpha,) * args.n, gains, noise))
         config = SolveConfig(tolerance=1e-10)
         print(f"lambda {array_map.certificate().modulus:.6g}")
         print(f"  policy iteration: {run(array_map, config, force=False)}")

@@ -17,9 +17,9 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "EvaluationError", "FeasibilityReport", "GainMatrix", "InfeasibleSystemError",
-        "InvalidFunctionError", "InvalidInputError", "NoiseVector", "NonConvergenceError",
-        "PowerVector", "QosVector", "SolveConfig", "remove_component", "sup_norm",
+        "EvaluationError", "FeasibilityReport", "InfeasibleSystemError", "InvalidFunctionError",
+        "InvalidInputError", "NonConvergenceError", "PowerVector", "SolveConfig",
+        "remove_component", "sup_norm",
     ),
     "rules": (
         "AdjustmentRule", "HolderNorm", "NormOfNorms", "System", "WeightedAbsSum", "lift_rule",

@@ -36,11 +36,8 @@ from .core import (
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
-    NoiseVector,
     NonConvergenceError,
     PowerVector,
-    QosVector,
-    GainMatrix,
     SolveConfig,
     np,
 )
@@ -238,23 +235,14 @@ class ScenarioConfig:
         return len(self.alphas)
 
     def scenario(self):
-        qos = QosVector(self.alphas)
         if self.kind == "single_cell":
-            return SingleCell(alphas=qos, gains=self.gains, sigma=self.sigma)
+            return SingleCell(self.alphas, self.gains, self.sigma)
         if self.kind == "macro_diversity":
-            return MacroDiversity(
-                alphas=qos, gains=GainMatrix(self.gains), noise=NoiseVector(self.sigma)
-            )
+            return MacroDiversity(self.alphas, self.gains, self.sigma)
         if self.kind == "fixed_assignment":
-            return FixedAssignment(
-                alphas=qos,
-                gains=self.gains,
-                assignment=tuple(a - 1 for a in self.assignment),
-                noise=NoiseVector(self.sigma),
-            )
-        return MultiConnection(
-            alphas=qos, gains=self.gains, d=self.d, noise=NoiseVector(self.sigma)
-        )
+            return FixedAssignment(self.alphas, self.gains, tuple(a - 1 for a in self.assignment),
+                                   self.sigma)
+        return MultiConnection(self.alphas, self.gains, self.d, self.sigma)
 
     def _map_options(self) -> dict:
         return {
@@ -293,24 +281,23 @@ def _print_report(config: ScenarioConfig, report: FeasibilityReport) -> None:
     for i, m in enumerate(report.per_terminal_modulus):
         print(f"{i + 1:>8}  {_fmt(m)}")
     print(f"contraction modulus lambda = {_fmt(report.modulus)}")
-    if report.binding is not None:
-        term, recv = report.binding
-        where = f"terminal {term + 1}"
-        if recv is not None:
-            where += f", receiver {recv + 1}"
-        value = report.per_terminal_modulus[term]
-        print(f"binding: {where}; leave-one-out weighted sum = {_fmt(value)} (must stay < 1)")
+    term, recv = report.binding
+    where = f"terminal {term + 1}"
+    if recv is not None:
+        where += f", receiver {recv + 1}"
+    value = report.per_terminal_modulus[term]
+    print(f"binding: {where}; leave-one-out weighted sum = {_fmt(value)} (must stay < 1)")
     print(f"verdict: {'FEASIBLE' if report.feasible else 'INFEASIBLE'}")
 
 
 def _report_json(report: FeasibilityReport) -> dict:
-    term, recv = report.binding if report.binding is not None else (None, None)
+    term, recv = report.binding
     return {
         "per_terminal_modulus": list(report.per_terminal_modulus),
         "modulus": report.modulus,
         "feasible": report.feasible,
         "binding": {
-            "terminal": None if term is None else term + 1,
+            "terminal": term + 1,
             "receiver": None if recv is None else recv + 1,
         },
     }
@@ -394,12 +381,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_region(args) -> int:
-    from .capacity import RegionSpec, hanly
+    from .capacity import RegionSpec, hanly, region_inequalities
 
     config = load_config(args.config)
     alpha_max = args.alpha_max if args.alpha_max is not None else float(config.receivers + 1)
     spec = RegionSpec(config.scenario(), **config._map_options(),
                       resolution=args.resolution, alpha_max=alpha_max)
+    if args.inequalities:
+        region_inequalities(spec)  # raises for a region without one, before any file is written
     cloud = sample_region(spec, allow_large=args.force_dim)
     export_cloud(cloud, args.out)
     print(f"wrote {cloud.spec.point_count} points to {args.out}")

@@ -7,9 +7,10 @@ raises ``AttributeError``, so a value is safe to share across threads. Values
 are equal when their types and fields are, array fields by value (a value
 with one has no hash); ``repr`` lists the fields in constructor order.
 Algorithms live in the engine, scenarios and capacity modules; this module
-defines the vocabulary they exchange, including ``engine.solve``'s
-:class:`SolveConfig`, plus :func:`write_csv`, the column-wise CSV encoder of
-the region exports.
+defines the vocabulary they exchange (powers, reports, errors and
+``engine.solve``'s :class:`SolveConfig`), the entry checks the scenario
+types run on their plain sequences (:func:`_entries`, :func:`_matrix_rows`),
+and :func:`write_csv`, the column-wise CSV encoder of the region exports.
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 import types
-from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence, Union
 
@@ -133,6 +133,19 @@ def _check_entries(values, what: str, positive: bool = False, width: int = 0) ->
             )
 
 
+def _entries(values, owner: str, unit: str, positive: bool = False) -> tuple[float, ...]:
+    """``values`` as a non-empty float tuple, checked by :func:`_check_entries`.
+
+    ``unit`` names one entry for the messages, e.g. "target for terminal";
+    its last word names what there must be at least one of.
+    """
+    out = _float_tuple(values, owner)
+    if not out:
+        raise InvalidInputError(f"{owner}: need at least one {unit.split()[-1]}")
+    _check_entries(out, f"{owner}: {unit}", positive)
+    return out
+
+
 def _matrix_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
     """``rows`` as a non-empty rectangular tuple of float rows whose entries are finite and >= 0."""
     out = tuple(_float_tuple(row, what) for row in rows)
@@ -165,103 +178,11 @@ def remove_component(x: Vector, i: int) -> np.ndarray:
     return np.concatenate((arr[:i], arr[i + 1:]))
 
 
-class QosVector(_Frozen):
-    """Per-terminal carrier-to-interference targets (dimensionless, > 0)."""
-
-    def __init__(self, alphas: Vector):
-        alphas = _float_tuple(alphas, "QosVector")
-        self._set(alphas=alphas)
-        if len(alphas) < 1:
-            raise InvalidInputError("QosVector: need at least one terminal")
-        _check_entries(alphas, "QosVector: target for terminal", positive=True)
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-    def __iter__(self):
-        return iter(self.alphas)
-
-    def __getitem__(self, i: int) -> float:
-        return self.alphas[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.alphas, dtype=float)
-
-
-class GainMatrix(_Frozen):
-    """Linear channel gains ``h``, one row per terminal, one column per receiver.
-
-    Individual entries may be zero (a terminal out of range of a receiver)
-    but every row must have a positive, finite sum so relative gains are defined.
-    """
-
-    def __init__(self, h):
-        self._set(h=_matrix_rows(h, "GainMatrix"))
-        for i, total in enumerate(self.row_sums):
-            if total <= 0.0:
-                raise InvalidInputError(f"GainMatrix: row {i + 1} sums to zero; terminal unreachable")
-            if not math.isfinite(total):
-                raise InvalidInputError(f"GainMatrix: row {i + 1} sum overflows float64")
-        for i, grow in enumerate(self.relative):
-            if abs(sum(grow) - 1.0) > 1e-12:
-                raise InvalidInputError(f"GainMatrix: relative gains of row {i + 1} do not sum to 1")
-
-    @property
-    def n_terminals(self) -> int:
-        return len(self.h)
-
-    @property
-    def n_receivers(self) -> int:
-        return len(self.h[0])
-
-    @cached_property
-    def row_sums(self) -> tuple[float, ...]:
-        """Total gain per terminal across all receivers."""
-        return tuple(float(sum(row)) for row in self.h)
-
-    @cached_property
-    def relative(self) -> tuple[tuple[float, ...], ...]:
-        """Row-normalised gains; each row sums to 1."""
-        return tuple(
-            tuple(v / s for v in row) for row, s in zip(self.h, self.row_sums)
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.h, dtype=float)
-
-
-class NoiseVector(_Frozen):
-    """Noise power ``sigma_sq`` per receiver (watts, >= 0)."""
-
-    def __init__(self, sigma_sq: Vector):
-        vals = _float_tuple(sigma_sq, "NoiseVector")
-        self._set(sigma_sq=vals)
-        if len(vals) < 1:
-            raise InvalidInputError("NoiseVector: need at least one receiver")
-        _check_entries(vals, "NoiseVector: noise power for receiver")
-
-    def __len__(self) -> int:
-        return len(self.sigma_sq)
-
-    def __iter__(self):
-        return iter(self.sigma_sq)
-
-    def max(self) -> float:
-        return max(self.sigma_sq)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.sigma_sq, dtype=float)
-
-
 class PowerVector(_Frozen):
     """Transmit or received powers ``p`` (watts, >= 0)."""
 
     def __init__(self, p: Vector):
-        vals = _float_tuple(p, "PowerVector")
-        self._set(p=vals)
-        if len(vals) < 1:
-            raise InvalidInputError("PowerVector: need at least one terminal")
-        _check_entries(vals, "PowerVector: power for terminal")
+        self._set(p=_entries(p, "PowerVector", "power for terminal"))
 
     @classmethod
     def zeros(cls, n: int) -> "PowerVector":
@@ -287,22 +208,18 @@ class PowerVector(_Frozen):
 class FeasibilityReport(_Frozen):
     """Outcome of the admission test: one modulus per terminal.
 
-    ``modulus`` (their max) and ``feasible`` (``modulus < 1``) are derived.
-    ``binding`` names the terminal (and receiver, when the rule exposes one)
-    whose weighted sum attains the overall modulus; indices are 0-based.
+    ``modulus`` (their max) and ``feasible`` (``modulus < 1``) are derived,
+    and so is ``binding``: the terminal whose weighted sum attains the
+    modulus (the first, on a tie) and ``binding_receiver``, the receiver
+    that attains it when the rule names one. Indices are 0-based.
     """
 
-    def __init__(self, per_terminal_modulus: Vector,
-                 binding: Optional[tuple[int, Optional[int]]] = None):
+    def __init__(self, per_terminal_modulus: Vector, binding_receiver: Optional[int] = None):
         moduli = _float_tuple(per_terminal_modulus, "FeasibilityReport")
         if len(moduli) < 1:
             raise InvalidInputError("FeasibilityReport: no terminals")
-        if binding is not None:
-            term, recv = binding
-            if not 0 <= term < len(moduli):
-                raise InvalidInputError("FeasibilityReport: binding terminal out of range")
-            binding = (int(term), None if recv is None else int(recv))
-        self._set(per_terminal_modulus=moduli, binding=binding)
+        self._set(per_terminal_modulus=moduli,
+                  binding_receiver=None if binding_receiver is None else int(binding_receiver))
 
     @property
     def modulus(self) -> float:
@@ -312,16 +229,9 @@ class FeasibilityReport(_Frozen):
     def feasible(self) -> bool:
         return self.modulus < 1.0
 
-    @classmethod
-    def from_moduli(
-        cls,
-        moduli: Sequence[float],
-        binding_receiver: Optional[int] = None,
-        binding_terminal: Optional[int] = None,
-    ) -> "FeasibilityReport":
-        vals = _float_tuple(moduli, "FeasibilityReport")
-        term = vals.index(max(vals)) if binding_terminal is None else binding_terminal
-        return cls(vals, (term, binding_receiver))
+    @property
+    def binding(self) -> tuple[int, Optional[int]]:
+        return self.per_terminal_modulus.index(self.modulus), self.binding_receiver
 
 
 class SolveConfig(_Frozen):

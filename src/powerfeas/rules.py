@@ -192,7 +192,7 @@ class System(_Frozen):
                 )
             moduli.append(value)
         binder = getattr(self.rules[moduli.index(max(moduli))].f, "binding_inner", None)
-        return FeasibilityReport.from_moduli(moduli, binder(ones) if binder is not None else None)
+        return FeasibilityReport(moduli, binder(ones) if binder is not None else None)
 
 
 def lift_rule(f: Callable[[np.ndarray], float], i: int) -> Callable[[np.ndarray], float]:

@@ -1,6 +1,8 @@
 """Physical reception scenarios and their update maps.
 
-The scenario types check their own shapes and values on construction.
+The scenario types take plain sequences (tuples, lists or numpy arrays) for
+targets, gains and noise, store them as float tuples and check every shape
+and value on construction; the admission test needs two terminals or more.
 ``leave_one_out_map`` turns a scenario into its update map as arrays, a
 :class:`LeaveOneOutMap`: that is the map the CLI iterates, and
 ``feasibility_formula`` is its certificate, in the coordinates that make the
@@ -39,16 +41,22 @@ from operator import add, mul, truediv
 
 from .core import (
     FeasibilityReport,
-    GainMatrix,
     InvalidInputError,
-    NoiseVector,
-    QosVector,
     Vector,
     _check_entries,
+    _entries,
     _Frozen,
     _matrix_rows,
     np,
 )
+
+
+def _targets(alphas, owner: str) -> tuple[float, ...]:
+    """``alphas`` as a float tuple of finite targets > 0, at least two: the admission test needs them."""
+    alphas = _entries(alphas, owner, "target for terminal", positive=True)
+    if len(alphas) < 2:
+        raise InvalidInputError("admission test: need at least two terminals")
+    return alphas
 
 
 def _reference_gains(gains, d) -> list[float]:
@@ -72,9 +80,13 @@ def _reference_gains(gains, d) -> list[float]:
 
 
 class SingleCell(_Frozen):
-    """One receiver; every terminal interferes with every other."""
+    """One receiver; every terminal interferes with every other.
 
-    def __init__(self, alphas: QosVector, gains: Vector, sigma: float):
+    Takes one target and one positive gain per terminal and a noise power ``sigma``.
+    """
+
+    def __init__(self, alphas: Vector, gains: Vector, sigma: float):
+        alphas = _targets(alphas, "SingleCell")
         gains = tuple(float(v) for v in gains)
         self._set(alphas=alphas, gains=gains, sigma=float(sigma))
         if len(gains) != len(alphas):
@@ -89,13 +101,35 @@ class SingleCell(_Frozen):
 
 
 class MacroDiversity(_Frozen):
-    """All receivers jointly decode every terminal; no cell boundaries."""
+    """All receivers jointly decode every terminal; no cell boundaries.
 
-    def __init__(self, alphas: QosVector, gains: GainMatrix, noise: NoiseVector):
+    ``gains`` is terminal-major (N rows by K columns): an entry may be zero,
+    a terminal out of range of a receiver, but every row needs a positive,
+    finite sum h_i. ``noise`` holds one power per receiver. ``row_sums`` (the
+    h_i) and ``relative`` (each row over its sum) are derived on construction
+    and not compared.
+    """
+
+    def __init__(self, alphas: Vector, gains, noise: Vector):
+        alphas = _targets(alphas, "MacroDiversity")
+        gains = _matrix_rows(gains, "MacroDiversity gains")
+        row_sums = tuple(float(sum(row)) for row in gains)
+        for i, total in enumerate(row_sums):
+            if total <= 0.0:
+                raise InvalidInputError(f"MacroDiversity: gain row {i + 1} sums to zero; terminal unreachable")
+            if not math.isfinite(total):
+                raise InvalidInputError(f"MacroDiversity: gain row {i + 1} sum overflows float64")
+        relative = tuple(tuple(v / s for v in row) for row, s in zip(gains, row_sums))
+        for i, row in enumerate(relative):
+            if abs(sum(row) - 1.0) > 1e-12:
+                raise InvalidInputError(f"MacroDiversity: relative gains of row {i + 1} do not sum to 1")
+        noise = _entries(noise, "MacroDiversity", "noise power for receiver")
         self._set(alphas=alphas, gains=gains, noise=noise)
-        if gains.n_terminals != len(alphas):
+        object.__setattr__(self, "row_sums", row_sums)  # derived: not compared
+        object.__setattr__(self, "relative", relative)
+        if len(gains) != len(alphas):
             raise InvalidInputError("MacroDiversity: one gain row per terminal required")
-        if len(noise) != gains.n_receivers:
+        if len(noise) != len(gains[0]):
             raise InvalidInputError("MacroDiversity: one noise power per receiver required")
 
     @property
@@ -104,17 +138,20 @@ class MacroDiversity(_Frozen):
 
     @property
     def receivers(self) -> int:
-        return self.gains.n_receivers
+        return len(self.gains[0])
 
 
 class FixedAssignment(_Frozen):
     """Each terminal is decoded only by its assigned receiver.
 
     ``gains`` is receiver-major (K rows by N columns); ``assignment[j]`` is
-    the 0-based receiver index serving terminal j.
+    the 0-based receiver index serving terminal j; ``noise`` holds one power
+    per receiver.
     """
 
-    def __init__(self, alphas: QosVector, gains, assignment, noise: NoiseVector):
+    def __init__(self, alphas: Vector, gains, assignment, noise: Vector):
+        alphas = _targets(alphas, "FixedAssignment")
+        noise = _entries(noise, "FixedAssignment", "noise power for receiver")
         gains = _matrix_rows(gains, "FixedAssignment gains")
         assignment = tuple(int(a) for a in assignment)
         self._set(alphas=alphas, gains=gains, assignment=assignment, noise=noise)
@@ -148,12 +185,15 @@ class FixedAssignment(_Frozen):
 class MultiConnection(_Frozen):
     """Each terminal must meet its SIR target at its d_j best receivers.
 
-    ``gains`` is receiver-major (K rows by N columns). ``d[j] = 1`` is
-    minimum power assignment as a special case. ``reference_gains`` holds
-    the d_j-th largest gain of each terminal, sorted out once on construction.
+    ``gains`` is receiver-major (K rows by N columns); ``noise`` holds one
+    power per receiver. ``d[j] = 1`` is minimum power assignment as a
+    special case. ``reference_gains`` holds the d_j-th largest gain of each
+    terminal, sorted out once on construction.
     """
 
-    def __init__(self, alphas: QosVector, gains, d, noise: NoiseVector):
+    def __init__(self, alphas: Vector, gains, d, noise: Vector):
+        alphas = _targets(alphas, "MultiConnection")
+        noise = _entries(noise, "MultiConnection", "noise power for receiver")
         gains = _matrix_rows(gains, "MultiConnection gains")
         d = tuple(int(v) for v in d)
         self._set(alphas=alphas, gains=gains, d=d, noise=noise)
@@ -265,7 +305,7 @@ def _certify(G, W=None, order=None, names_receiver=True) -> FeasibilityReport:
               [sorted(values)[rank - 1] for values, rank in zip(by_terminal, order)])
     term = moduli.index(max(moduli))
     receiver = by_terminal[term].index(moduli[term]) if order is None and names_receiver else None
-    return FeasibilityReport.from_moduli(moduli, receiver, term)
+    return FeasibilityReport(moduli, receiver)
 
 
 class LeaveOneOutMap(_Frozen):
@@ -368,7 +408,7 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
     # Coefficients fold the targets in as G[k][n] * alpha_n, the product the
     # batch kernel forms at x = alpha, so the certificate at x = 1 rounds alike.
     n = scenario.n
-    alphas = (1.0,) * n if unit_targets else scenario.alphas.alphas
+    alphas = (1.0,) * n if unit_targets else scenario.alphas
     transformed = coordinates == "transformed"
     W = D = order = None
     if isinstance(scenario, SingleCell):
@@ -377,19 +417,19 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
         else:  # divisors 1, coefficients 1
             G, D, c = [[1.0] * n], [[1.0] * n], [scenario.sigma * a for a in alphas]
     elif isinstance(scenario, MacroDiversity):
-        sigma_hat = scenario.noise.max()
+        sigma_hat = max(scenario.noise)
         if transformed:  # alpha_n * g_nk
-            G = [list(map(mul, column, alphas)) for column in zip(*scenario.gains.relative)]
+            G = [list(map(mul, column, alphas)) for column in zip(*scenario.relative)]
             c = [sigma_hat] * n
         else:  # divisors h_i, coefficients h_nk
-            G = list(zip(*scenario.gains.h))
-            D = [scenario.gains.row_sums] * len(G)
-            c = [a / h * sigma_hat for a, h in zip(alphas, scenario.gains.row_sums)]
+            G = list(zip(*scenario.gains))
+            D = [scenario.row_sums] * len(G)
+            c = [a / h * sigma_hat for a, h in zip(alphas, scenario.row_sums)]
     elif isinstance(scenario, FixedAssignment):
         # divisor: the own gain at the assigned receiver, inf elsewhere
         G, served = scenario.gains, tuple(enumerate(scenario.assignment))
         D = [[G[a][j] if k == a else math.inf for j, a in served] for k in range(len(G))]
-        c = [alphas[j] * scenario.noise.sigma_sq[a] / G[a][j] for j, a in served]
+        c = [alphas[j] * scenario.noise[a] / G[a][j] for j, a in served]
     elif noiseless:  # alpha_i * h_ki weighted 1 / h_kj, d_j-th smallest
         G = [list(map(mul, row, alphas)) for row in scenario.gains]
         W = [[1.0 / h if h > 0.0 else 0.0 for h in row] for row in scenario.gains]
@@ -397,7 +437,7 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
     else:  # alpha_i * h_ki over the d_i-th largest gain h_i, max
         ref = scenario.reference_gains
         G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
-        c = [scenario.noise.max()] * n
+        c = [max(scenario.noise)] * n
     if D is not None:  # macro diversity's K divisor rows are one list: divide it once
         first = list(map(truediv, alphas, D[0]))
         W = [first if row is D[0] else list(map(truediv, alphas, row)) for row in D]

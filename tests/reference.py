@@ -169,8 +169,8 @@ def build_single_cell_transformed(sc: SingleCell) -> System:
 
 def build_macro_diversity(md: MacroDiversity) -> System:
     """Transmit-power update P_i = (alpha_i/h_i) * (max_k interference_k + max noise), h_i the gain row sum."""
-    n, h, sigma_hat = md.n, md.gains.h, md.noise.max()
-    scales = [a / s for a, s in zip(md.alphas, md.gains.row_sums)]
+    n, h, sigma_hat = md.n, md.gains, max(md.noise)
+    scales = [a / s for a, s in zip(md.alphas, md.row_sums)]
     return _system((_max_of_sums([[scales[i] * h[m][k] for m in _others(n, i)] for k in range(md.receivers)]),
                     scales[i] * sigma_hat) for i in range(n))
 
@@ -181,7 +181,7 @@ def build_macro_diversity_transformed(md: MacroDiversity) -> System:
     q_i = h_i * P_i / alpha_i; the per-terminal modulus is then exactly the
     largest leave-one-out weighted target sum over receivers.
     """
-    n, g, sigma_hat = md.n, md.gains.relative, md.noise.max()
+    n, g, sigma_hat = md.n, md.relative, max(md.noise)
     return _system((_max_of_sums([[md.alphas[m] * g[m][k] for m in _others(n, i)]
                                   for k in range(md.receivers)]), sigma_hat) for i in range(n))
 
@@ -192,7 +192,7 @@ def build_fixed_assignment(fa: FixedAssignment) -> System:
     for j, a in enumerate(fa.assignment):
         own = fa.gains[a][j]
         rules.append((WeightedAbsSum([fa.alphas[j] * fa.gains[a][i] / own for i in _others(fa.n, j)]),
-                      fa.alphas[j] * fa.noise.sigma_sq[a] / own))
+                      fa.alphas[j] * fa.noise[a] / own))
     return _system(rules)
 
 
@@ -221,7 +221,7 @@ def build_multi_connection(mc: MultiConnection, noiseless: bool) -> System:
                                          [row[j] for row in mc.gains], mc.d[j]), 0.0) for j in range(n))
     _, g = _mc_bounded_relative_gains(mc)
     return _system((_max_of_sums([[mc.alphas[i] * g[kk, i] for i in _others(n, j)] for kk in range(k)]),
-                    mc.noise.max()) for j in range(n))
+                    max(mc.noise)) for j in range(n))
 
 
 def mc_exact_rules_in_bounded_coords(mc: MultiConnection) -> tuple[MinSelectionRule, ...]:
@@ -251,12 +251,12 @@ def macro_diversity_exact_update(md: MacroDiversity, powers: Vector) -> np.ndarr
     positive (positive noise or interference).
     """
     p = _vector(powers, md.n, "macro_diversity_exact_update")
-    h = md.gains.as_array()
+    h = np.array(md.gains)
     received = h * p[:, None]
-    denom = received.sum(axis=0) - received + md.noise.as_array()
+    denom = received.sum(axis=0) - received + np.array(md.noise)
     if np.any(denom <= 0.0):
         raise InvalidInputError("macro_diversity_exact_update: zero interference-plus-noise at some receiver")
-    return md.alphas.as_array() / (h / denom).sum(axis=1)
+    return np.array(md.alphas) / (h / denom).sum(axis=1)
 
 
 def affine_parts(system: System) -> tuple[np.ndarray, np.ndarray]:

@@ -19,10 +19,7 @@ from powerfeas.capacity import (
     sample_region,
 )
 from powerfeas.core import (
-    GainMatrix,
-    NoiseVector,
     PowerVector,
-    QosVector,
     sup_norm,
 )
 from powerfeas.engine import SolveConfig, contraction_modulus, rate_check, solve
@@ -70,17 +67,17 @@ def criterion(number, name):
 
 def symmetric_md(alpha):
     return MacroDiversity(
-        alphas=QosVector((alpha,) * 3),
-        gains=GainMatrix(SYMMETRIC_GAINS),
-        noise=NoiseVector((1.0, 1.0)),
+        alphas=(alpha,) * 3,
+        gains=SYMMETRIC_GAINS,
+        noise=(1.0, 1.0),
     )
 
 
 def asymmetric_md(alphas):
     return MacroDiversity(
-        alphas=QosVector(alphas),
-        gains=GainMatrix(ASYMMETRIC_GAINS),
-        noise=NoiseVector((1.0, 1.0)),
+        alphas=alphas,
+        gains=ASYMMETRIC_GAINS,
+        noise=(1.0, 1.0),
     )
 
 
@@ -90,13 +87,13 @@ def random_macro_diversity(rng, target, max_n=5, max_k=4):
     gains = rng.uniform(0.1, 2.0, size=(n, k))
     alphas = rng.uniform(0.2, 1.0, size=n)
     md = MacroDiversity(
-        alphas=QosVector(tuple(alphas)),
-        gains=GainMatrix(tuple(map(tuple, gains))),
-        noise=NoiseVector(tuple(rng.uniform(0.1, 1.0, size=k))),
+        alphas=tuple(alphas),
+        gains=tuple(map(tuple, gains)),
+        noise=tuple(rng.uniform(0.1, 1.0, size=k)),
     )
     lam = feasibility_formula(md).modulus
     return MacroDiversity(
-        alphas=QosVector(tuple(a * target / lam for a in alphas)),
+        alphas=tuple(a * target / lam for a in alphas),
         gains=md.gains,
         noise=md.noise,
     )
@@ -107,7 +104,7 @@ def random_single_cell_received(rng, target):
     u = rng.uniform(0.3, 1.0, size=n)
     alphas = target * u / (u.max() * (n - 1))  # received-coordinate modulus = target
     return SingleCell(
-        alphas=QosVector(tuple(alphas)),
+        alphas=tuple(alphas),
         gains=tuple(rng.uniform(0.5, 2.0, size=n)),
         sigma=float(rng.uniform(0.1, 1.0)),
     )
@@ -120,14 +117,14 @@ def random_fixed_assignment(rng, target):
     assignment = tuple(int(rng.integers(0, k)) for _ in range(n))
     alphas = rng.uniform(0.2, 1.0, size=n)
     fa = FixedAssignment(
-        alphas=QosVector(tuple(alphas)),
+        alphas=tuple(alphas),
         gains=tuple(map(tuple, gains)),
         assignment=assignment,
-        noise=NoiseVector(tuple(rng.uniform(0.2, 1.0, size=k))),
+        noise=tuple(rng.uniform(0.2, 1.0, size=k)),
     )
     lam = feasibility_formula(fa).modulus
     return FixedAssignment(
-        alphas=QosVector(tuple(a * target / lam for a in alphas)),
+        alphas=tuple(a * target / lam for a in alphas),
         gains=fa.gains,
         assignment=assignment,
         noise=fa.noise,
@@ -141,14 +138,14 @@ def random_multi_connection(rng, target, max_n=5, max_k=4):
     d = tuple(int(rng.integers(1, k + 1)) for _ in range(n))
     alphas = rng.uniform(0.2, 1.0, size=n)
     mc = MultiConnection(
-        alphas=QosVector(tuple(alphas)),
+        alphas=tuple(alphas),
         gains=tuple(map(tuple, gains)),
         d=d,
-        noise=NoiseVector(tuple(rng.uniform(0.1, 1.0, size=k))),
+        noise=tuple(rng.uniform(0.1, 1.0, size=k)),
     )
     lam = feasibility_formula(mc, noiseless=False).modulus
     return MultiConnection(
-        alphas=QosVector(tuple(a * target / lam for a in alphas)),
+        alphas=tuple(a * target / lam for a in alphas),
         gains=mc.gains,
         d=d,
         noise=mc.noise,
@@ -181,8 +178,8 @@ def test_symmetric_macro_diversity_exact():
 
 @criterion(2, "degenerate-third-receiver")
 def test_degenerate_third_receiver():
-    degenerate = MacroDiversity(alphas=QosVector((0.5,) * 3), gains=GainMatrix(DEGENERATE_GAINS),
-                                noise=NoiseVector((1.0,) * 3))
+    degenerate = MacroDiversity(alphas=(0.5,) * 3, gains=DEGENERATE_GAINS,
+                                noise=(1.0,) * 3)
     spec_true = RegionSpec(degenerate, resolution=31, alpha_max=3.0)
     spec_two = RegionSpec(symmetric_md(0.5), resolution=31, alpha_max=3.0)
     cloud_true = sample_region(spec_true)
@@ -272,10 +269,10 @@ def test_geometric_rate_on_convergent_traces():
     rng = np.random.default_rng(20_242)
     systems = [
         build_single_cell_received(
-            SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
+            SingleCell(alphas=(0.3, 0.4), gains=(1.0, 1.0), sigma=1.0)
         ),
         build_single_cell_transformed(
-            SingleCell(alphas=QosVector((0.6, 0.3, 0.2)), gains=(1.0,) * 3, sigma=1.0)
+            SingleCell(alphas=(0.6, 0.3, 0.2), gains=(1.0,) * 3, sigma=1.0)
         ),
         build_macro_diversity_transformed(symmetric_md(0.99)),  # slow, ~2750 steps
         build_macro_diversity(random_macro_diversity(rng, target=0.7)),
@@ -297,9 +294,9 @@ def test_axiom_suite():
     for dim in range(2, 7):
         # a macro-diversity rule consuming `dim` powers needs dim + 1 terminals
         md = MacroDiversity(
-            alphas=QosVector(tuple(rng.uniform(0.2, 1.0, size=dim + 1))),
-            gains=GainMatrix(tuple(map(tuple, rng.uniform(0.1, 2.0, size=(dim + 1, 3))))),
-            noise=NoiseVector((1.0, 1.0, 1.0)),
+            alphas=tuple(rng.uniform(0.2, 1.0, size=dim + 1)),
+            gains=tuple(map(tuple, rng.uniform(0.1, 2.0, size=(dim + 1, 3)))),
+            noise=(1.0, 1.0, 1.0),
         )
         candidates = [
             HolderNorm(1),
@@ -337,13 +334,13 @@ def test_coordinate_transform_consistency():
             if lam_orig >= 1.0:  # rescale so the original certificate holds too
                 scale = target / lam_orig
                 md = MacroDiversity(
-                    alphas=QosVector(tuple(a * scale for a in md.alphas)),
+                    alphas=tuple(a * scale for a in md.alphas),
                     gains=md.gains,
                     noise=md.noise,
                 )
             p, _ = solve(build_macro_diversity(md), SolveConfig(tolerance=1e-12))
             q, _ = solve(build_macro_diversity_transformed(md), SolveConfig(tolerance=1e-12))
-            mapped = [hi * pi / ai for hi, pi, ai in zip(md.gains.row_sums, p, md.alphas)]
+            mapped = [hi * pi / ai for hi, pi, ai in zip(md.row_sums, p, md.alphas)]
         for qi, mi in zip(q, mapped):
             assert abs(qi - mi) <= 1e-8 * max(abs(mi), 1e-30)
 

@@ -17,10 +17,7 @@ from powerfeas.axioms import (
 )
 from powerfeas.core import (
     EvaluationError,
-    GainMatrix,
     InvalidInputError,
-    NoiseVector,
-    QosVector,
 )
 from powerfeas.rules import HolderNorm, WeightedAbsSum, lift_rule
 from powerfeas.scenarios import MacroDiversity
@@ -39,9 +36,9 @@ def l1_plus_one(x):
 
 def macro_div_rule(n=3, k=2):
     md = MacroDiversity(
-        alphas=QosVector((0.9,) * n),
-        gains=GainMatrix(tuple((1.0, 2.0)[:k] + (1.5,) * (k - 2) for _ in range(n))),
-        noise=NoiseVector((1.0,) * k),
+        alphas=(0.9,) * n,
+        gains=tuple((1.0, 2.0)[:k] + (1.5,) * (k - 2) for _ in range(n)),
+        noise=(1.0,) * k,
     )
     return build_macro_diversity_transformed(md).rules[0].f
 

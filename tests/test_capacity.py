@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from powerfeas import scenarios
 
@@ -21,10 +22,7 @@ from powerfeas.capacity import (
     sample_region,
 )
 from powerfeas.core import (
-    GainMatrix,
     InvalidInputError,
-    NoiseVector,
-    QosVector,
 )
 from powerfeas.engine import contraction_modulus
 from powerfeas.scenarios import (
@@ -39,6 +37,7 @@ from reference import (
     build_multi_connection,
     build_single_cell_transformed,
 )
+from test_scenarios import PROPERTY, scenarios_of, with_alphas
 
 SYMMETRIC_GAINS = ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
 ASYMMETRIC_GAINS = ((2.0, 1.0), (1.0, 2.0), (1.0, 1.0))
@@ -46,16 +45,16 @@ DEGENERATE_GAINS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 0.0))
 
 
 def single_cell(n):
-    return SingleCell(QosVector((0.1,) * n), (1.0,) * n, 1.0)
+    return SingleCell((0.1,) * n, (1.0,) * n, 1.0)
 
 
 def macro(gains):
-    return MacroDiversity(QosVector((0.1,) * len(gains)), GainMatrix(gains),
-                          NoiseVector((1.0,) * len(gains[0])))
+    return MacroDiversity((0.1,) * len(gains), gains,
+                          (1.0,) * len(gains[0]))
 
 
 def multi(gains, d):
-    return MultiConnection(QosVector((0.1,) * len(d)), gains, d, NoiseVector((1.0,) * len(gains)))
+    return MultiConnection((0.1,) * len(d), gains, d, (1.0,) * len(gains))
 
 
 def spec_macro(gains, resolution=31, alpha_max=3.0):
@@ -148,8 +147,8 @@ class TestPredicates:
 
     def test_unserved_receiver_is_never_selected(self):
         # receiver 2 serves no terminal; its sums overflow to inf, which W = 0 must not turn into NaN
-        fa = FixedAssignment(QosVector((0.1,) * 3), ((1.0,) * 3, (1e308,) * 3), (0, 0, 0),
-                             NoiseVector((1.0, 1.0)))
+        fa = FixedAssignment((0.1,) * 3, ((1.0,) * 3, (1e308,) * 3), (0, 0, 0),
+                             (1.0, 1.0))
         spec = RegionSpec(fa, resolution=2, alpha_max=1.0)
         pts = np.array([[0.1, 0.1, 0.1], [0.0, 0.2, 0.3]])
         assert spec.moduli(pts).tolist() == [[0.2, 0.2, 0.2], [0.0, 0.4, 0.6]]
@@ -207,9 +206,9 @@ class TestEngineAgreement:
         for i in chosen:
             alphas = tuple(cloud.alphas[i])
             md = MacroDiversity(
-                alphas=QosVector(alphas),
-                gains=GainMatrix(ASYMMETRIC_GAINS),
-                noise=NoiseVector((1.0, 1.0)),
+                alphas=alphas,
+                gains=ASYMMETRIC_GAINS,
+                noise=(1.0, 1.0),
             )
             engine = contraction_modulus(build_macro_diversity_transformed(md))
             assert engine.feasible == bool(cloud.feasible[i])
@@ -222,7 +221,7 @@ class TestEngineAgreement:
         rng = np.random.default_rng(5)
         for i in rng.choice(idx, size=30, replace=False):
             sc = SingleCell(
-                alphas=QosVector(tuple(cloud.alphas[i])), gains=(1.0,) * 3, sigma=1.0
+                alphas=tuple(cloud.alphas[i]), gains=(1.0,) * 3, sigma=1.0
             )
             engine = contraction_modulus(build_single_cell_transformed(sc))
             assert engine.feasible == bool(cloud.feasible[i])
@@ -238,10 +237,10 @@ class TestEngineAgreement:
             idx = np.flatnonzero(positive)
             for i in rng.choice(idx, size=25, replace=False):
                 mc = MultiConnection(
-                    alphas=QosVector(tuple(cloud.alphas[i])),
+                    alphas=tuple(cloud.alphas[i]),
                     gains=gains,
                     d=d,
-                    noise=NoiseVector((1.0, 1.0)),
+                    noise=(1.0, 1.0),
                 )
                 engine = contraction_modulus(build_multi_connection(mc, noiseless=noiseless))
                 assert engine.feasible == bool(cloud.feasible[i])
@@ -252,12 +251,12 @@ def boundary_cases(kind, options, rng, n=4, k=3):
     gains = tuple(map(tuple, rng.uniform(0.05, 2.0, size=(n, k) if kind == "macro_diversity" else (k, n))))
     d = tuple(int(v) for v in rng.integers(1, k + 1, size=n))
     assignment = tuple(int(v) for v in rng.integers(0, k, size=n))
-    noise = NoiseVector((1.0,) * k)
+    noise = (1.0,) * k
 
     def make(a):
-        alphas = QosVector(tuple(a))
+        alphas = tuple(a)
         return {"single_cell": lambda: SingleCell(alphas, (1.0,) * n, 1.0),
-                "macro_diversity": lambda: MacroDiversity(alphas, GainMatrix(gains), noise),
+                "macro_diversity": lambda: MacroDiversity(alphas, gains, noise),
                 "fixed_assignment": lambda: FixedAssignment(alphas, gains, assignment, noise),
                 "multi_connection": lambda: MultiConnection(alphas, gains, d, noise)}[kind]()
     spec = RegionSpec(make(np.ones(n)), **options, resolution=2, alpha_max=1.0)
@@ -292,6 +291,20 @@ class TestFormulaAgreement:
             assert feas.tolist() == [r.feasible for r in reports]
             verdicts.update(feas.tolist())
         assert verdicts == {True, False}  # the draws straddle the boundary
+
+
+    @PROPERTY
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind, options", MAPS.values(), ids=list(MAPS))
+    def test_check_and_region_agree_at_random_grid_targets(self, kind, options, data):
+        scenario = data.draw(scenarios_of(kind))
+        spec = RegionSpec(scenario, **options, resolution=data.draw(st.integers(2, 41)),
+                          alpha_max=data.draw(st.floats(0.1, 5.0)))
+        cells = st.lists(st.integers(1, spec.resolution - 1), min_size=spec.n, max_size=spec.n)
+        pts = spec.axis_values()[np.array(data.draw(st.lists(cells, min_size=1, max_size=8)))]
+        reports = [feasibility_formula(with_alphas(scenario, p), **options) for p in pts]
+        assert spec.moduli(pts).tolist() == [list(r.per_terminal_modulus) for r in reports]
+        assert evaluate_predicate(spec, pts).tolist() == [r.feasible for r in reports]
 
 
 class TestCompare:

@@ -219,11 +219,14 @@ ONE_TERMINAL = {
 @pytest.mark.parametrize("kind", sorted(ONE_TERMINAL))
 def test_one_terminal_exit_one(tmp_path, capsys, kind):
     path = write_config(tmp_path, ONE_TERMINAL[kind])
-    for command in ("check", "solve"):
-        assert main([command, path, "--json"]) == 1
+    cloud = tmp_path / "cloud.csv"
+    for argv in (["check", path, "--json"], ["solve", path, "--json"],
+                 ["region", path, "--resolution", "3", "--out", str(cloud)]):
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: admission test: need at least two terminals\n"
+    assert not cloud.exists()
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -231,15 +234,15 @@ def test_one_terminal_exit_one(tmp_path, capsys, kind):
     (dict(pair_doc(), sigma=-1.0), "SingleCell: sigma must be finite and >= 0"),
     (dict(pair_doc(), gains=[1.0]), "SingleCell: one gain per terminal required"),
     (dict(symmetric_doc(), alphas=[0.4, -0.4, 0.4]),
-     "QosVector: target for terminal 2 must be finite and > 0, got -0.4"),
+     "MacroDiversity: target for terminal 2 must be finite and > 0, got -0.4"),
     (dict(symmetric_doc(), alphas=[0.4, 0.4, 0.0]),
-     "QosVector: target for terminal 3 must be finite and > 0, got 0.0"),
+     "MacroDiversity: target for terminal 3 must be finite and > 0, got 0.0"),
     (dict(symmetric_doc(), sigma=[1.0, float("nan")]),
-     "NoiseVector: noise power for receiver 2 must be finite and >= 0, got nan"),
+     "MacroDiversity: noise power for receiver 2 must be finite and >= 0, got nan"),
     (dict(symmetric_doc(), sigma=[1.0]), "MacroDiversity: one noise power per receiver required"),
     (dict(symmetric_doc(), gains=[[1.0, 1.0], [1.0, 1.0]]), "MacroDiversity: one gain row per terminal required"),
     (dict(symmetric_doc(), gains=[[1e308, 1e308], [1.0, 1.0], [1.0, 1.0]]),
-     "GainMatrix: row 1 sum overflows float64"),
+     "MacroDiversity: gain row 1 sum overflows float64"),
     (dict(multi_connection_doc(), gains=[[1.0, 0.5, 0.2], [0.3, 1.0]]),
      "MultiConnection gains: row 2 has length 2, expected 3"),
     (dict(multi_connection_doc(), sigma=[1.0]), "MultiConnection: one noise power per receiver required"),
@@ -634,6 +637,16 @@ class TestRegion:
         lines = ineq_path.read_text().strip().splitlines()
         assert lines[0] == "coef_1,coef_2,coef_3,rhs,relation"
         assert len(lines) == 7  # 3 terminals x 2 receivers
+
+    def test_exact_region_refuses_inequalities_before_writing(self, tmp_path, capsys):
+        doc = dict(json.loads((REPO_CONFIGS / "multi_connection.json").read_text()), mode="exact_noiseless")
+        cloud, ineq = tmp_path / "c.csv", tmp_path / "i.csv"
+        assert main(["region", write_config(tmp_path, doc), "--resolution", "3",
+                     "--out", str(cloud), "--inequalities", str(ineq)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: region_inequalities: the exact multi-connection region")
+        assert not cloud.exists() and not ineq.exists()
 
     def test_dimension_guard(self, tmp_path, capsys):
         doc = {

@@ -1,5 +1,7 @@
 import inspect
 import math
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,11 +11,8 @@ from powerfeas.axioms import AXIOM_NAMES, AxiomReport, CheckVerdict, Counterexam
 from powerfeas.capacity import RegionCloud, RegionComparison, RegionSpec, sample_region
 from powerfeas.core import (
     FeasibilityReport,
-    GainMatrix,
     InvalidInputError,
-    NoiseVector,
     PowerVector,
-    QosVector,
     SolveConfig,
     _Frozen,
     remove_component,
@@ -27,6 +26,7 @@ from powerfeas.scenarios import (
     MacroDiversity,
     MultiConnection,
     SingleCell,
+    leave_one_out_map,
 )
 from reference import insert_component
 
@@ -93,68 +93,87 @@ class TestRemoveComponent:
         assert restored.tolist() == list(map(float, x))
 
 
-class TestQosVector:
-    def test_valid(self):
-        q = QosVector((0.3, 0.4))
-        assert len(q) == 2 and q[1] == 0.4
+def pair_cell(alphas=(0.3, 0.4)):
+    return SingleCell(alphas, (1.0,) * len(alphas), 1.0)
 
-    @pytest.mark.parametrize("bad", [(), (0.0,), (-1.0, 0.5), (math.inf, 1.0)])
+
+def macro(gains, noise=(1.0, 1.0)):
+    return MacroDiversity((0.5,) * len(gains), gains, noise)
+
+
+class TestQosVector:
+    """The targets a scenario takes: at least two, each finite and > 0, stored as floats."""
+
+    def test_valid(self):
+        for alphas in ((0.3, 0.4), [0.3, 0.4], np.array([0.3, 0.4]), (Fraction(3, 10), 0.4)):
+            cell = pair_cell(alphas)
+            assert cell.alphas == (0.3, 0.4) and type(cell.alphas[0]) is float
+
+    @pytest.mark.parametrize("bad", [(), (0.0,), (-1.0, 0.5), (math.inf, 1.0), (0.5,)])
     def test_invalid(self, bad):
-        with pytest.raises(InvalidInputError):
-            QosVector(bad)
+        with pytest.raises(InvalidInputError, match="^(SingleCell|admission test): "):
+            pair_cell(bad)
 
 
 class TestGainMatrix:
+    """Macro diversity's terminal-major gains, with their row sums and relative gains."""
+
     def test_relative_rows_sum_to_one(self):
-        gm = GainMatrix(((1.0, 1.0), (2.0, 2.0), (0.5, 0.5)))
-        assert gm.n_terminals == 3 and gm.n_receivers == 2
-        for row in gm.relative:
+        md = macro(((1.0, 1.0), (2.0, 2.0), (0.5, 0.5)))
+        assert md.n == 3 and md.receivers == 2
+        assert md.row_sums == (2.0, 4.0, 1.0)
+        for row in md.relative:
             assert sum(row) == pytest.approx(1.0, abs=1e-12)
-        assert gm.relative[0] == (0.5, 0.5)
+        assert md.relative[0] == (0.5, 0.5)
 
     def test_zero_entry_allowed(self):
-        gm = GainMatrix(((1.0, 1.0, 0.0),))
-        assert gm.relative[0][2] == 0.0
+        md = macro(((1.0, 1.0, 0.0),) * 2, noise=(1.0,) * 3)
+        assert md.relative[0][2] == 0.0
 
     def test_zero_row_rejected(self):
-        with pytest.raises(InvalidInputError):
-            GainMatrix(((0.0, 0.0),))
+        with pytest.raises(InvalidInputError, match="^MacroDiversity: gain row 2 sums to zero"):
+            macro(((1.0, 1.0), (0.0, 0.0)))
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            GainMatrix(((1.0, -0.1),))
+        with pytest.raises(InvalidInputError, match=r"^MacroDiversity gains: entry \(1,2\)"):
+            macro(((1.0, -0.1), (1.0, 1.0)))
 
     def test_ragged_rejected(self):
-        with pytest.raises(InvalidInputError):
-            GainMatrix(((1.0, 1.0), (1.0,)))
+        with pytest.raises(InvalidInputError, match="^MacroDiversity gains: row 2 has length 1"):
+            macro(((1.0, 1.0), (1.0,)))
 
 
 class TestNoiseAndPower:
     def test_noise_max(self):
-        assert NoiseVector((0.5, 2.0, 1.0)).max() == 2.0
+        md = macro(((1.0,) * 3,) * 2, noise=[0.5, 2, 1.0])
+        assert md.noise == (0.5, 2.0, 1.0)
+        assert leave_one_out_map(md).c == (2.0, 2.0)  # the bounded map's offset is the largest noise
 
     def test_noise_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            NoiseVector((-0.1,))
+        for make in (partial(macro, ((1.0,),) * 2), partial(FixedAssignment, (0.5, 0.5), ((1.0, 1.0),), (0, 0)),
+                     partial(MultiConnection, (0.5, 0.5), ((1.0, 1.0),), (1, 1))):
+            with pytest.raises(InvalidInputError, match="noise power for receiver 1 must be finite and >= 0"):
+                make(noise=(-0.1,))
 
     def test_power_negative_rejected(self):
         with pytest.raises(InvalidInputError):
             PowerVector((1.0, -2.0))
 
     @pytest.mark.parametrize("make, args, message", [
-        (PowerVector, (1.0, 2.0, math.nan), "power for terminal 3 must be finite and >= 0, got nan"),
-        (NoiseVector, (math.inf, -1.0), "noise power for receiver 1 must be finite and >= 0, got inf"),
-        (QosVector, (0.5, -0.0), "target for terminal 2 must be finite and > 0, got -0.0"),
-        (GainMatrix, ((1.0, 1.0), (1.0, -math.inf)), "entry (2,2) must be finite and >= 0, got -inf"),
+        (PowerVector, (1.0, 2.0, math.nan), "PowerVector: power for terminal 3 must be finite and >= 0, got nan"),
+        (partial(macro, ((1.0, 1.0),) * 2), (math.inf, -1.0),
+         "MacroDiversity: noise power for receiver 1 must be finite and >= 0, got inf"),
+        (pair_cell, (0.5, -0.0), "SingleCell: target for terminal 2 must be finite and > 0, got -0.0"),
+        (macro, ((1.0, 1.0), (1.0, -math.inf)), "MacroDiversity gains: entry (2,2) must be finite and >= 0, got -inf"),
     ], ids=["nan_after_valid", "inf", "negative_zero_target", "matrix_position"])
     def test_entry_check_names_the_first_bad_entry(self, make, args, message):
         with pytest.raises(InvalidInputError) as excinfo:
             make(args)
-        assert str(excinfo.value) == f"{make.__name__}: {message}"
+        assert str(excinfo.value) == message
 
     def test_entry_check_passes_valid_entries_whose_sum_overflows(self):
         assert PowerVector((1e308, 1e308, 0.0)).p == (1e308, 1e308, 0.0)
-        assert NoiseVector((-0.0, 1.0)).sigma_sq == (-0.0, 1.0)
+        assert macro(((1.0, 1.0),) * 2, noise=(-0.0, 1.0)).noise == (-0.0, 1.0)
 
     def test_power_constructors(self):
         assert PowerVector.zeros(3).p == (0.0, 0.0, 0.0)
@@ -162,15 +181,16 @@ class TestNoiseAndPower:
 
 
 class TestFeasibilityReport:
-    def test_from_moduli(self):
-        report = FeasibilityReport.from_moduli([0.4, 0.3])
+    def test_binding_is_the_first_argmax(self):
+        report = FeasibilityReport([0.4, 0.3])
         assert report.modulus == 0.4
         assert report.feasible
         assert report.binding == (0, None)
-        assert report == FeasibilityReport((0.4, 0.3), (0, None))
+        assert report == FeasibilityReport((0.4, 0.3), None)
+        assert FeasibilityReport((0.2, 0.5, 0.5), 3).binding == (1, 3)
 
     def test_boundary_is_infeasible(self):
-        report = FeasibilityReport.from_moduli([1.0, 0.5])
+        report = FeasibilityReport([1.0, 0.5])
         assert not report.feasible
 
 
@@ -190,23 +210,20 @@ def value_examples() -> dict:
 
     A set is a tuple of positional arguments, or a dict of keyword arguments.
     """
-    q, gains = QosVector((0.2, 0.3)), ((1.0, 0.5), (0.5, 1.0))
-    noise, w = NoiseVector((1.0, 2.0)), WeightedAbsSum((0.5,))
+    q, gains = (0.2, 0.3), ((1.0, 0.5), (0.5, 1.0))
+    noise, w = (1.0, 2.0), WeightedAbsSum((0.5,))
     rules = (AdjustmentRule(w, 1.0, 0), AdjustmentRule(w, 1.0, 1))
-    md = MacroDiversity(q, GainMatrix(gains), noise)
+    md = MacroDiversity(q, gains, noise)
     cloud = sample_region(RegionSpec(md, resolution=2, alpha_max=1.0))
     flipped = ~cloud.feasible
     passes = tuple(map(CheckVerdict, AXIOM_NAMES))
     witness = Counterexample(((1.0,),), 2.0, 1.0)
     return {
-        QosVector: (((0.2, 0.3),), ((0.2, 0.4),)),
-        GainMatrix: ((gains,), (((1.0, 0.6), (0.5, 1.0)),)),
-        NoiseVector: (((1.0, 2.0),), ((1.0, 3.0),)),
         PowerVector: (((1.0, 2.0),), ((2.0, 2.0),)),
-        FeasibilityReport: (((0.5, 0.7), (1, 0)), ((0.5, 0.7), (1, None))),
+        FeasibilityReport: (((0.5, 0.7), 0), ((0.5, 0.7), None)),
         SolveConfig: ((1e-8, 10, PowerVector((1.0, 2.0))), (1e-8, 20, PowerVector((1.0, 2.0)))),
         SingleCell: ((q, (1.0, 2.0), 0.5), (q, (1.0, 2.0), 0.6)),
-        MacroDiversity: ((q, GainMatrix(gains), noise), (QosVector((0.2, 0.4)), GainMatrix(gains), noise)),
+        MacroDiversity: ((q, gains, noise), (q, ((1.0, 0.6), (0.5, 1.0)), noise)),
         FixedAssignment: ((q, gains, (0, 1), noise), (q, gains, (0, 0), noise)),
         MultiConnection: ((q, gains, (1, 2), noise), (q, gains, (1, 1), noise)),
         LeaveOneOutMap: ((((1.0, 2.0),), (1.0, 1.0)), (((1.0, 2.0),), (1.0, 3.0))),
@@ -228,7 +245,7 @@ def value_examples() -> dict:
 
 def test_every_value_type_has_an_example():
     assert value_types() == sorted(value_examples(), key=lambda cls: cls.__name__)
-    assert len(value_types()) == 23
+    assert len(value_types()) == 20
 
 
 def construct(cls, args):

@@ -15,11 +15,8 @@ from powerfeas.core import (
     InfeasibleSystemError,
     InvalidFunctionError,
     InvalidInputError,
-    NoiseVector,
     NonConvergenceError,
     PowerVector,
-    QosVector,
-    GainMatrix,
     _FORK_CELLS,
     sup_norm,
 )
@@ -46,14 +43,14 @@ from reference import (
 # P1 = 0.12*P1 + 0.42  =>  P1 = 0.42/0.88 = 21/44, P2 = 0.4*(21/44) + 0.4 = 26/44
 P_STAR = (21.0 / 44.0, 26.0 / 44.0)
 
-PAIR_CELL = SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
+PAIR_CELL = SingleCell(alphas=(0.3, 0.4), gains=(1.0, 1.0), sigma=1.0)
 
 
 def symmetric_3x2(alpha):
     return MacroDiversity(
-        alphas=QosVector((alpha,) * 3),
-        gains=GainMatrix(((1.0, 1.0),) * 3),
-        noise=NoiseVector((1.0, 1.0)),
+        alphas=(alpha,) * 3,
+        gains=((1.0, 1.0),) * 3,
+        noise=(1.0, 1.0),
     )
 
 
@@ -143,7 +140,7 @@ class TestSolve:
     def test_forced_run_may_converge_but_stays_uncertified(self):
         # the sup-norm certificate fails in received coordinates here, yet the
         # underlying linear iteration still settles; the trace must say so
-        sc = SingleCell(alphas=QosVector((0.6, 0.3, 0.2)), gains=(1.0,) * 3, sigma=1.0)
+        sc = SingleCell(alphas=(0.6, 0.3, 0.2), gains=(1.0,) * 3, sigma=1.0)
         received = build_single_cell_received(sc)
         assert not contraction_modulus(received).feasible
         fixed_point, trace = solve(received, force=True)
@@ -310,7 +307,7 @@ class TestTraceCsv:
     def test_bytes_equal_csv_writer_with_repr(self, tmp_path, forks, which):
         if which == "deck_shaped":  # N=200 at lambda 0.96: several hundred distinct-valued rows
             gains = tuple(np.random.default_rng(7).uniform(0.2, 1.0, 200).tolist())
-            cell = SingleCell(alphas=QosVector((0.96 / 199,) * 200), gains=gains, sigma=1.0)
+            cell = SingleCell(alphas=(0.96 / 199,) * 200, gains=gains, sigma=1.0)
             _, trace = solve(leave_one_out_map(cell))
             assert trace.iterates.shape[0] > 500
         elif which == "signed_zero":  # one column holding 0.0 and -0.0

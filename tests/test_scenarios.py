@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerfeas.core import (
-    GainMatrix,
     InvalidInputError,
-    NoiseVector,
     NonConvergenceError,
     PowerVector,
-    QosVector,
     sup_norm,
 )
 from powerfeas.capacity import hanly as hanly_verdicts
@@ -43,7 +40,7 @@ from reference import (
 )
 from powerfeas.scenarios import _coefficients, _loo_sums, _point_sums, _reduce, _sums
 
-ASYMMETRIC_GAINS = GainMatrix(((2.0, 1.0), (1.0, 2.0), (1.0, 1.0)))  # relative 2/3,1/3 | 1/3,2/3 | 1/2,1/2
+ASYMMETRIC_GAINS = ((2.0, 1.0), (1.0, 2.0), (1.0, 1.0))  # relative 2/3,1/3 | 1/3,2/3 | 1/2,1/2
 
 
 def with_alphas(scenario, alphas):
@@ -55,9 +52,9 @@ def with_alphas(scenario, alphas):
 
 def symmetric_md(alpha, n=3, k=2):
     return MacroDiversity(
-        alphas=QosVector((alpha,) * n),
-        gains=GainMatrix(((1.0,) * k,) * n),
-        noise=NoiseVector((1.0,) * k),
+        alphas=(alpha,) * n,
+        gains=((1.0,) * k,) * n,
+        noise=(1.0,) * k,
     )
 
 
@@ -67,12 +64,12 @@ def random_md(rng, target):
     gains = rng.uniform(0.1, 2.0, size=(n, k))
     alphas = rng.uniform(0.2, 1.0, size=n)
     md = MacroDiversity(
-        alphas=QosVector(tuple(alphas)),
-        gains=GainMatrix(tuple(map(tuple, gains))),
-        noise=NoiseVector(tuple(rng.uniform(0.1, 1.0, size=k))),
+        alphas=tuple(alphas),
+        gains=tuple(map(tuple, gains)),
+        noise=tuple(rng.uniform(0.1, 1.0, size=k)),
     )
     lam = feasibility_formula(md).modulus
-    scaled = QosVector(tuple(a * target / lam for a in alphas))
+    scaled = tuple(a * target / lam for a in alphas)
     return MacroDiversity(alphas=scaled, gains=md.gains, noise=md.noise)
 
 
@@ -83,13 +80,13 @@ def random_mc(rng, target):
     d = tuple(int(rng.integers(1, k + 1)) for _ in range(n))
     alphas = rng.uniform(0.2, 1.0, size=n)
     mc = MultiConnection(
-        alphas=QosVector(tuple(alphas)),
+        alphas=tuple(alphas),
         gains=tuple(map(tuple, gains)),
         d=d,
-        noise=NoiseVector(tuple(rng.uniform(0.1, 1.0, size=k))),
+        noise=tuple(rng.uniform(0.1, 1.0, size=k)),
     )
     lam = feasibility_formula(mc, noiseless=False).modulus
-    scaled = QosVector(tuple(a * target / lam for a in alphas))
+    scaled = tuple(a * target / lam for a in alphas)
     return MultiConnection(alphas=scaled, gains=mc.gains, d=d, noise=mc.noise)
 
 
@@ -118,11 +115,11 @@ def scenarios_of(draw, kind):
     def values(size, low, high, kind=st.floats):
         return tuple(draw(st.lists(kind(low, high), min_size=size, max_size=size)))
 
-    alphas, noise = QosVector(values(n, 0.2, 1.0)), NoiseVector(values(k, 0.1, 1.0))
+    alphas, noise = values(n, 0.2, 1.0), values(k, 0.1, 1.0)
     if kind == "single_cell":
         return SingleCell(alphas, values(n, 0.5, 2.0), draw(st.floats(0.1, 2.0)))
     if kind == "macro_diversity":
-        return MacroDiversity(alphas, GainMatrix([values(k, 0.1, 2.0) for _ in range(n)]), noise)
+        return MacroDiversity(alphas, [values(k, 0.1, 2.0) for _ in range(n)], noise)
     gains = [values(n, 0.05, 2.0) for _ in range(k)]
     if kind == "fixed_assignment":
         return FixedAssignment(alphas, gains, values(n, 0, k - 1, st.integers), noise)
@@ -132,7 +129,7 @@ def scenarios_of(draw, kind):
 def scaled(scenario, lam, *options):
     """``scenario`` at targets whose largest modulus over ``options`` is ``lam`` (moduli are linear in them)."""
     top = max(feasibility_formula(scenario, **o).modulus for o in options)
-    return with_alphas(scenario, QosVector(tuple(a * lam / top for a in scenario.alphas)))
+    return with_alphas(scenario, tuple(a * lam / top for a in scenario.alphas))
 
 
 @st.composite
@@ -146,6 +143,27 @@ def map_cases(draw, case, top=0.95):
 def points(n, high=5.0):
     """Non-negative power vectors of length n, zeros included."""
     return st.lists(st.just(0.0) | st.floats(0.05, high), min_size=n, max_size=n).map(np.array)
+
+
+PLAIN = {
+    "single_cell": (SingleCell, ((0.3, 0.4), (1.0, 2.0), 1.0)),
+    "macro_diversity": (MacroDiversity, ((0.3, 0.4), ((1.0, 0.5), (0.5, 1.0)), (1.0, 2.0))),
+    "fixed_assignment": (FixedAssignment, ((0.3, 0.4), ((1.0, 0.5), (0.5, 1.0)), (0, 1), (1.0, 2.0))),
+    "multi_connection": (MultiConnection, ((0.3, 0.4), ((1.0, 0.5), (0.5, 1.0)), (1, 2), (1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("kind", list(PLAIN))
+def test_constructors_take_tuples_lists_and_arrays(kind):
+    make, args = PLAIN[kind]
+    scenario = make(*args)
+    for convert in (lambda v: np.array(v).tolist(), np.array):
+        other = make(*(convert(v) if isinstance(v, tuple) else v for v in args))
+        assert other == scenario
+        for name in ("alphas", "gains", "noise"):
+            value = getattr(other, name, ())
+            rows = value if value and type(value[0]) is tuple else (value,)
+            assert type(value) is tuple and all(type(v) is float for row in rows for v in row), name
 
 
 class TestOrderStatistics:
@@ -163,7 +181,7 @@ class TestOrderStatistics:
 
 class TestSingleCellReceived:
     def test_pair_system_structure(self):
-        sc = SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
+        sc = SingleCell(alphas=(0.3, 0.4), gains=(1.0, 1.0), sigma=1.0)
         system = build_single_cell_received(sc)
         assert system.rules[0].f.weights == (0.3,)
         assert system.rules[0].offset == pytest.approx(0.3)
@@ -171,11 +189,11 @@ class TestSingleCellReceived:
         assert system.rules[1].offset == pytest.approx(0.4)
 
     def test_zero_target_rejected_by_type(self):
-        with pytest.raises(InvalidInputError):
-            QosVector((0.0, 0.0))
+        with pytest.raises(InvalidInputError, match="^SingleCell: target for terminal 1 "):
+            SingleCell((0.0, 0.0), (1.0, 1.0), 1.0)
 
     def test_three_terminal_moduli(self):
-        sc = SingleCell(alphas=QosVector((0.4,) * 3), gains=(1.0,) * 3, sigma=0.5)
+        sc = SingleCell(alphas=(0.4,) * 3, gains=(1.0,) * 3, sigma=0.5)
         report = contraction_modulus(build_single_cell_received(sc))
         # each target below 1/(N-1) = 0.5, so the per-terminal condition holds too
         assert report.per_terminal_modulus == pytest.approx((0.8,) * 3, abs=1e-15)
@@ -184,7 +202,7 @@ class TestSingleCellReceived:
 
 class TestSingleCellTransformed:
     def test_flexible_beyond_per_terminal_bound(self):
-        sc = SingleCell(alphas=QosVector((0.6, 0.3, 0.2)), gains=(1.0,) * 3, sigma=1.0)
+        sc = SingleCell(alphas=(0.6, 0.3, 0.2), gains=(1.0,) * 3, sigma=1.0)
         transformed = contraction_modulus(build_single_cell_transformed(sc))
         assert transformed.per_terminal_modulus == pytest.approx((0.5, 0.8, 0.9), abs=1e-15)
         assert transformed.feasible
@@ -193,13 +211,13 @@ class TestSingleCellTransformed:
         assert not received.feasible
 
     def test_boundary_sum(self):
-        sc = SingleCell(alphas=QosVector((0.5, 0.5, 0.1)), gains=(1.0,) * 3, sigma=1.0)
+        sc = SingleCell(alphas=(0.5, 0.5, 0.1), gains=(1.0,) * 3, sigma=1.0)
         report = contraction_modulus(build_single_cell_transformed(sc))
         assert report.per_terminal_modulus[2] == pytest.approx(1.0, abs=1e-15)
         assert not report.feasible
 
     def test_fixed_points_related_by_target_scaling(self):
-        sc = SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
+        sc = SingleCell(alphas=(0.3, 0.4), gains=(1.0, 1.0), sigma=1.0)
         p, _ = solve(build_single_cell_received(sc), SolveConfig(tolerance=1e-12))
         q, _ = solve(build_single_cell_transformed(sc), SolveConfig(tolerance=1e-12))
         for qi, pi, ai in zip(q, p, sc.alphas):
@@ -217,9 +235,9 @@ class TestMacroDiversity:
         rng = np.random.default_rng(8)
         gains = rng.uniform(0.1, 2.0, size=(4, 3))
         md = MacroDiversity(
-            alphas=QosVector((0.3, 0.5, 0.4, 0.2)),
-            gains=GainMatrix(tuple(map(tuple, gains))),
-            noise=NoiseVector((0.5, 1.0, 0.2)),
+            alphas=(0.3, 0.5, 0.4, 0.2),
+            gains=tuple(map(tuple, gains)),
+            noise=(0.5, 1.0, 0.2),
         )
         report = contraction_modulus(build_macro_diversity(md))
         h = gains
@@ -231,9 +249,9 @@ class TestMacroDiversity:
 
     def test_one_receiver_reduces_to_single_cell(self):
         md = MacroDiversity(
-            alphas=QosVector((0.6, 0.3, 0.2)),
-            gains=GainMatrix(((2.0,), (1.0,), (0.5,))),
-            noise=NoiseVector((1.0,)),
+            alphas=(0.6, 0.3, 0.2),
+            gains=((2.0,), (1.0,), (0.5,)),
+            noise=(1.0,),
         )
         md_report = contraction_modulus(build_macro_diversity_transformed(md))
         sc = SingleCell(alphas=md.alphas, gains=(2.0, 1.0, 0.5), sigma=1.0)
@@ -244,9 +262,9 @@ class TestMacroDiversity:
 
     def test_asymmetric_boundary_point(self):
         md = MacroDiversity(
-            alphas=QosVector((1.0, 1.0, 2.0 / 3.0)),
+            alphas=(1.0, 1.0, 2.0 / 3.0),
             gains=ASYMMETRIC_GAINS,
-            noise=NoiseVector((1.0, 1.0)),
+            noise=(1.0, 1.0),
         )
         report = contraction_modulus(build_macro_diversity_transformed(md))
         assert abs(report.modulus - 1.0) <= 1e-12
@@ -255,12 +273,12 @@ class TestMacroDiversity:
     def test_asymmetric_inequalities(self):
         # receiver-1 pairs: (2/3)a1 + (1/3)a2, (1/3)a1 + ... per leave-one-out
         md = MacroDiversity(
-            alphas=QosVector((0.9, 0.6, 0.5)),
+            alphas=(0.9, 0.6, 0.5),
             gains=ASYMMETRIC_GAINS,
-            noise=NoiseVector((1.0, 1.0)),
+            noise=(1.0, 1.0),
         )
         report = contraction_modulus(build_macro_diversity_transformed(md))
-        g = ASYMMETRIC_GAINS.relative
+        g = md.relative
         a = md.alphas
         expected_3 = max(
             a[0] * g[0][0] + a[1] * g[1][0],
@@ -273,7 +291,7 @@ class TestMacroDiversity:
         p, _ = solve(build_macro_diversity(md), SolveConfig(tolerance=1e-12))
         q, _ = solve(build_macro_diversity_transformed(md), SolveConfig(tolerance=1e-12))
         for i in range(3):
-            h_i = md.gains.row_sums[i]
+            h_i = md.row_sums[i]
             assert q[i] == pytest.approx(h_i * p[i] / md.alphas[i], rel=1e-9)
 
     @PROPERTY
@@ -287,12 +305,12 @@ class TestMacroDiversity:
 
 class TestFixedAssignment:
     def test_single_receiver_equals_received_single_cell(self):
-        qos = QosVector((0.3, 0.4))
+        qos = (0.3, 0.4)
         fa = FixedAssignment(
             alphas=qos,
             gains=((1.0, 1.0),),
             assignment=(0, 0),
-            noise=NoiseVector((1.0,)),
+            noise=(1.0,),
         )
         fa_system = build_fixed_assignment(fa)
         sc_system = build_single_cell_received(
@@ -304,10 +322,10 @@ class TestFixedAssignment:
 
     def test_decoupled_cells(self):
         fa = FixedAssignment(
-            alphas=QosVector((0.9, 0.8)),
+            alphas=(0.9, 0.8),
             gains=((1.0, 0.0), (0.0, 2.0)),
             assignment=(0, 1),
-            noise=NoiseVector((1.0, 1.0)),
+            noise=(1.0, 1.0),
         )
         system = build_fixed_assignment(fa)
         report = contraction_modulus(system)
@@ -317,10 +335,10 @@ class TestFixedAssignment:
 
     def test_cross_gain_modulus(self):
         fa = FixedAssignment(
-            alphas=QosVector((0.5, 0.25)),
+            alphas=(0.5, 0.25),
             gains=((2.0, 0.5), (0.4, 1.0)),
             assignment=(0, 1),
-            noise=NoiseVector((1.0, 1.0)),
+            noise=(1.0, 1.0),
         )
         report = contraction_modulus(build_fixed_assignment(fa))
         assert report.per_terminal_modulus[0] == pytest.approx(0.5 * 0.5 / 2.0, abs=1e-15)
@@ -329,10 +347,10 @@ class TestFixedAssignment:
     def test_zero_gain_to_assigned_receiver_rejected(self):
         with pytest.raises(InvalidInputError):
             FixedAssignment(
-                alphas=QosVector((0.5, 0.5)),
+                alphas=(0.5, 0.5),
                 gains=((0.0, 1.0), (1.0, 1.0)),
                 assignment=(0, 1),
-                noise=NoiseVector((1.0, 1.0)),
+                noise=(1.0, 1.0),
             )
 
 
@@ -340,10 +358,10 @@ class TestMultiConnection:
     def test_diversity_order_out_of_range(self):
         with pytest.raises(InvalidInputError):
             MultiConnection(
-                alphas=QosVector((0.5, 0.5)),
+                alphas=(0.5, 0.5),
                 gains=((1.0, 1.0), (1.0, 1.0)),
                 d=(3, 1),
-                noise=NoiseVector((1.0, 1.0)),
+                noise=(1.0, 1.0),
             )
 
     def test_exact_condition_uses_order_statistic(self):
@@ -351,10 +369,10 @@ class TestMultiConnection:
         rng = np.random.default_rng(12)
         gains = rng.uniform(0.2, 2.0, size=(4, 3))
         mc = MultiConnection(
-            alphas=QosVector((0.4, 0.3, 0.5)),
+            alphas=(0.4, 0.3, 0.5),
             gains=tuple(map(tuple, gains)),
             d=(3, 1, 2),
-            noise=NoiseVector((1.0,) * 4),
+            noise=(1.0,) * 4,
         )
         report = contraction_modulus(build_multi_connection(mc, noiseless=True))
         a = mc.alphas
@@ -368,10 +386,10 @@ class TestMultiConnection:
     def test_bounded_condition_uses_dth_largest_reference(self):
         gains = ((1.0, 0.5), (2.0, 1.5), (0.5, 3.0))
         mc = MultiConnection(
-            alphas=QosVector((0.4, 0.3)),
+            alphas=(0.4, 0.3),
             gains=gains,
             d=(2, 1),
-            noise=NoiseVector((1.0, 0.5, 2.0)),
+            noise=(1.0, 0.5, 2.0),
         )
         report = contraction_modulus(build_multi_connection(mc, noiseless=False))
         # terminal 1: reference gain = 2nd largest of (1, 2, 0.5) = 1
@@ -386,19 +404,19 @@ class TestMultiConnection:
     def test_unreachable_terminal_rejected(self):
         with pytest.raises(InvalidInputError):
             MultiConnection(
-                alphas=QosVector((0.5, 0.5)),
+                alphas=(0.5, 0.5),
                 gains=((1.0, 0.0), (1.0, 0.0)),
                 d=(1, 1),
-                noise=NoiseVector((1.0, 1.0)),
+                noise=(1.0, 1.0),
             )
 
     def test_order_one_uses_best_receiver(self):
         gains = ((1.0, 0.2), (0.3, 2.0))
         mc = MultiConnection(
-            alphas=QosVector((0.5, 0.5)),
+            alphas=(0.5, 0.5),
             gains=gains,
             d=(1, 1),
-            noise=NoiseVector((1.0, 1.0)),
+            noise=(1.0, 1.0),
         )
         assert mc.reference_gains[0] == 1.0
         assert mc.reference_gains[1] == 2.0
@@ -406,15 +424,15 @@ class TestMultiConnection:
 
     def test_exact_mode_has_no_offset(self):
         mc = MultiConnection(
-            alphas=QosVector((0.5, 0.5)),
+            alphas=(0.5, 0.5),
             gains=((1.0, 1.0), (2.0, 0.5)),
             d=(1, 1),
-            noise=NoiseVector((1.0, 1.0)),
+            noise=(1.0, 1.0),
         )
         exact = build_multi_connection(mc, noiseless=True)
         assert all(rule.offset == 0.0 for rule in exact.rules)
         bounded = build_multi_connection(mc, noiseless=False)
-        assert all(rule.offset == mc.noise.max() for rule in bounded.rules)
+        assert all(rule.offset == max(mc.noise) for rule in bounded.rules)
 
     def test_exact_feasible_iteration_collapses_to_zero(self):
         # without noise the only balance point is all-off; feasibility makes
@@ -426,7 +444,7 @@ class TestMultiConnection:
         if not report.feasible:  # exact condition can be stricter; rescale
             scale = 0.8 / report.modulus
             mc = MultiConnection(
-                alphas=QosVector(tuple(a * scale for a in mc.alphas)),
+                alphas=tuple(a * scale for a in mc.alphas),
                 gains=mc.gains,
                 d=mc.d,
                 noise=mc.noise,
@@ -452,10 +470,10 @@ class TestMultiConnection:
     def test_domination_survives_zero_gains(self):
         gains = ((1.0, 0.0, 0.5), (0.5, 2.0, 0.0), (0.0, 1.0, 1.5))
         mc = MultiConnection(
-            alphas=QosVector((0.4, 0.3, 0.2)),
+            alphas=(0.4, 0.3, 0.2),
             gains=gains,
             d=(2, 1, 2),
-            noise=NoiseVector((1.0, 1.0, 1.0)),
+            noise=(1.0, 1.0, 1.0),
         )
         bounded = build_multi_connection(mc, noiseless=False)
         exact_scaled = mc_exact_rules_in_bounded_coords(mc)
@@ -501,16 +519,16 @@ class TestFormulaEngineAgreement:
         # with g = 1/K the transformed condition is sum_{n != i} alpha_n < K
         md = symmetric_md(0.99, n=3, k=2)
         report = feasibility_formula(md)
-        alphas = md.alphas.as_array()
+        alphas = np.array(md.alphas)
         for i in range(3):
             loo = alphas.sum() - alphas[i]
             assert report.per_terminal_modulus[i] == pytest.approx(loo / 2.0, rel=1e-14)
 
     def test_degenerate_third_receiver_condition_unchanged(self):
         degenerate = MacroDiversity(
-            alphas=QosVector((0.9, 0.9, 0.1)),
-            gains=GainMatrix(((1.0, 1.0, 0.0),) * 3),
-            noise=NoiseVector((1.0, 1.0, 1.0)),
+            alphas=(0.9, 0.9, 0.1),
+            gains=((1.0, 1.0, 0.0),) * 3,
+            noise=(1.0, 1.0, 1.0),
         )
         two_receiver = symmetric_md(0.9)
         report_a = feasibility_formula(degenerate)
@@ -522,7 +540,7 @@ class TestFormulaEngineAgreement:
             report_b.per_terminal_modulus, abs=1e-15
         )
         # while the gain-blind baseline even admits target sums up to 3
-        assert hanly(degenerate.alphas.as_array(), 3)
+        assert hanly(np.array(degenerate.alphas), 3)
 
 
 class TestLeaveOneOutSums:
@@ -590,10 +608,10 @@ LAYOUT_CASES = ("fixed_assignment", "macro_diversity-transformed",
 
 def large_scenario(case, rng, n=200, k=8, lam=0.95):
     """N terminals, K receivers, equal targets scaled to modulus ``lam``."""
-    ones = QosVector((1.0,) * n)
-    noise = NoiseVector((1.0,) * k)
+    ones = (1.0,) * n
+    noise = (1.0,) * k
     if case == "macro_diversity-transformed":
-        gains = GainMatrix(tuple(map(tuple, rng.uniform(0.1, 1.0, (n, k)))))
+        gains = tuple(map(tuple, rng.uniform(0.1, 1.0, (n, k))))
         scenario = MacroDiversity(ones, gains, noise)
     elif case == "fixed_assignment":
         gains = rng.uniform(0.05, 2.0, (k, n))
@@ -604,7 +622,7 @@ def large_scenario(case, rng, n=200, k=8, lam=0.95):
                                    tuple(rng.integers(1, k + 1, n).tolist()), noise)
     options = CASES[case][1]
     unit = feasibility_formula(scenario, **options).modulus
-    return with_alphas(scenario, QosVector((lam / unit,) * n)), options
+    return with_alphas(scenario, (lam / unit,) * n), options
 
 
 @pytest.mark.parametrize("case", LAYOUT_CASES)
@@ -644,8 +662,8 @@ def test_weighted_moduli_lie_within_four_ulp_of_exact(kind):
     zero = rng.random((k, n)) < 0.3
     zero[served, np.arange(n)] = False  # every terminal keeps one receiver in range
     gains[zero] = 0.0
-    alphas = QosVector(tuple(rng.uniform(0.002, 0.02, n).tolist()))
-    noise = NoiseVector((0.0,) * k)  # c = 0, so step(1) is the reduction alone
+    alphas = tuple(rng.uniform(0.002, 0.02, n).tolist())
+    noise = (0.0,) * k  # c = 0, so step(1) is the reduction alone
     gain_rows = tuple(map(tuple, gains.tolist()))
     a, G = list(map(Fraction, alphas)), [list(map(Fraction, row)) for row in gain_rows]
     if kind == "fixed_assignment":
@@ -687,8 +705,8 @@ def test_weights_are_the_per_row_quotients(case, data):
 @pytest.mark.parametrize("kind", ["fixed_assignment", "exact_noiseless"])
 def test_weights_beyond_float_range_are_rejected(kind):
     # W = alpha / 5e-324 or 1 / 5e-324 is inf, and inf times the zero sum at receiver 1 is NaN
-    gains, noise = ((5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)), NoiseVector((0.0, 0.0))
-    alphas = QosVector((0.3,) * 3)
+    gains, noise = ((5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 0.0)
+    alphas = (0.3,) * 3
     if kind == "fixed_assignment":
         scenario = FixedAssignment(alphas, gains, (0, 1, 1), noise)
     else:
@@ -745,7 +763,7 @@ class TestLeaveOneOutMap:
         )
 
     def test_rejects_wrong_length(self):
-        sc = SingleCell(alphas=QosVector((0.3, 0.4)), gains=(1.0, 1.0), sigma=1.0)
+        sc = SingleCell(alphas=(0.3, 0.4), gains=(1.0, 1.0), sigma=1.0)
         with pytest.raises(InvalidInputError):
             leave_one_out_map(sc).step(np.ones(3))
 
@@ -786,7 +804,7 @@ class TestTransformConsistency:
         scenario = scaled(data.draw(scenarios_of(kind)), data.draw(st.floats(0.3, 0.95)), *options)
         p, q = (solve(leave_one_out_map(scenario, **o), SolveConfig(tolerance=1e-12), trace=False)[0]
                 for o in options)
-        h = scenario.gains.row_sums if kind == "macro_diversity" else (1.0,) * scenario.n
+        h = scenario.row_sums if kind == "macro_diversity" else (1.0,) * scenario.n
         for qi, pi, hi, ai in zip(q, p, h, scenario.alphas):
             assert qi == pytest.approx(hi * pi / ai, rel=1e-8)
 
@@ -881,7 +899,7 @@ class TestPolicyIteration:
         rng = np.random.default_rng(5)
         md = random_md(rng, 0.5)
         lam = feasibility_formula(md).modulus
-        md = MacroDiversity(QosVector(tuple(a * 0.9999 / lam for a in md.alphas)), md.gains, md.noise)
+        md = MacroDiversity(tuple(a * 0.9999 / lam for a in md.alphas), md.gains, md.noise)
         array_map = leave_one_out_map(md)
         with pytest.raises(InvalidInputError) as excinfo:
             solve(array_map, SolveConfig(tolerance=1e-15), trace=False)
@@ -921,7 +939,7 @@ class TestPolicyExactness:
     def test_single_cell_closed_form(self, coordinates):
         # N=200 equal targets at lambda 0.965, as in the solve benchmark's single-cell slots
         n = 200
-        sc = SingleCell(QosVector((0.965 / (n - 1),) * n), (1.0,) * n, 1.065)
+        sc = SingleCell((0.965 / (n - 1),) * n, (1.0,) * n, 1.065)
         # q_i = sigma / ((1 - S)(1 + alpha_i)) with S = sum of alpha / (1 + alpha); P_i = alpha_i q_i
         alphas = list(map(Fraction, sc.alphas))
         s = sum(a / (1 + a) for a in alphas)
@@ -937,8 +955,8 @@ class TestPolicyExactness:
         assignment = rng.integers(0, k, n)
         gains = 2.0 ** rng.integers(-4, 0, (k, n))
         gains[assignment, np.arange(n)] = 2.0
-        fa = FixedAssignment(QosVector(tuple(rng.integers(8, 48, n) / 128)), tuple(map(tuple, gains)),
-                             tuple(assignment.tolist()), NoiseVector(tuple(rng.integers(1, 9, k) / 8)))
+        fa = FixedAssignment(tuple(rng.integers(8, 48, n) / 128), tuple(map(tuple, gains)),
+                             tuple(assignment.tolist()), tuple(rng.integers(1, 9, k) / 8))
         assert 0.3 < feasibility_formula(fa).modulus < 1.0
         exact = exact_fixed_point(*affine_parts(build_fixed_assignment(fa)))
         self.assert_near_exact(leave_one_out_map(fa), exact)
