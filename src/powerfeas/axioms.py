@@ -63,9 +63,6 @@ class AxiomReport(_Frozen):
             raise InvalidInputError(f"AxiomReport: need one verdict per axiom, in order {AXIOM_NAMES}")
         self._set(dim=dim, samples=samples, seed=seed, results=results)
 
-    def verdicts(self) -> tuple[CheckVerdict, ...]:
-        return self.results
-
     @property
     def all_passed(self) -> bool:
         return all(v.passed for v in self.results)

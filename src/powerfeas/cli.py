@@ -1,22 +1,19 @@
 """Command-line front end: check, solve, region, axioms.
 
-Configs are JSON documents; see the README for the schema. ``check``,
-``solve`` and ``region`` check a config by building its scenario
-(``ScenarioConfig.scenario``), whose types own the shape and value checks.
-Exit codes are a stable contract: 0 ok/feasible, 1 input error, 2
+Configs are JSON documents; see the README for the schema. :data:`SCHEMA`
+says, per scenario kind, which type a config builds, which keys it reads
+into that type's arguments and which option it takes. Loading checks JSON
+types and keys; the scenario types check shapes and values, for every
+command. Exit codes are a stable contract: 0 ok/feasible, 1 input error, 2
 infeasible or axiom failure, 3 non-convergence of a (typically forced)
 iteration run.
 
 ``check`` certifies a config with the closed form, in pure Python. ``solve``
-computes the fixed point of the update map (``scenarios.leave_one_out_map``)
-by policy iteration in pure Python, or by Picard iteration on numpy arrays
-with ``--trace``, ``--force`` or in ``exact_noiseless`` mode. A command loads
-only what it runs: ``check`` loads ``core``, ``scenarios`` and this module,
-without numpy; ``solve`` adds ``engine`` (and numpy for Picard runs),
-``region`` ``capacity`` and numpy, ``axioms`` ``rules``, ``axioms`` and
-numpy. The ``engine`` and ``capacity`` functions called here import their
-module on first call (:func:`_deferred`). No command builds a
-``rules.System``.
+computes the fixed point of the update map by policy iteration in pure
+Python, or by Picard iteration on numpy arrays with ``--trace``, ``--force``
+or in ``exact_noiseless`` mode. A command loads only what it runs (see the
+README); the ``engine`` and ``capacity`` functions called here import their
+module on first call (:func:`_deferred`).
 """
 
 from __future__ import annotations
@@ -25,12 +22,12 @@ import argparse
 import importlib
 import json
 import math
+import os
 import sys
+from functools import partial
 from typing import Optional
 
 from .core import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOLERANCE,
     EvaluationError,
     FeasibilityReport,
     InfeasibleSystemError,
@@ -55,9 +52,6 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
-
-KINDS = ("single_cell", "macro_diversity", "fixed_assignment", "multi_connection")
-MC_MODES = ("bounded", "exact_noiseless")
 
 
 def _deferred(module: str, name: str):
@@ -92,11 +86,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt12(value: float) -> str:
-    return format(float(value), ".12g")
-
-
-def _field(value, name: str, kind: type):
+def _field(value, name: str, kind: type = float):
     """A config value of JSON type ``kind``: ``int``, or ``float`` for any number; bools are neither."""
     if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
         wanted = "an integer" if kind is int else "a number"
@@ -104,150 +94,114 @@ def _field(value, name: str, kind: type):
     return kind(value)
 
 
-def _fields(values, name: str, kind: type) -> tuple:
-    """A config list whose entries are :func:`_field` values of type ``kind``."""
+def _fields(values, name: str, kind: type = float, depth: int = 1) -> tuple:
+    """A config list of :func:`_field` values of type ``kind``, or, at ``depth`` 2, of such lists."""
     if not isinstance(values, (list, tuple)):
         raise InvalidInputError(f"config: {name} must be a list, got {type(values).__name__}")
+    if depth > 1:
+        return tuple(_fields(v, f"{name}[{i}]", kind, depth - 1) for i, v in enumerate(values))
     if not set(map(type, values)) <= ({int} if kind is int else {int, float}):
         for i, v in enumerate(values):  # raises naming the first bad entry
             _field(v, f"{name}[{i}]", kind)
     return tuple(map(kind, values))
 
 
-class ScenarioConfig:
-    """Mirror of a config document, parsed but not yet checked.
+_integer = partial(_field, kind=int)
+_integers = partial(_fields, kind=int)
+_rows = partial(_fields, depth=2)
 
-    Loading checks JSON types, keys, the options and the solver settings;
-    the scenario types check shapes and values when :meth:`scenario` builds
-    one, for every command. Holds user-level values (1-based receiver
-    indices in ``assignment``); conversion to 0-based happens there too.
-    ``receivers`` is the K that loading reads off the gains' shape.
+
+def _receivers(values, name: str) -> tuple:
+    """1-based receiver indices, as the 0-based ones the scenario types take."""
+    return tuple(a - 1 for a in _integers(values, name))
+
+
+_COORDINATES = {"coordinates": ("transformed", "original")}
+
+# Per kind: its scenario type; the keys the type takes after ``alphas``, in
+# constructor order, each with its reader; and its option, if it has one,
+# with the allowed values, default first.
+SCHEMA = {
+    "single_cell": (SingleCell, (("gains", _fields), ("sigma", _field)), _COORDINATES),
+    "macro_diversity": (MacroDiversity, (("gains", _rows), ("sigma", _fields)), _COORDINATES),
+    "fixed_assignment": (FixedAssignment, (("gains", _rows), ("assignment", _receivers), ("sigma", _fields)),
+                         {}),
+    "multi_connection": (MultiConnection, (("gains", _rows), ("d", _integers), ("sigma", _fields)),
+                         {"mode": ("bounded", "exact_noiseless")}),
+}
+_COMMON_KEYS = {"scenario", "n", "k", "alphas", "solver"}  # the keys every kind takes
+# The solver settings with their readers; an absent one takes SolveConfig's default.
+_SOLVER = (("tolerance", _field), ("max_iter", _integer),
+           ("initial", lambda values, name: PowerVector(_fields(values, name))))
+
+
+class ScenarioConfig:
+    """A config document, read through :data:`SCHEMA` but not yet checked.
+
+    Loading checks JSON types, keys, the option and the solver settings; the
+    scenario type checks shapes and values when :meth:`scenario` builds it,
+    for every command. ``args`` are the type's constructor arguments
+    (``assignment`` already 0-based), ``options`` the kind's option and its
+    value, ``k`` the optional receiver count :meth:`scenario` checks.
     """
 
-    def __init__(self, kind: str, alphas: tuple[float, ...], gains: tuple, receivers: int,
-                 sigma: tuple[float, ...] | float, assignment: Optional[tuple[int, ...]] = None,
-                 d: Optional[tuple[int, ...]] = None, mode: Optional[str] = None,
-                 coordinates: Optional[str] = None, solver: Optional[SolveConfig] = None):
-        self.kind, self.alphas, self.gains, self.sigma = kind, alphas, gains, sigma
-        self.receivers, self.assignment, self.d, self.mode = receivers, assignment, d, mode
-        self.coordinates = coordinates
-        self.solver = SolveConfig() if solver is None else solver
+    def __init__(self, kind: str, args: tuple, options: dict, k: Optional[int], solver: SolveConfig):
+        self.kind, self.args, self.options, self.k, self.solver = kind, args, options, k, solver
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        known = {"scenario", "n", "k", "alphas", "gains", "sigma", "assignment",
-                 "d", "mode", "coordinates", "solver"}
-        unknown = set(doc) - known
+        keys = {kind: {*dict(fields), *options} for kind, (_, fields, options) in SCHEMA.items()}
+        unknown = set(doc) - _COMMON_KEYS.union(*keys.values())
         if unknown:
             raise InvalidInputError(f"config: unknown keys {sorted(unknown)}")
         kind = doc.get("scenario")
-        if kind not in KINDS:
-            raise InvalidInputError(f"config: scenario must be one of {KINDS}, got {kind!r}")
-        if "alphas" not in doc or "gains" not in doc or "sigma" not in doc:
-            raise InvalidInputError("config: alphas, gains and sigma are required")
+        if kind not in tuple(SCHEMA):  # a tuple: kind may be unhashable
+            raise InvalidInputError(f"config: scenario must be one of {tuple(SCHEMA)}, got {kind!r}")
+        _, fields, options = SCHEMA[kind]
+        foreign = set(doc) - _COMMON_KEYS - keys[kind]
+        if foreign:
+            raise InvalidInputError(f"config: {min(foreign)} is not used by {kind}")
+        missing = [key for key in ("alphas", *dict(fields)) if key not in doc]
+        if missing:
+            raise InvalidInputError(f"config: {kind} requires {', '.join(missing)}")
 
-        alphas = _fields(doc["alphas"], "alphas", float)
+        alphas = _fields(doc["alphas"], "alphas")
         n = len(alphas)
-        if "n" in doc and _field(doc["n"], "n", int) != n:
+        if "n" in doc and _integer(doc["n"], "n") != n:
             raise InvalidInputError(f"config: n={doc['n']} but alphas has {n} entries")
+        args = (alphas, *(read(doc[key], key) for key, read in fields))
+        k = _integer(doc["k"], "k") if "k" in doc else None
 
-        gains_doc = doc["gains"]
-        if kind == "single_cell":
-            gains = _fields(gains_doc, "gains", float)
-            k = 1
-        else:
-            if not isinstance(gains_doc, (list, tuple)):
-                raise InvalidInputError("config: gains must be a matrix (list of rows)")
-            gains = tuple(_fields(row, f"gains[{r}]", float) for r, row in enumerate(gains_doc))
-            if not gains or not gains[0]:
-                raise InvalidInputError("config: gains matrix is empty")
-            # macro diversity is terminal-major (one row per terminal), the rest receiver-major
-            k = len(gains[0]) if kind == "macro_diversity" else len(gains)
-        if "k" in doc and _field(doc["k"], "k", int) != k:
-            raise InvalidInputError(f"config: k={doc['k']} but gains imply {k} receivers")
+        chosen = {}
+        for name, values in options.items():
+            chosen[name] = value = doc.get(name, values[0])
+            if value not in values:
+                raise InvalidInputError(f"config: {kind} {name} must be one of {values}, got {value!r}")
 
-        sigma_doc = doc["sigma"]
-        if kind == "single_cell":
-            if isinstance(sigma_doc, (list, tuple)):
-                raise InvalidInputError("config: single_cell sigma is a scalar")
-            sigma: tuple[float, ...] | float = _field(sigma_doc, "sigma", float)
-        else:
-            if not isinstance(sigma_doc, (list, tuple)):
-                raise InvalidInputError(f"config: {kind} sigma must list one value per receiver")
-            sigma = _fields(sigma_doc, "sigma", float)
+        settings = doc.get("solver", {})
+        if not isinstance(settings, dict):
+            raise InvalidInputError("config: solver must be an object")
+        unknown = set(settings) - set(dict(_SOLVER))
+        if unknown:
+            raise InvalidInputError(f"config: unknown solver keys {sorted(unknown)}")
+        solver = SolveConfig(**{key: read(settings[key], f"solver.{key}") for key, read in _SOLVER
+                                if key in settings})
+        if solver.initial is not None and len(solver.initial) != n:
+            raise InvalidInputError("config: solver.initial needs one power per terminal")
 
-        assignment = None
-        if kind == "fixed_assignment":
-            if "assignment" not in doc:
-                raise InvalidInputError("config: fixed_assignment requires an assignment list")
-            assignment = _fields(doc["assignment"], "assignment", int)
-        elif "assignment" in doc:
-            raise InvalidInputError("config: assignment is only valid for fixed_assignment")
-
-        d = None
-        mode = None
-        if kind == "multi_connection":
-            if "d" not in doc:
-                raise InvalidInputError("config: multi_connection requires diversity orders d")
-            d = _fields(doc["d"], "d", int)
-            mode = doc.get("mode", "bounded")
-            if mode not in MC_MODES:
-                raise InvalidInputError(f"config: mode must be one of {MC_MODES}, got {mode!r}")
-        else:
-            if "d" in doc:
-                raise InvalidInputError("config: d is only valid for multi_connection")
-            if "mode" in doc:
-                raise InvalidInputError("config: mode is only valid for multi_connection")
-
-        coordinates = None
-        if kind in ("single_cell", "macro_diversity"):
-            coordinates = doc.get("coordinates", "transformed")
-            if coordinates not in ("original", "transformed"):
-                raise InvalidInputError(
-                    f"config: coordinates must be 'original' or 'transformed', got {coordinates!r}"
-                )
-        elif "coordinates" in doc:
-            raise InvalidInputError(f"config: coordinates is not used by {kind}")
-
-        solver = SolveConfig()
-        if "solver" in doc:
-            sdoc = doc["solver"]
-            if not isinstance(sdoc, dict):
-                raise InvalidInputError("config: solver must be an object")
-            unknown = set(sdoc) - {"tolerance", "max_iter", "initial"}
-            if unknown:
-                raise InvalidInputError(f"config: unknown solver keys {sorted(unknown)}")
-            initial = _fields(sdoc["initial"], "solver.initial", float) if "initial" in sdoc else None
-            solver = SolveConfig(
-                tolerance=_field(sdoc.get("tolerance", DEFAULT_TOLERANCE), "solver.tolerance", float),
-                max_iter=_field(sdoc.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter", int),
-                initial=None if initial is None else PowerVector(initial),
-            )
-            if solver.initial is not None and len(solver.initial) != n:
-                raise InvalidInputError("config: solver.initial needs one power per terminal")
-
-        return cls(kind=kind, alphas=alphas, gains=gains, receivers=k, sigma=sigma,
-                   assignment=assignment, d=d, mode=mode,
-                   coordinates=coordinates, solver=solver)
-
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
+        return cls(kind, args, chosen, k, solver)
 
     def scenario(self):
-        if self.kind == "single_cell":
-            return SingleCell(self.alphas, self.gains, self.sigma)
-        if self.kind == "macro_diversity":
-            return MacroDiversity(self.alphas, self.gains, self.sigma)
-        if self.kind == "fixed_assignment":
-            return FixedAssignment(self.alphas, self.gains, tuple(a - 1 for a in self.assignment),
-                                   self.sigma)
-        return MultiConnection(self.alphas, self.gains, self.d, self.sigma)
+        """The scenario the config describes, built by its type, which checks it."""
+        scenario = SCHEMA[self.kind][0](*self.args)
+        if self.k is not None and self.k != scenario.receivers:
+            raise InvalidInputError(f"config: k={self.k} but {self.kind} gains give K={scenario.receivers}")
+        return scenario
 
     def _map_options(self) -> dict:
         return {
-            "coordinates": self.coordinates or "transformed",
-            "noiseless": self.mode == "exact_noiseless",
+            "coordinates": self.options.get("coordinates", "transformed"),
+            "noiseless": self.options.get("mode") == "exact_noiseless",
         }
 
     def build(self) -> LeaveOneOutMap:
@@ -264,6 +218,8 @@ def _read_json(path, what: str) -> dict:
             raise InvalidInputError(
                 f"{what}: line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError:
+            raise InvalidInputError(f"{what}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what}: top level must be an object")
     return doc
@@ -273,10 +229,9 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(_read_json(path, f"config {path}"))
 
 
-def _print_report(config: ScenarioConfig, report: FeasibilityReport) -> None:
-    coords = f", {config.coordinates} coordinates" if config.coordinates else ""
-    mode = f", {config.mode} mode" if config.mode else ""
-    print(f"scenario: {config.kind} (N={config.n}, K={config.receivers}){coords}{mode}")
+def _print_report(config: ScenarioConfig, report: FeasibilityReport, receivers: int) -> None:
+    option = "".join(f", {value} {name}" for name, value in config.options.items())
+    print(f"scenario: {config.kind} (N={len(report.per_terminal_modulus)}, K={receivers}){option}")
     print("terminal  modulus")
     for i, m in enumerate(report.per_terminal_modulus):
         print(f"{i + 1:>8}  {_fmt(m)}")
@@ -310,22 +265,22 @@ def cmd_check(args) -> int:
     if args.json:
         print(json.dumps(_report_json(report)))
     else:
-        _print_report(config, report)
-        if config.kind == "multi_connection":
-            other_mode = "bounded" if config.mode == "exact_noiseless" else "exact_noiseless"
+        _print_report(config, report, scenario.receivers)
+        mode = config.options.get("mode")
+        if mode:  # multi-connection: report the other mode's condition too
+            other_mode = "bounded" if mode == "exact_noiseless" else "exact_noiseless"
             other = feasibility_formula(scenario, noiseless=other_mode == "exact_noiseless")
             agree = "agrees" if other.feasible == report.feasible else "DISAGREES"
             print(
                 f"note: {other_mode} condition gives modulus {_fmt(other.modulus)} "
-                f"({'feasible' if other.feasible else 'infeasible'}); {agree} with {config.mode}"
+                f"({'feasible' if other.feasible else 'infeasible'}); {agree} with {mode}"
             )
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def _parse_initial(text: str, n: int) -> PowerVector:
-    parts = [p for p in text.split(",") if p.strip() != ""]
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise InvalidInputError(f"--init: expected numbers, got {text!r}") from exc
     if len(values) == 1:
@@ -345,14 +300,14 @@ def cmd_solve(args) -> int:
             print(json.dumps(_report_json(report)))
             print(refusal, file=sys.stderr)
         else:
-            _print_report(config, report)
+            _print_report(config, report, len(system.G))
             print(refusal)
         return EXIT_INFEASIBLE
 
     solve_config = config.solver
     if args.init is not None:
         solve_config = SolveConfig(solve_config.tolerance, solve_config.max_iter,
-                                   _parse_initial(args.init, config.n))
+                                   _parse_initial(args.init, system.n))
     try:
         fixed_point, run = solve(system, solve_config, force=args.force,
                                  trace=args.trace is not None)
@@ -374,7 +329,7 @@ def cmd_solve(args) -> int:
         }))
     else:
         for i, value in enumerate(fixed_point):
-            print(f"p_{i + 1} = {_fmt12(value)}")
+            print(f"p_{i + 1} = {value:.12g}")
         certified = "" if run.certified else " (uncertified run)"
         print(f"converged in {run.iterations_used} iterations{certified}")
     return EXIT_OK
@@ -384,16 +339,21 @@ def cmd_region(args) -> int:
     from .capacity import RegionSpec, hanly, region_inequalities
 
     config = load_config(args.config)
-    alpha_max = args.alpha_max if args.alpha_max is not None else float(config.receivers + 1)
-    spec = RegionSpec(config.scenario(), **config._map_options(),
-                      resolution=args.resolution, alpha_max=alpha_max)
+    scenario = config.scenario()
+    alpha_max = args.alpha_max if args.alpha_max is not None else float(scenario.receivers + 1)
+    spec = RegionSpec(scenario, **config._map_options(), resolution=args.resolution, alpha_max=alpha_max)
     if args.inequalities:
         region_inequalities(spec)  # raises for a region without one, before any file is written
     cloud = sample_region(spec, allow_large=args.force_dim)
     export_cloud(cloud, args.out)
+    if args.inequalities:
+        try:
+            export_inequalities(spec, args.inequalities)
+        except Exception:
+            os.remove(args.out)  # write both files or neither
+            raise
     print(f"wrote {cloud.spec.point_count} points to {args.out}")
     if args.inequalities:
-        export_inequalities(spec, args.inequalities)
         print(f"wrote inequality rows to {args.inequalities}")
     if args.compare:
         comparison = compare_regions(cloud, hanly(cloud.alphas, spec.receivers))
@@ -467,12 +427,8 @@ def _parse_function_spec(spec: str, dim: Optional[int]):
 
 
 def _fmt_witness(counterexample) -> str:
-    parts = []
-    for item in counterexample.inputs:
-        if isinstance(item, tuple):
-            parts.append("(" + ", ".join(_fmt(v) for v in item) + ")")
-        else:
-            parts.append(_fmt(item))
+    parts = ("(" + ", ".join(map(_fmt, item)) + ")" if isinstance(item, tuple) else _fmt(item)
+             for item in counterexample.inputs)
     return (
         f"witness {', '.join(parts)}: lhs={_fmt(counterexample.lhs)} "
         f"> rhs={_fmt(counterexample.rhs)}"
@@ -487,7 +443,7 @@ def cmd_axioms(args) -> int:
     report = axioms.check_all(f, dim, samples=samples, seed=args.seed)
     print(f"function: {label} (dim {dim}, samples {samples}, seed {args.seed})")
     print(f"{'axiom':<22}verdict")
-    for verdict in report.verdicts():
+    for verdict in report.results:
         line = f"{verdict.axiom:<22}{'PASS' if verdict.passed else 'FAIL'}"
         if verdict.counterexample is not None:
             line += "  " + _fmt_witness(verdict.counterexample)

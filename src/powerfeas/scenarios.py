@@ -99,6 +99,10 @@ class SingleCell(_Frozen):
     def n(self) -> int:
         return len(self.alphas)
 
+    @property
+    def receivers(self) -> int:
+        return 1
+
 
 class MacroDiversity(_Frozen):
     """All receivers jointly decode every terminal; no cell boundaries.

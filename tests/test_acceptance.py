@@ -308,7 +308,7 @@ def test_axiom_suite():
         for f in candidates:
             report = check_all(f, dim, samples=2000, seed=1000 + dim)
             assert report.all_passed, (dim, type(f).__name__,
-                                       [v.axiom for v in report.verdicts() if not v.passed])
+                                       [v.axiom for v in report.results if not v.passed])
 
     verdict = check_subadd(lambda x: float(np.abs(x).sum() ** 2), 1, 2000, seed=7)
     assert not verdict.passed

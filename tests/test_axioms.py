@@ -149,7 +149,7 @@ class TestReportMachinery:
 
     def test_fail_witness_reproduces_violation(self):
         report = check_all(squared_l1, 2, samples=500, seed=7)
-        verdict = report.verdicts()[AXIOM_NAMES.index("sub-additivity")]
+        verdict = report.results[AXIOM_NAMES.index("sub-additivity")]
         assert not verdict.passed
         x = np.array(verdict.counterexample.inputs[0])
         y = np.array(verdict.counterexample.inputs[1])

@@ -260,6 +260,55 @@ def test_malformed_configs_fail_alike_on_every_command(tmp_path, capsys, doc, me
     assert not cloud.exists()
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(symmetric_doc(), assignment=[1, 2, 2]), "config: assignment is not used by macro_diversity"),
+    (dict(fixed_assignment_doc(), d=[1, 1, 1]), "config: d is not used by fixed_assignment"),
+    (dict(pair_doc(), mode="bounded"), "config: mode is not used by single_cell"),
+    (dict(fixed_assignment_doc(), coordinates="original"), "config: coordinates is not used by fixed_assignment"),
+    (without(pair_doc(), "gains"), "config: single_cell requires gains"),
+    (without(symmetric_doc(), "sigma"), "config: macro_diversity requires sigma"),
+    (without(fixed_assignment_doc(), "assignment"), "config: fixed_assignment requires assignment"),
+    (without(multi_connection_doc(), "d"), "config: multi_connection requires d"),
+    (without(multi_connection_doc(), "alphas"), "config: multi_connection requires alphas"),
+    (dict(pair_doc(), coordinates="polar"),
+     "config: single_cell coordinates must be one of ('transformed', 'original'), got 'polar'"),
+    (dict(multi_connection_doc(), mode="exact"),
+     "config: multi_connection mode must be one of ('bounded', 'exact_noiseless'), got 'exact'"),
+    (dict(pair_doc(), scenario="ring"), "config: scenario must be one of ('single_cell', 'macro_diversity', "
+                                        "'fixed_assignment', 'multi_connection'), got 'ring'"),
+    (dict(symmetric_doc(), n=2), "config: n=2 but alphas has 3 entries"),
+    (dict(symmetric_doc(), k=3), "config: k=3 but macro_diversity gains give K=2"),
+    (dict(pair_doc(), k=2), "config: k=2 but single_cell gains give K=1"),
+    (dict(fixed_assignment_doc(), k=3), "config: k=3 but fixed_assignment gains give K=2"),
+], ids=["md_assignment", "fa_d", "sc_mode", "fa_coordinates", "sc_no_gains", "md_no_sigma",
+        "fa_no_assignment", "mc_no_d", "mc_no_alphas", "sc_bad_coordinates", "mc_bad_mode",
+        "unknown_scenario", "n_mismatch", "md_k_mismatch", "sc_k_mismatch", "fa_k_mismatch"])
+def test_loader_messages_name_the_key_alike_on_every_command(tmp_path, capsys, doc, message):
+    path = write_config(tmp_path, doc)
+    cloud = tmp_path / "cloud.csv"
+    for argv in (["check", path], ["solve", path], ["region", path, "--resolution", "2", "--out", str(cloud)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+    assert not cloud.exists()
+
+
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
+def test_deeply_nested_config_exit_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config {path}: arrays or objects nested too deeply\n"
+
+
 FUZZ_BASES = (pair_doc(), symmetric_doc(0.4), dict(symmetric_doc(0.4), coordinates="original"),
               fixed_assignment_doc(), multi_connection_doc(), multi_connection_doc("exact_noiseless"),
               floor_stall_doc())
@@ -728,6 +777,14 @@ class TestAxioms:
         assert main(["axioms", "--function", f"norm-of-norms:{spec_path}"]) == 1
         assert capsys.readouterr().err == f"error: norm-of-norms file {spec_path}: {fault}\n"
 
+    def test_deeply_nested_norm_of_norms_file_exit_one(self, tmp_path, capsys):
+        spec_path = tmp_path / "deep.json"
+        spec_path.write_text(DEEP_JSON)
+        assert main(["axioms", "--function", f"norm-of-norms:{spec_path}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: norm-of-norms file {spec_path}: arrays or objects nested too deeply\n"
+
     @pytest.mark.parametrize("spec, fault", [
         ("weighted:x", "weight 'x'"),
         ("weighted:", "weight ''"),
@@ -770,17 +827,22 @@ class TestFileErrors:
         config = write_config(tmp_path, symmetric_doc())
         folder = str(tmp_path)
         cloud = str(tmp_path / "cloud.csv")
+        rows = str(tmp_path / "rows.csv")
         argv = {
             "check": ["check", folder],
             "solve_trace": ["solve", config, "--trace", folder],
-            "region_out": ["region", config, "--resolution", "2", "--out", folder],
+            "region_out": ["region", config, "--resolution", "2", "--out", folder,
+                           "--inequalities", rows],
             "region_inequalities": ["region", config, "--resolution", "2", "--out", cloud,
                                     "--inequalities", folder],
         }[case]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        if case.startswith("region"):  # region writes both files or neither, and reports none
+            assert captured.out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_cli_import_loads_only_what_subcommands_run(tmp_path):

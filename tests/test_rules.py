@@ -166,4 +166,4 @@ class TestFamilyAxioms:
     )
     def test_all_axioms_pass(self, make, dim):
         report = check_all(make(dim), dim, samples=400, seed=99)
-        assert report.all_passed, [v for v in report.verdicts() if not v.passed]
+        assert report.all_passed, [v for v in report.results if not v.passed]
