@@ -14,9 +14,11 @@ import time
 
 import numpy as np
 
-from powerfeas.core import InvalidInputError, NonConvergenceError, sup_norm
+from powerfeas.core import InvalidInputError, NonConvergenceError
 from powerfeas.engine import SolveConfig, solve
-from powerfeas.scenarios import MacroDiversity, leave_one_out_map
+from powerfeas.maps import leave_one_out_map
+from powerfeas.rules import sup_norm
+from powerfeas.scenarios import MacroDiversity
 
 
 def run(array_map, config, force):

@@ -19,10 +19,10 @@ _EXPORTS = {
     "core": (
         "EvaluationError", "FeasibilityReport", "InfeasibleSystemError", "InvalidFunctionError",
         "InvalidInputError", "NonConvergenceError", "PowerVector", "SolveConfig",
-        "remove_component", "sup_norm",
     ),
     "rules": (
         "AdjustmentRule", "HolderNorm", "NormOfNorms", "System", "WeightedAbsSum", "lift_rule",
+        "remove_component", "sup_norm",
     ),
     "axioms": (
         "AxiomReport", "CheckVerdict", "Counterexample", "check_all", "check_extended_subhom",
@@ -31,9 +31,9 @@ _EXPORTS = {
     ),
     "engine": ("SolveRun", "contraction_modulus", "rate_check", "solve", "write_trace_csv"),
     "scenarios": (
-        "FixedAssignment", "LeaveOneOutMap", "MacroDiversity", "MultiConnection", "SingleCell",
-        "feasibility_formula", "leave_one_out_map",
+        "FixedAssignment", "MacroDiversity", "MultiConnection", "SingleCell", "feasibility_formula",
     ),
+    "maps": ("LeaveOneOutMap", "leave_one_out_map"),
     "capacity": (
         "RegionCloud", "RegionComparison", "RegionSpec", "compare_regions", "evaluate_predicate",
         "export_cloud", "export_inequalities", "hanly", "region_inequalities", "sample_region",

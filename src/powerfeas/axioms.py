@@ -195,5 +195,7 @@ def check_all(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed
     """Run every check with the same seed and collect the verdicts."""
     if dim < 1 or samples < 1:
         raise InvalidInputError(f"check_all: need dim >= 1 and samples >= 1, got {dim} and {samples}")
+    if seed < 0:
+        raise InvalidInputError(f"check_all: seed must be >= 0, got {seed}")
     return AxiomReport(dim, samples, seed, (check(f, dim, samples, seed=seed) for check in _CHECKS))
 

@@ -9,13 +9,13 @@ terminal, even though live scenarios require strictly positive targets.
 
 ``scenarios._coefficients`` gives the map at unit targets and says where the
 targets enter it. Where they scale G, a grid point's moduli are the
-leave-one-out kernel at that point: the same coefficients and, bit for bit,
+leave-one-out kernel of ``maps`` at that point: the same coefficients and, bit for bit,
 the same prefix/suffix sums as the certificate. Where they enter W through a
 divisor table D, G's sums at the all-ones vector are fixed and terminal j's
 modulus is max over k of (alpha_j / D[k][j]) * s[k][j], ``check``'s products
 in ``check``'s order. Either way a grid point gets the moduli ``check``
 reports at those targets. The inequality export emits the kernel's sums at
-the unit vectors, or one box row per terminal; ``core.write_csv`` writes both.
+the unit vectors, or one box row per terminal; :func:`write_csv` writes both.
 A region is compared with any verdicts on its cloud's own points, such as the
 gain-blind baseline :func:`hanly`, sum(alpha) < K.
 """
@@ -23,10 +23,11 @@ gain-blind baseline :func:`hanly`, sum(alpha) < K.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import InvalidInputError, _Frozen, np, write_csv
-from .scenarios import _coefficients, _loo, _loo_sums, _point_sums
+from .core import InvalidInputError, _CSV_CELLS, _Frozen, np
+from .maps import _loo, _loo_sums
+from .scenarios import _coefficients, _point_sums
 
 MAX_GRID_DIM = 4
 
@@ -166,8 +167,32 @@ def compare_regions(cloud: RegionCloud, verdicts: np.ndarray) -> RegionCompariso
     return RegionComparison(*witnesses)
 
 
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write ``header`` and equal-length array ``columns`` as CSV rows ending in CRLF.
+
+    Each distinct value of a column is formatted once: floats as ``repr``,
+    by bit pattern so -0.0 keeps its sign, and integers and strings as
+    ``str``. The bytes equal those of ``csv.writer`` fed the same strings;
+    strings must need no quoting. Rows are joined about ``_CSV_CELLS``
+    cells at a time.
+    """
+    cells = []  # per column (text, index): text[index[r]] is the cell of row r
+    for column in columns:
+        floats = column.dtype.kind == "f"
+        keys = np.asarray(column, dtype=float).view(np.uint64) if floats else column
+        distinct, index = np.unique(keys, return_inverse=True)
+        text = map(repr if floats else str, (distinct.view(float) if floats else distinct).tolist())
+        cells.append((np.array(list(text), dtype=object), index))
+    step = max(1, _CSV_CELLS // len(cells))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cells[0][1]), step):
+            chunk = [text[index[start:start + step]].tolist() for text, index in cells]
+            fh.write("\r\n".join(map(",".join, zip(*chunk, strict=True))) + "\r\n")
+
+
 def export_cloud(cloud: RegionCloud, path) -> None:
-    """CSV dump: alpha_1..alpha_N,feasible with full-precision values (``core.write_csv``)."""
+    """CSV dump: alpha_1..alpha_N,feasible with full-precision values (:func:`write_csv`)."""
     write_csv(
         path,
         [f"alpha_{i + 1}" for i in range(cloud.spec.n)] + ["feasible"],

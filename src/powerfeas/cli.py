@@ -12,8 +12,8 @@ iteration run.
 computes the fixed point of the update map by policy iteration in pure
 Python, or by Picard iteration on numpy arrays with ``--trace``, ``--force``
 or in ``exact_noiseless`` mode. A command loads only what it runs (see the
-README); the ``engine`` and ``capacity`` functions called here import their
-module on first call (:func:`_deferred`).
+README); the ``maps``, ``engine`` and ``capacity`` functions called here
+import their module on first call (:func:`_deferred`).
 """
 
 from __future__ import annotations
@@ -38,15 +38,7 @@ from .core import (
     SolveConfig,
     np,
 )
-from .scenarios import (
-    FixedAssignment,
-    LeaveOneOutMap,
-    MacroDiversity,
-    MultiConnection,
-    SingleCell,
-    feasibility_formula,
-    leave_one_out_map,
-)
+from .scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell, feasibility_formula
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -62,6 +54,7 @@ def _deferred(module: str, name: str):
     return call
 
 
+leave_one_out_map = _deferred(".maps", "leave_one_out_map")
 solve = _deferred(".engine", "solve")
 contraction_modulus = _deferred(".engine", "contraction_modulus")
 write_trace_csv = _deferred(".engine", "write_trace_csv")
@@ -204,20 +197,22 @@ class ScenarioConfig:
             "noiseless": self.options.get("mode") == "exact_noiseless",
         }
 
-    def build(self) -> LeaveOneOutMap:
-        """The update map ``solve`` iterates, in array form."""
+    def build(self):
+        """The update map ``solve`` iterates, in array form: a ``maps.LeaveOneOutMap``."""
         return leave_one_out_map(self.scenario(), **self._map_options())
 
 
 def _read_json(path, what: str) -> dict:
     """The JSON object in file ``path``; each error starts with ``what``, which names the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259, 8.1), whatever the locale
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(
                 f"{what}: line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{what}: {exc}") from None
         except RecursionError:
             raise InvalidInputError(f"{what}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
@@ -338,6 +333,9 @@ def cmd_solve(args) -> int:
 def cmd_region(args) -> int:
     from .capacity import RegionSpec, hanly, region_inequalities
 
+    if args.inequalities and os.path.realpath(args.inequalities) == os.path.realpath(args.out):
+        raise InvalidInputError(
+            f"region: --out {args.out} and --inequalities {args.inequalities} name one file")
     config = load_config(args.config)
     scenario = config.scenario()
     alpha_max = args.alpha_max if args.alpha_max is not None else float(scenario.receivers + 1)
@@ -517,5 +515,20 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> None:
+    """:func:`main`, then flush stdout and stderr and leave by ``os._exit``: no interpreter teardown.
+
+    Every file a command writes is closed before :func:`main` returns. A stream that is None or fails
+    to flush leaves by ``sys.exit`` instead, whose teardown reports the failure as a plain exit does.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

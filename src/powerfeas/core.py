@@ -6,11 +6,10 @@ each field once (:meth:`_Frozen._set`), and any later assignment or deletion
 raises ``AttributeError``, so a value is safe to share across threads. Values
 are equal when their types and fields are, array fields by value (a value
 with one has no hash); ``repr`` lists the fields in constructor order.
-Algorithms live in the engine, scenarios and capacity modules; this module
+Algorithms live in the scenarios, maps, engine and capacity modules; this module
 defines the vocabulary they exchange (powers, reports, errors and
-``engine.solve``'s :class:`SolveConfig`), the entry checks the scenario
-types run on their plain sequences (:func:`_entries`, :func:`_matrix_rows`),
-and :func:`write_csv`, the column-wise CSV encoder of the region exports.
+``engine.solve``'s :class:`SolveConfig`) and the entry checks the scenario
+types run on their plain sequences (:func:`_entries`, :func:`_matrix_rows`).
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.
@@ -159,25 +158,6 @@ def _matrix_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
     return out
 
 
-def sup_norm(x: Vector) -> float:
-    """Largest absolute component of ``x`` (the infinity norm)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        raise InvalidInputError("sup_norm: empty vector")
-    return float(np.max(np.abs(arr)))
-
-
-def remove_component(x: Vector, i: int) -> np.ndarray:
-    """Copy of ``x`` with component ``i`` deleted, order preserved."""
-    arr = np.asarray(x, dtype=float)
-    n = arr.shape[0]
-    if n < 2:
-        raise InvalidInputError("remove_component: need at least 2 components")
-    if not 0 <= i < n:
-        raise IndexError(f"remove_component: index {i} out of range for length {n}")
-    return np.concatenate((arr[:i], arr[i + 1:]))
-
-
 class PowerVector(_Frozen):
     """Transmit or received powers ``p`` (watts, >= 0)."""
 
@@ -246,29 +226,4 @@ class SolveConfig(_Frozen):
             raise InvalidInputError(f"SolveConfig: max_iter must be >= 1, got {max_iter}")
 
 
-_CSV_CELLS = 1 << 18  # cells formatted and joined at once
-_FORK_CELLS = 1 << 15  # trace cells from which a forked helper repays its fork (~16k-24k reprs)
-
-
-def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write ``header`` and equal-length array ``columns`` as CSV rows ending in CRLF.
-
-    Each distinct value of a column is formatted once: floats as ``repr``,
-    by bit pattern so -0.0 keeps its sign, and integers and strings as
-    ``str``. The bytes equal those of ``csv.writer`` fed the same strings;
-    strings must need no quoting. Rows are joined about ``_CSV_CELLS``
-    cells at a time.
-    """
-    cells = []  # per column (text, index): text[index[r]] is the cell of row r
-    for column in columns:
-        floats = column.dtype.kind == "f"
-        keys = np.asarray(column, dtype=float).view(np.uint64) if floats else column
-        distinct, index = np.unique(keys, return_inverse=True)
-        text = map(repr if floats else str, (distinct.view(float) if floats else distinct).tolist())
-        cells.append((np.array(list(text), dtype=object), index))
-    step = max(1, _CSV_CELLS // len(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(cells[0][1]), step):
-            chunk = [text[index[start:start + step]].tolist() for text, index in cells]
-            fh.write("\r\n".join(map(",".join, zip(*chunk, strict=True))) + "\r\n")
+_CSV_CELLS = 1 << 18  # cells formatted and joined at once, by capacity's CSV and engine's trace writers

@@ -1,7 +1,7 @@
 """The solver: certification, fixed-point iteration and the record of a run.
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
-``step(x)`` and ``certificate()``: ``scenarios.LeaveOneOutMap``, which the
+``step(x)`` and ``certificate()``: ``maps.LeaveOneOutMap``, which the
 CLI solves, or a ``rules.System`` of norm-like rules. When the certificate's
 modulus is below 1 the map is a sup-norm contraction, so its fixed point
 is unique and Picard iteration reaches it from any start; every run ends in
@@ -31,10 +31,11 @@ from .core import (
     PowerVector,
     SolveConfig,
     _CSV_CELLS,
-    _FORK_CELLS,
     _Frozen,
     np,
 )
+
+_FORK_CELLS = 1 << 15  # trace cells from which a forked helper repays its fork (~16k-24k reprs)
 
 
 def contraction_modulus(system) -> FeasibilityReport:
@@ -114,7 +115,7 @@ def solve(
     more than ``ceil(1 / (1 - lam))`` steps and then land on a fixed point.)
 
     With ``trace=False`` no iterates are kept. A certified, unforced map with
-    ``receiver_weights`` (``scenarios.LeaveOneOutMap`` with a max reduction)
+    ``receiver_weights`` (``maps.LeaveOneOutMap`` with a max reduction)
     is then solved without numpy by :func:`policy_iteration`, which returns
     a p with ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``, the same
     guarantee. Every other map runs the Picard loop above.
@@ -188,7 +189,7 @@ def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfi
     """Howard's policy iteration for ``T(x) = max over policies of A_pi x + c``, in pure Python.
 
     ``system`` exposes ``G``, ``c`` and ``receiver_weights`` W as sequences
-    (``scenarios.LeaveOneOutMap``). A policy pi picks one receiver with
+    (``maps.LeaveOneOutMap``). A policy pi picks one receiver with
     ``W[k][j] > 0`` per terminal; it starts greedy at ``x0`` and each
     evaluation solves ``x = A_pi x + c`` exactly (:func:`_policy_point`).
     A terminal switches receiver only when another one is strictly larger

@@ -7,7 +7,7 @@ bundles one :class:`AdjustmentRule` per terminal, each such a function (or
 any other the ``axioms`` checks admit) applied to the other terminals'
 powers; its ``step`` and ``certificate`` make it an update map
 ``engine.solve`` accepts. No command builds one: the commands solve
-``scenarios.LeaveOneOutMap``, and ``engine`` does not import this module.
+``maps.LeaveOneOutMap``, and ``engine`` does not import this module.
 """
 
 from __future__ import annotations
@@ -24,8 +24,26 @@ from .core import (
     InvalidInputError,
     Vector,
     _Frozen,
-    remove_component,
 )
+
+
+def sup_norm(x: Vector) -> float:
+    """Largest absolute component of ``x`` (the infinity norm)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size == 0:
+        raise InvalidInputError("sup_norm: empty vector")
+    return float(np.max(np.abs(arr)))
+
+
+def remove_component(x: Vector, i: int) -> np.ndarray:
+    """Copy of ``x`` with component ``i`` deleted, order preserved."""
+    arr = np.asarray(x, dtype=float)
+    n = arr.shape[0]
+    if n < 2:
+        raise InvalidInputError("remove_component: need at least 2 components")
+    if not 0 <= i < n:
+        raise IndexError(f"remove_component: index {i} out of range for length {n}")
+    return np.concatenate((arr[:i], arr[i + 1:]))
 
 
 def _check_dim(x: np.ndarray, dim: int, what: str) -> None:

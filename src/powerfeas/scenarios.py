@@ -1,23 +1,22 @@
-"""Physical reception scenarios and their update maps.
+"""Physical reception scenarios and their closed-form admission test.
 
 The scenario types take plain sequences (tuples, lists or numpy arrays) for
 targets, gains and noise, store them as float tuples and check every shape
 and value on construction; the admission test needs two terminals or more.
-``leave_one_out_map`` turns a scenario into its update map as arrays, a
-:class:`LeaveOneOutMap`: that is the map the CLI iterates, and
-``feasibility_formula`` is its certificate, in the coordinates that make the
-admission condition sharpest. The tests write the same maps out again as
-one rule object per terminal, an independent reference to compare with.
+``feasibility_formula`` certifies a scenario's update map in pure Python, in
+the coordinates that make the admission condition sharpest: all ``check``
+runs. The map as arrays (``maps.LeaveOneOutMap``) lives in ``maps``; the
+tests write it out again as one rule object per terminal, an independent
+reference to compare with.
 
 Every closed form is one leave-one-out sum s[k][j] over n != j of x_n *
 G[k, n], for each receiver k and terminal j, times W[k][j] and reduced over
-the receivers with W[k][j] > 0 by a max or a d_j-th smallest (``_reduce``).
-Scenarios differ only in (G, W, order, c), which ``_coefficients`` builds.
-The certificate and ``region`` add each sum as a prefix (n < j, left to
-right) plus a suffix (n > j, right to left): in pure Python for ``check``
-(no numpy) and as two passes over ``region``'s batches, bit for bit alike.
-The iteration takes each receiver's total minus each own term instead:
-numpy's pairwise total in ``_sums``, ``math.fsum``'s in policy iteration.
+the receivers with W[k][j] > 0 by a max or a d_j-th smallest. Scenarios
+differ only in (G, W, order, c), which ``_coefficients`` builds. The
+certificate and ``region`` add each sum as a prefix (n < j, left to right)
+plus a suffix (n > j, right to left): here for one point (``_point_sums``),
+in ``maps`` as two passes over ``region``'s batches, bit for bit alike.
+The iteration takes each receiver's total minus each own term instead.
 
 Coordinate conventions:
 
@@ -35,20 +34,10 @@ Coordinate conventions:
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, mul, truediv
 
-from .core import (
-    FeasibilityReport,
-    InvalidInputError,
-    Vector,
-    _check_entries,
-    _entries,
-    _Frozen,
-    _matrix_rows,
-    np,
-)
+from .core import FeasibilityReport, InvalidInputError, Vector, _check_entries, _entries, _Frozen, _matrix_rows
 
 
 def _targets(alphas, owner: str) -> tuple[float, ...]:
@@ -217,11 +206,8 @@ class MultiConnection(_Frozen):
         return len(self.gains)
 
 
-_CHUNK = 1 << 16  # (terminal, receiver, point) sums the kernel holds at once: 0.5 MB, cache-sized
-
-
 def _point_sums(G, x) -> list[list[float]]:
-    """s[k][j] = sum over n != j of G[k][n] * x[n]: :func:`_loo_sums` at one point, in pure Python."""
+    """s[k][j] = sum over n != j of G[k][n] * x[n]: ``maps._loo_sums`` at one point, in pure Python."""
     sums = []
     for row in G:
         terms = list(map(mul, row, x))
@@ -230,72 +216,11 @@ def _point_sums(G, x) -> list[list[float]]:
     return sums
 
 
-def _loo_sums(G: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """s[j, k, p] = sum over n != j of G[k, n] * xt[n, p], shape (N, K, P), in O(N*K*P).
-
-    :func:`_point_sums`'s recipe as two passes over the terminals, each step
-    one array operation over (K, P); ``cumsum`` along the first axis would
-    run one short loop per (k, p) instead, several times slower. Each entry
-    rounds alike whatever else is in the batch and, the terms being
-    non-negative, within gamma_{N-2} times the sum (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, 4.2). At the unit vectors
-    (xt = I) s[j, :, m] is exactly G[:, m] for m != j and 0 for m == j.
-    """
-    n, shape = len(xt), (len(G), xt.shape[1])
-    sums, suffix, term = np.zeros((n, *shape)), np.zeros(shape), np.empty(shape)
-    for j in range(1, n):  # prefix: terms n < j, left to right
-        np.add(sums[j - 1], np.multiply(G[:, j - 1, None], xt[j - 1], out=term), out=sums[j])
-    for j in range(n - 1, -1, -1):  # plus suffix: terms n > j, right to left
-        sums[j] += suffix
-        suffix += np.multiply(G[:, j, None], xt[j], out=term)
-    return sums
-
-
-def _loo(G, pts, W=None, order=None) -> np.ndarray:
-    """Kernel values (P x N) at points (P x N): :func:`_reduce` over :func:`_loo_sums`, chunked."""
-    p, n = pts.shape
-    values = np.empty((n, p))
-    step = max(1, _CHUNK // (n * G.shape[0]))
-    for start in range(0, p, step):
-        cols = slice(start, start + step)
-        values[:, cols] = _reduce(_loo_sums(G, np.ascontiguousarray(pts[cols].T)), W, order)
-    return values.T
-
-
-def _sums(G: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """s[j, k] = sum over n != j of G[k, n] * x[n], shape (N, K): receiver totals minus own terms.
-
-    Each row of a C-order ``G`` is summed pairwise, whatever the BLAS build.
-    With row total T and unit roundoff u, each sum lies within
-    gamma_{N-1} * T + u * s of the exact sum of the non-negative terms
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 2.2 and
-    4.2): ulps of s unless the own term dominates its row. No sum is negative.
-    """
-    terms = G * x
-    return (terms.sum(axis=1, keepdims=True) - terms).T
-
-
-def _reduce(sums: np.ndarray, W=None, order=None) -> np.ndarray:
-    """W[k, j] * s[j, k, ...] reduced over receivers k (W None: all ones).
-
-    The max, or with ``order`` (1-based ranks) the order[j]-th smallest over
-    the receivers with W[k, j] > 0. The max needs no such mask: every product
-    is >= 0, so a receiver with W = 0 adds a 0, which never exceeds the rest.
-    """
-    if W is not None:
-        w = W.T.reshape(W.T.shape + (1,) * (sums.ndim - 2))
-        sums = sums * w if order is None else np.multiply(
-            sums, w, out=np.full_like(sums, np.inf), where=w > 0.0)
-    if order is None:
-        return sums.max(axis=1)
-    return np.sort(sums, axis=1)[np.arange(len(sums)), np.asarray(order) - 1]
-
-
 def _certify(G, W=None, order=None, names_receiver=True) -> FeasibilityReport:
     """The paper's admission test, the map without offsets at the all-ones vector, in pure Python.
 
-    The coefficients are lists (see :class:`LeaveOneOutMap`), reduced as
-    :func:`_reduce` reduces. A max reduction's binding pair names the receiver too.
+    The coefficients are lists (see ``maps.LeaveOneOutMap``), reduced as
+    ``maps._reduce`` reduces. A max reduction's binding pair names the receiver too.
     """
     n = len(G[0])
     if n < 2:
@@ -310,83 +235,6 @@ def _certify(G, W=None, order=None, names_receiver=True) -> FeasibilityReport:
     term = moduli.index(max(moduli))
     receiver = by_terminal[term].index(moduli[term]) if order is None and names_receiver else None
     return FeasibilityReport(moduli, receiver)
-
-
-class LeaveOneOutMap(_Frozen):
-    """A scenario's update map: one weighted leave-one-out sum per terminal and receiver.
-
-    ``step(x)[j] = c[j] + reduce over k of W[k][j] * s[k][j]``, s[k][j] the
-    sum over n != j of G[k][n] * x_n; ``G`` and ``W`` are K x N, ``W`` None
-    means all ones. The reduction, over the receivers with W[k][j] > 0, is
-    the max, or the order[j]-th smallest (1-based) when ``order`` is given;
-    each terminal needs that many such receivers. The fields are tuples of
-    finite non-negative numbers, checked in pure Python; only ``step`` needs
-    numpy, and it builds C-order arrays on first use, so :func:`_sums` adds
-    in one order.
-
-    Its certificate is the map at the all-ones vector without ``c``.
-    ``names_receiver`` is False when the binding pair names no receiver: a
-    single cell has just one, fixed assignment one per terminal.
-    ``receiver_weights`` gives the max form ``engine.policy_iteration`` solves.
-    """
-
-    def __init__(self, G, c, W=None, order=None, names_receiver: bool = True):
-        k, n = len(G), len(c)
-        if k < 1:
-            raise InvalidInputError("LeaveOneOutMap: G needs at least one receiver row")
-        fields = {"G": G, "c": c, "W": W, "order": order}
-        for name, rows, cols, kind in (("G", k, n, float), ("c", n, None, float),
-                                       ("W", k, n, float), ("order", n, None, int)):
-            value = fields[name]
-            if value is None:
-                continue
-            value = tuple(map(kind, value)) if cols is None else tuple(tuple(map(kind, row)) for row in value)
-            if len(value) != rows or cols is not None and any(len(row) != cols for row in value):
-                shape = (rows,) if cols is None else (rows, cols)
-                raise InvalidInputError(f"LeaveOneOutMap: {name} must have shape {shape}")
-            if not all(0.0 <= v < math.inf for v in (chain(*value) if cols else value)):
-                raise InvalidInputError(f"LeaveOneOutMap: {name} entries must be finite and >= 0")
-            fields[name] = value
-        self._set(**fields, names_receiver=names_receiver)
-        if not all(1 <= rank <= k for rank in self.order or ()):
-            raise InvalidInputError(f"LeaveOneOutMap: orders must lie in [1, {k}]")
-        ranks = self.order or (1,) * n
-        if self.W and any(sum(map(bool, col)) < rank for col, rank in zip(zip(*self.W), ranks)):
-            raise InvalidInputError("LeaveOneOutMap: terminal j needs order[j] receivers with W > 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
-
-    @cached_property
-    def _arrays(self) -> tuple:
-        """(G, c, W, order) as C-order arrays, None where unused, for :meth:`step`."""
-        return tuple(None if v is None else np.array(v) for v in (self.G, self.c, self.W, self.order))
-
-    def step(self, x: Vector) -> np.ndarray:
-        """One synchronous update in O(N*K): :func:`_reduce` over :func:`_sums`."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidInputError(f"LeaveOneOutMap: expected {self.n} powers, got shape {x.shape}")
-        G, c, W, order = self._arrays
-        return _reduce(_sums(G, x), W, order) + c
-
-    def certificate(self) -> FeasibilityReport:
-        """The map without offsets at the all-ones vector, by :func:`_certify`.
-
-        Computed once per map: the map is immutable, so ``check``'s and
-        ``solve``'s certifications of it share one kernel evaluation.
-        """
-        return self._certificate
-
-    @cached_property
-    def _certificate(self) -> FeasibilityReport:
-        return _certify(self.G, self.W, self.order, self.names_receiver)
-
-    @cached_property
-    def receiver_weights(self) -> tuple | None:
-        """``W``, or all ones, when the reduction is the max; None for a d-th smallest."""
-        return None if self.order is not None else self.W or ((1.0,) * self.n,) * len(self.G)
 
 
 def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False,
@@ -450,17 +298,12 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
     return G, c, W, order, isinstance(scenario, (MacroDiversity, MultiConnection)), D
 
 
-def leave_one_out_map(scenario, *, coordinates: str = "transformed",
-                      noiseless: bool = False) -> LeaveOneOutMap:
-    """The scenario's update map in array form (:func:`_coefficients`), no rule objects involved."""
-    return LeaveOneOutMap(*_coefficients(scenario, coordinates, noiseless)[:5])
-
 
 def feasibility_formula(scenario, *, coordinates: str = "transformed",
                         noiseless: bool = False) -> FeasibilityReport:
     """Closed-form admission condition for a scenario, no rule objects and no numpy involved.
 
-    The certificate of :func:`leave_one_out_map` with the same arguments, by
+    The certificate of ``maps.leave_one_out_map`` with the same arguments, by
     :func:`_certify` on the same coefficients.
     """
     G, _, W, order, named, _ = _coefficients(scenario, coordinates, noiseless)

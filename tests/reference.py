@@ -7,9 +7,9 @@ Each builder turns a scenario into a ``powerfeas.rules.System``, one
 :func:`linear_oracle` solves p = A p + c directly; the exact
 multi-connection rules (:class:`MinSelectionRule`) and the exact
 macro-diversity update are the maps the bounded ones over-estimate. The
-tests compare all of it with ``scenarios``'s array map and closed form and
-with ``engine.solve``. To keep that comparison independent, this module
-imports neither ``engine`` nor the scenarios kernels (a test checks both);
+tests compare all of it with ``maps``'s array map, ``scenarios``'s closed
+form and ``engine.solve``. To keep that comparison independent, this module
+imports neither ``engine``, ``maps`` nor the scenarios kernels (a test checks all three);
 it shares only scenario data such as ``reference_gains``.
 """
 
@@ -30,14 +30,13 @@ from powerfeas.core import (
     _check_entries,
     _Frozen,
     _matrix_rows,
-    sup_norm,
 )
-from powerfeas.rules import AdjustmentRule, HolderNorm, NormOfNorms, System, WeightedAbsSum
+from powerfeas.rules import AdjustmentRule, HolderNorm, NormOfNorms, System, WeightedAbsSum, sup_norm
 from powerfeas.scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
 
 
 def insert_component(x: Vector, i: int, value: float) -> np.ndarray:
-    """Inverse of ``core.remove_component``: put ``value`` back at position ``i``."""
+    """Inverse of ``rules.remove_component``: put ``value`` back at position ``i``."""
     arr = np.asarray(x, dtype=float)
     n = arr.shape[0] + 1
     if not 0 <= i < n:

@@ -20,10 +20,9 @@ from powerfeas.capacity import (
 )
 from powerfeas.core import (
     PowerVector,
-    sup_norm,
 )
 from powerfeas.engine import SolveConfig, contraction_modulus, rate_check, solve
-from powerfeas.rules import HolderNorm, WeightedAbsSum
+from powerfeas.rules import HolderNorm, WeightedAbsSum, sup_norm
 from powerfeas.scenarios import (
     FixedAssignment,
     MacroDiversity,

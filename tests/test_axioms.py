@@ -183,6 +183,10 @@ class TestReportMachinery:
         with pytest.raises(InvalidInputError):
             check_all(squared_l1, dim, samples=samples, seed=SEED)
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(InvalidInputError, match=r"^check_all: seed must be >= 0, got -1$"):
+            check_all(squared_l1, 2, samples=10, seed=-1)
+
 
 class TestLiftingConsistency:
     def test_lifted_rule_keeps_all_axioms(self):

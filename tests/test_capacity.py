@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from powerfeas import scenarios
+from powerfeas import maps
 
 from powerfeas.capacity import (
     RegionCloud,
@@ -188,7 +188,7 @@ class TestPredicates:
             tracemalloc.stop()
         assert peak < 64e6
         assert 0 < feas.sum() < feas.size
-        step = scenarios._CHUNK // (4 * 16)  # points per chunk at N=4, K=16
+        step = maps._CHUNK // (4 * 16)  # points per chunk at N=4, K=16
         edges = [i for c in range(step, len(pts), step) for i in (c - 1, c)]
         by_point = [evaluate_predicate(spec, pts[i])[0] for i in edges]
         assert by_point == feas[edges].tolist()

@@ -697,6 +697,17 @@ class TestRegion:
         assert captured.err.startswith("error: region_inequalities: the exact multi-connection region")
         assert not cloud.exists() and not ineq.exists()
 
+    @pytest.mark.parametrize("alias", ["same.csv", "./same.csv"])
+    def test_one_file_for_both_outputs_refused_before_writing(self, tmp_path, monkeypatch, capsys, alias):
+        # the inequality rows would overwrite the cloud the command reports as written
+        config = write_config(tmp_path, symmetric_doc())
+        monkeypatch.chdir(tmp_path)
+        assert main(["region", config, "--resolution", "3", "--out", "same.csv", "--inequalities", alias]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: region: --out same.csv and --inequalities {alias} name one file\n"
+        assert not (tmp_path / "same.csv").exists()
+
     def test_dimension_guard(self, tmp_path, capsys):
         doc = {
             "scenario": "single_cell",
@@ -809,6 +820,12 @@ class TestAxioms:
         assert "all axioms hold" not in captured.out
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_negative_seed_rejected_naming_it(self, capsys):
+        assert main(["axioms", "--function", "holder:2", "--dim", "2", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: check_all: seed must be >= 0, got -1\n"
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["axioms"]) == 1  # --function is required
         assert "usage error" in capsys.readouterr().err
@@ -845,6 +862,93 @@ class TestFileErrors:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+    @pytest.mark.parametrize("command", ["check", "solve", "region", "axioms"])
+    def test_undecodable_file_named_exit_one(self, tmp_path, capsys, command):
+        # JSON is UTF-8 (RFC 8259, 8.1): bytes that are not name the file, whatever the locale
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        argv = {"check": ["check", str(path)], "solve": ["solve", str(path)],
+                "region": ["region", str(path), "--out", str(tmp_path / "c.csv")],
+                "axioms": ["axioms", "--function", f"norm-of-norms:{path}"]}[command]
+        what = f"norm-of-norms file {path}" if command == "axioms" else f"config {path}"
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {what}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                                "invalid start byte\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+# Per exit code, a command whose config and output names are relative to the working directory
+PROGRAM_CASES = {
+    0: ["check", "feasible.json"],
+    1: ["check", "bad.json", "--json"],
+    2: ["check", "infeasible.json", "--json"],
+    3: ["solve", "stuck.json", "--force", "--trace", "trace.csv"],
+}
+
+
+def program_dir(path):
+    """A working directory holding the configs of :data:`PROGRAM_CASES`."""
+    path.mkdir()
+    write_config(path, symmetric_doc(), "feasible.json")
+    write_config(path, symmetric_doc(1.5), "infeasible.json")
+    write_config(path, dict(symmetric_doc(), scenario="polar"), "bad.json")
+    write_config(path, dict(symmetric_doc(1.5), solver={"max_iter": 5}), "stuck.json")
+    return path
+
+
+def program_env(unbuffered: bool) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    return env | {"PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def contents(path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["file", "pipe"])
+@pytest.mark.parametrize("code", sorted(PROGRAM_CASES))
+def test_module_as_program_matches_main(tmp_path, monkeypatch, capsys, code, stdout, unbuffered):
+    # python -m powerfeas.cli leaves by cli.run's os._exit: output, exit code and files as main()'s
+    argv = PROGRAM_CASES[code]
+    in_process, program = program_dir(tmp_path / "main"), program_dir(tmp_path / "program")
+    monkeypatch.chdir(in_process)
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    with open(tmp_path / "stdout.txt", "w+b") as sink:
+        result = subprocess.run([sys.executable, "-m", "powerfeas.cli", *argv], cwd=program,
+                                env=program_env(unbuffered), stderr=subprocess.PIPE,
+                                stdout=sink if stdout == "file" else subprocess.PIPE)
+        sink.seek(0)
+        out = sink.read() if stdout == "file" else result.stdout
+    assert (result.returncode, out.decode(), result.stderr.decode()) == (code, expected.out, expected.err)
+    assert contents(program) == contents(in_process)
+    assert code != 3 or "trace.csv" in contents(program)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_module_as_program_with_stdout_closed_exits_as_sys_exit(tmp_path, unbuffered):
+    # a stdout that cannot be flushed sends cli.run down sys.exit's path: the same code and stderr
+    program = program_dir(tmp_path / "program")
+    launchers = {"run": ["-m", "powerfeas.cli"],
+                 "sys.exit": ["-c", "import sys; from powerfeas.cli import main; sys.exit(main())"]}
+    results = {}
+    for name, launcher in launchers.items():
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the child starts: every write to stdout fails
+        try:
+            result = subprocess.run([sys.executable, *launcher, *PROGRAM_CASES[0]], cwd=program,
+                                    env=program_env(unbuffered), stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        results[name] = result.returncode, result.stderr.decode()
+    assert results["run"] == results["sys.exit"]
+    assert results["run"][0] != 0 and "Broken pipe" in results["run"][1]
+
+
 def test_cli_import_loads_only_what_subcommands_run(tmp_path):
     # check, solve and region never call the axiom checker or the rule
     # objects; check and untraced policy-iteration solve do no array work:
@@ -865,14 +969,15 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "    for flags in (['--json'], []):\n"
         "        assert powerfeas.cli.main(['check', path, *flags]) == 0, path\n"
         "        assert 'numpy' not in sys.modules, path\n"
-        "unused = ('powerfeas.engine', 'powerfeas.capacity', 'powerfeas.rules', 'powerfeas.axioms',"
-        " 'dataclasses')\n"
+        "unused = ('powerfeas.maps', 'powerfeas.engine', 'powerfeas.capacity', 'powerfeas.rules',"
+        " 'powerfeas.axioms', 'dataclasses')\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         f"for path in {configs[:-1]!r}:\n"
         "    for flags in ([], ['--json'], ['--init', '2'], ['--json', '--init', '2']):\n"
         "        assert powerfeas.cli.main(['solve', path, *flags]) == 0, (path, flags)\n"
         "        assert 'numpy' not in sys.modules, (path, flags)\n"
+        "assert 'powerfeas.maps' in sys.modules\n"
         "unused = ('powerfeas.capacity', 'powerfeas.rules', 'powerfeas.axioms', 'dataclasses', 'inspect')\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, loaded\n"
@@ -910,7 +1015,7 @@ def test_reference_stays_independent_of_the_production_kernels():
     # the test-side rule objects are an independent cross-check only while they read no kernel
     tree = ast.parse((REPO / "tests" / "reference.py").read_text())
     for module, names in imported(tree):
-        assert not names & KERNELS and "engine" not in module.split("."), (module, names)
+        assert not names & KERNELS and not {"engine", "maps"} & set(module.split(".")), (module, names)
     assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & KERNELS
     package = REPO / "src" / "powerfeas"
     for path in package.glob("*.py"):

@@ -15,19 +15,19 @@ from powerfeas.core import (
     PowerVector,
     SolveConfig,
     _Frozen,
+)
+from powerfeas.engine import SolveRun
+from powerfeas.maps import LeaveOneOutMap, leave_one_out_map
+from powerfeas.rules import (
+    AdjustmentRule,
+    HolderNorm,
+    NormOfNorms,
+    System,
+    WeightedAbsSum,
     remove_component,
     sup_norm,
 )
-from powerfeas.engine import SolveRun
-from powerfeas.rules import AdjustmentRule, HolderNorm, NormOfNorms, System, WeightedAbsSum
-from powerfeas.scenarios import (
-    FixedAssignment,
-    LeaveOneOutMap,
-    MacroDiversity,
-    MultiConnection,
-    SingleCell,
-    leave_one_out_map,
-)
+from powerfeas.scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
 from reference import insert_component
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)

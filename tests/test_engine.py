@@ -17,11 +17,10 @@ from powerfeas.core import (
     InvalidInputError,
     NonConvergenceError,
     PowerVector,
-    _FORK_CELLS,
-    sup_norm,
 )
 from powerfeas import engine
 from powerfeas.engine import (
+    _FORK_CELLS,
     SolveConfig,
     SolveRun,
     contraction_modulus,
@@ -29,8 +28,9 @@ from powerfeas.engine import (
     solve,
     write_trace_csv,
 )
-from powerfeas.rules import AdjustmentRule, System, WeightedAbsSum
-from powerfeas.scenarios import MacroDiversity, SingleCell, leave_one_out_map
+from powerfeas.maps import leave_one_out_map
+from powerfeas.rules import AdjustmentRule, System, WeightedAbsSum, sup_norm
+from powerfeas.scenarios import MacroDiversity, SingleCell
 from reference import (
     affine_parts,
     build_macro_diversity_transformed,

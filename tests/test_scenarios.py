@@ -10,18 +10,17 @@ from powerfeas.core import (
     InvalidInputError,
     NonConvergenceError,
     PowerVector,
-    sup_norm,
 )
 from powerfeas.capacity import hanly as hanly_verdicts
 from powerfeas.engine import SolveConfig, contraction_modulus, solve
+from powerfeas.maps import LeaveOneOutMap, leave_one_out_map
+from powerfeas.rules import sup_norm
 from powerfeas.scenarios import (
     FixedAssignment,
-    LeaveOneOutMap,
     MacroDiversity,
     MultiConnection,
     SingleCell,
     feasibility_formula,
-    leave_one_out_map,
 )
 from reference import (
     MinSelectionRule,
@@ -38,7 +37,8 @@ from reference import (
     macro_diversity_exact_update,
     mc_exact_rules_in_bounded_coords,
 )
-from powerfeas.scenarios import _coefficients, _loo_sums, _point_sums, _reduce, _sums
+from powerfeas.maps import _loo_sums, _reduce, _sums
+from powerfeas.scenarios import _coefficients, _point_sums
 
 ASYMMETRIC_GAINS = ((2.0, 1.0), (1.0, 2.0), (1.0, 1.0))  # relative 2/3,1/3 | 1/3,2/3 | 1/2,1/2
 
