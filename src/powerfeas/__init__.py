@@ -17,19 +17,16 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "EvaluationError", "FeasibilityReport", "InfeasibleSystemError", "InvalidFunctionError",
-        "InvalidInputError", "NonConvergenceError", "PowerVector", "SolveConfig",
+        "EvaluationError", "FeasibilityReport", "InfeasibleSystemError", "InvalidInputError",
+        "NonConvergenceError", "PowerVector", "SolveConfig",
     ),
-    "rules": (
-        "AdjustmentRule", "HolderNorm", "NormOfNorms", "System", "WeightedAbsSum", "lift_rule",
-        "remove_component", "sup_norm",
-    ),
+    "rules": ("HolderNorm", "NormOfNorms", "WeightedAbsSum"),
     "axioms": (
         "AxiomReport", "CheckVerdict", "Counterexample", "check_all", "check_extended_subhom",
         "check_max_monotone", "check_nonneg", "check_reverse_triangle", "check_subadd",
         "check_subhom_at_one",
     ),
-    "engine": ("SolveRun", "contraction_modulus", "rate_check", "solve", "write_trace_csv"),
+    "engine": ("SolveRun", "contraction_modulus", "solve", "write_trace_csv"),
     "scenarios": (
         "FixedAssignment", "MacroDiversity", "MultiConnection", "SingleCell", "feasibility_formula",
     ),

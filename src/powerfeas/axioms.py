@@ -95,7 +95,7 @@ def _stream(corners: list, draw: Callable, samples: int, rng: np.random.Generato
 
 def _vector_stream(dim: int, samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     corners = [np.zeros(dim), np.ones(dim), -np.ones(dim)]
-    for e in np.eye(dim)[:3]:
+    for e in np.eye(min(3, dim), dim):
         corners += [e, -e]
     huge, mixed = np.zeros(dim), np.ones(dim)
     huge[0] = mixed[0] = 1e8
@@ -106,7 +106,7 @@ def _pair_stream(dim: int, samples: int, rng: np.random.Generator) -> Iterator[t
     ones, huge = np.ones(dim), np.zeros(dim)  # no array is shared: a candidate may write to its input
     huge[0] = 1e8
     corners = [(np.zeros(dim), np.zeros(dim)), (ones, ones.copy()), (ones.copy(), -ones)]
-    corners += [(e, -e) for e in np.eye(dim)[:2]] + [(huge, ones.copy())]
+    corners += [(e, -e) for e in np.eye(min(2, dim), dim)] + [(huge, ones.copy())]
     return _stream(corners, lambda r: (r.uniform(-10.0, 10.0, size=dim), r.uniform(-10.0, 10.0, size=dim)),
                    samples, rng)
 
@@ -158,7 +158,7 @@ def check_subadd(f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, s
 def check_max_monotone(
     f: RuleFunction, dim: int, samples: int = DEFAULT_SAMPLES, *, seed: int
 ) -> CheckVerdict:
-    """f(x) <= f(sup_norm(x) * ones) on samples."""
+    """f(x) <= f(max|x| * ones) on samples."""
     xs = _vector_stream(dim, samples, np.random.default_rng(seed))
     ones = np.ones(dim)
     return _first_violation("max-monotonicity", (

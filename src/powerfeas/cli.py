@@ -31,7 +31,6 @@ from .core import (
     EvaluationError,
     FeasibilityReport,
     InfeasibleSystemError,
-    InvalidFunctionError,
     InvalidInputError,
     NonConvergenceError,
     PowerVector,
@@ -501,7 +500,7 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvalidInputError, InvalidFunctionError, EvaluationError, OSError) as exc:
+    except (InvalidInputError, EvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InfeasibleSystemError as exc:

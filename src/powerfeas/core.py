@@ -48,10 +48,6 @@ class InvalidInputError(ValueError):
     """A value violates a documented precondition or type invariant."""
 
 
-class InvalidFunctionError(ValueError):
-    """A rule function is unusable, e.g. non-finite at the all-ones vector."""
-
-
 class EvaluationError(RuntimeError):
     """A candidate function raised or returned a non-finite value."""
 
@@ -163,10 +159,6 @@ class PowerVector(_Frozen):
 
     def __init__(self, p: Vector):
         self._set(p=_entries(p, "PowerVector", "power for terminal"))
-
-    @classmethod
-    def zeros(cls, n: int) -> "PowerVector":
-        return cls((0.0,) * n)
 
     @classmethod
     def full(cls, n: int, value: float) -> "PowerVector":

@@ -1,10 +1,10 @@
 """The solver: certification, fixed-point iteration and the record of a run.
 
 ``contraction_modulus`` and ``solve`` take any update map with ``n``,
-``step(x)`` and ``certificate()``: ``maps.LeaveOneOutMap``, which the
-CLI solves, or a ``rules.System`` of norm-like rules. When the certificate's
-modulus is below 1 the map is a sup-norm contraction, so its fixed point
-is unique and Picard iteration reaches it from any start; every run ends in
+``step(x)`` and ``certificate()``; the package's one such map is
+``maps.LeaveOneOutMap``. When the certificate's modulus is below 1 the map
+is a sup-norm contraction, so its fixed point is unique and Picard
+iteration reaches it from any start; every run ends in
 one :class:`SolveRun`. Traced, ``solve`` is Picard iteration on the map's
 numpy ``step``, one reduction giving each step's size and finite check, and
 stacks each output array once into the run's ``(steps + 1, N)`` array, which
@@ -43,8 +43,8 @@ def contraction_modulus(system) -> FeasibilityReport:
 
     The system is feasible exactly when the maximum is below 1 (strictly);
     the binding entry names the terminal attaining it, plus the receiver
-    when the rule exposes one. A rule-object system calls its rules one by
-    one; an array map evaluates the same values in closed form.
+    when the map names one. ``maps.LeaveOneOutMap`` evaluates the values in
+    closed form.
     """
     return system.certificate()
 
@@ -53,7 +53,7 @@ class SolveRun(_Frozen):
     """Outcome of one :func:`solve`: the step sizes, and the iterates of a traced run.
 
     ``deltas[t]`` is the sup-norm step of Picard step t, or, for policy
-    iteration, the residual ``sup_norm(T(p) - p)`` at the point reached by
+    iteration, the residual ``max|T(p) - p|`` at the point reached by
     evaluation or polish step t. ``solver`` is ``"policy"`` or ``"picard"``;
     ``certified`` is False when the run was forced despite a modulus >= 1.
     ``iterates`` is None unless ``solve`` ran traced: then a read-only
@@ -82,11 +82,6 @@ class SolveRun(_Frozen):
     def iterations_used(self) -> int:
         return len(self.deltas)
 
-    @property
-    def final(self) -> PowerVector:
-        """The last iterate of a traced run."""
-        return PowerVector(tuple(self.iterates[-1]))
-
 
 def solve(
     system,
@@ -107,7 +102,7 @@ def solve(
     Stopping: with modulus ``lam < 1``, iteration stops once the step size
     drops below ``tolerance * (1 - lam)``. By the standard a-posteriori
     bound this puts the returned vector within ``tolerance`` of the exact
-    fixed point and leaves a residual ``sup_norm(T(p*) - p*) <= tolerance``.
+    fixed point and leaves a residual ``max|T(p*) - p*| <= tolerance``.
     A certified run whose step sets no new minimum for
     ``4 * ceil(1 / (1 - lam))`` steps, over which the exact step shrinks by
     at least e^4, is held by rounding: it raises :func:`_floor_error`'s
@@ -117,7 +112,7 @@ def solve(
     With ``trace=False`` no iterates are kept. A certified, unforced map with
     ``receiver_weights`` (``maps.LeaveOneOutMap`` with a max reduction)
     is then solved without numpy by :func:`policy_iteration`, which returns
-    a p with ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``, the same
+    a p with ``max|T(p) - p| <= tolerance * (1 - lam)``, the same
     guarantee. Every other map runs the Picard loop above.
     """
     report = contraction_modulus(system)
@@ -197,8 +192,8 @@ def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfi
     policy repeats and the loop ends; a repeat (rounding ties) ends it too.
     ``lam < 1`` is the certified modulus.
 
-    Accepts a point p only if ``sup_norm(T(p) - p) <= tolerance * (1 - lam)``,
-    which bounds ``sup_norm(p - p*)`` by the tolerance. Failing that, it
+    Accepts a point p only if ``max|T(p) - p| <= tolerance * (1 - lam)``,
+    which bounds ``max|p - p*|`` by the tolerance. Failing that, it
     takes Picard steps from the last point while the step shrinks. Returns
     (p, residuals), one residual per evaluation and polish step; raises
     :class:`InvalidInputError` naming the smallest tolerance float64
@@ -283,15 +278,6 @@ def _policy_point(G, weights, c, policy) -> list[float]:
                 for row in rows]
     t = [row[-1] / row[i] for i, row in enumerate(rows)]
     return [cmj + aj * t[r] for cmj, aj, r in zip(cm, a, policy)]
-
-
-def rate_check(run: SolveRun, lam: float) -> bool:
-    """Verify the geometric envelope delta[t+1] <= lam * delta[t] on a run.
-
-    The comparison allows 1e-12 * (1 + delta[t]) of floating-point slack.
-    """
-    return not any(nxt > lam * prev + 1e-12 * (1.0 + prev)
-                   for prev, nxt in zip(run.deltas, run.deltas[1:]))
 
 
 def write_trace_csv(run: SolveRun, path) -> None:

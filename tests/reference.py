@@ -1,10 +1,12 @@
 """The rule-object reference: each scenario's update map written out again, one rule per terminal.
 
-Each builder turns a scenario into a ``powerfeas.rules.System``, one
-``AdjustmentRule`` per terminal applied to the other terminals' powers, so
-``engine.solve`` and ``engine.contraction_modulus`` accept it.
-:func:`affine_parts` reads the (A, c) of an affine System and
-:func:`linear_oracle` solves p = A p + c directly; the exact
+A :class:`System` holds one :class:`AdjustmentRule` per terminal: a
+function of the other terminals' powers, such as a ``powerfeas.rules``
+norm, plus an offset. Its ``n``, ``step`` and ``certificate`` make it an
+update map that ``engine.solve`` and ``engine.contraction_modulus`` accept,
+as they accept the package's own ``maps.LeaveOneOutMap``. Each builder
+turns a scenario into a System; :func:`affine_parts` reads the (A, c) of an
+affine System and :func:`linear_oracle` solves p = A p + c directly; the exact
 multi-connection rules (:class:`MinSelectionRule`) and the exact
 macro-diversity update are the maps the bounded ones over-estimate. The
 tests compare all of it with ``maps``'s array map, ``scenarios``'s closed
@@ -22,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from powerfeas.core import (
+    FeasibilityReport,
     InfeasibleSystemError,
-    InvalidFunctionError,
     InvalidInputError,
     PowerVector,
     Vector,
@@ -31,12 +33,35 @@ from powerfeas.core import (
     _Frozen,
     _matrix_rows,
 )
-from powerfeas.rules import AdjustmentRule, HolderNorm, NormOfNorms, System, WeightedAbsSum, sup_norm
+from powerfeas.rules import HolderNorm, NormOfNorms, WeightedAbsSum
 from powerfeas.scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
 
 
+class InvalidFunctionError(ValueError):
+    """A rule function is unusable, e.g. non-finite at the all-ones vector."""
+
+
+def sup_norm(x: Vector) -> float:
+    """Largest absolute component of ``x`` (the infinity norm)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size == 0:
+        raise InvalidInputError("sup_norm: empty vector")
+    return float(np.max(np.abs(arr)))
+
+
+def remove_component(x: Vector, i: int) -> np.ndarray:
+    """Copy of ``x`` with component ``i`` deleted, order preserved."""
+    arr = np.asarray(x, dtype=float)
+    n = arr.shape[0]
+    if n < 2:
+        raise InvalidInputError("remove_component: need at least 2 components")
+    if not 0 <= i < n:
+        raise IndexError(f"remove_component: index {i} out of range for length {n}")
+    return np.concatenate((arr[:i], arr[i + 1:]))
+
+
 def insert_component(x: Vector, i: int, value: float) -> np.ndarray:
-    """Inverse of ``rules.remove_component``: put ``value`` back at position ``i``."""
+    """Inverse of :func:`remove_component`: put ``value`` back at position ``i``."""
     arr = np.asarray(x, dtype=float)
     n = arr.shape[0] + 1
     if not 0 <= i < n:
@@ -138,12 +163,67 @@ def dominate(f: Callable[[np.ndarray], float], dim: int) -> DominationBound:
     return DominationBound(scale=at_ones, dim=int(dim))
 
 
+def lift_rule(f: Callable[[np.ndarray], float], i: int) -> Callable[[np.ndarray], float]:
+    """View a rule on the other terminals' powers as a function of all powers, ignoring component ``i``."""
+    return lambda x: float(f(remove_component(x, i)))
+
+
+class AdjustmentRule(_Frozen):
+    """One terminal's power update: next power = f(other powers) + offset, offset finite and >= 0."""
+
+    def __init__(self, f: Callable[[np.ndarray], float], offset: float):
+        self._set(f=f, offset=float(offset))
+        if not callable(f):
+            raise InvalidInputError("AdjustmentRule: f must be callable")
+        if not math.isfinite(self.offset) or self.offset < 0.0:
+            raise InvalidInputError(f"AdjustmentRule: offset must be finite and >= 0, got {self.offset}")
+
+
+class System(_Frozen):
+    """N coupled adjustment rules from (f, offset) pairs; rule i consumes the other N-1 powers."""
+
+    def __init__(self, rules: Sequence[tuple[Callable[[np.ndarray], float], float]]):
+        self._set(rules=tuple(AdjustmentRule(f, offset) for f, offset in rules))
+        if self.n < 2:
+            raise InvalidInputError("System: need at least two terminals")
+        for i, rule in enumerate(self.rules):
+            dim = getattr(rule.f, "dim", None)
+            if dim is not None and dim != self.n - 1:
+                raise InvalidInputError(f"System: rule {i + 1} consumes {dim} powers, expected {self.n - 1}")
+
+    @property
+    def n(self) -> int:
+        return len(self.rules)
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One synchronous update: every component from the previous iterate."""
+        return np.array([rule.f(remove_component(x, i)) + rule.offset for i, rule in enumerate(self.rules)],
+                        dtype=float)
+
+    def certificate(self) -> FeasibilityReport:
+        """Every rule at the all-ones vector, one by one.
+
+        A binding rule that is a max of weighted sums (``NormOfNorms`` with
+        the sup outer norm) names the receiver of its largest sum.
+        """
+        ones = np.ones(self.n - 1)
+        moduli = [float(rule.f(ones)) for rule in self.rules]
+        for i, value in enumerate(moduli):
+            if not math.isfinite(value):
+                raise InvalidFunctionError(
+                    f"contraction_modulus: rule for terminal {i + 1} is {value} at the all-ones vector")
+        f = self.rules[moduli.index(max(moduli))].f
+        binding = isinstance(f, NormOfNorms) and math.isinf(f.outer.p)
+        return FeasibilityReport(moduli, int(np.argmax(f.inner_values(ones))) if binding else None)
+
+
+def rate_check(run, lam: float) -> bool:
+    """The geometric envelope delta[t+1] <= lam * delta[t] on a run, with 1e-12 * (1 + delta[t]) of slack."""
+    return not any(nxt > lam * prev + 1e-12 * (1.0 + prev) for prev, nxt in zip(run.deltas, run.deltas[1:]))
+
+
 def _others(n: int, i: int) -> list[int]:
     return [j for j in range(n) if j != i]
-
-
-def _system(rules) -> System:
-    return System(tuple(AdjustmentRule(f, offset, i) for i, (f, offset) in enumerate(rules)))
 
 
 def _max_of_sums(rows) -> NormOfNorms:
@@ -152,7 +232,7 @@ def _max_of_sums(rows) -> NormOfNorms:
 
 def build_single_cell_received(sc: SingleCell) -> System:
     """Received-power update P_i = alpha_i * (sum of other P_n + sigma)."""
-    return _system((WeightedAbsSum((a,) * (sc.n - 1)), sc.sigma * a) for a in sc.alphas)
+    return System((WeightedAbsSum((a,) * (sc.n - 1)), sc.sigma * a) for a in sc.alphas)
 
 
 def build_single_cell_transformed(sc: SingleCell) -> System:
@@ -163,14 +243,14 @@ def build_single_cell_transformed(sc: SingleCell) -> System:
     and still certify here.
     """
     n = sc.n
-    return _system((WeightedAbsSum([sc.alphas[j] for j in _others(n, i)]), sc.sigma) for i in range(n))
+    return System((WeightedAbsSum([sc.alphas[j] for j in _others(n, i)]), sc.sigma) for i in range(n))
 
 
 def build_macro_diversity(md: MacroDiversity) -> System:
     """Transmit-power update P_i = (alpha_i/h_i) * (max_k interference_k + max noise), h_i the gain row sum."""
     n, h, sigma_hat = md.n, md.gains, max(md.noise)
     scales = [a / s for a, s in zip(md.alphas, md.row_sums)]
-    return _system((_max_of_sums([[scales[i] * h[m][k] for m in _others(n, i)] for k in range(md.receivers)]),
+    return System((_max_of_sums([[scales[i] * h[m][k] for m in _others(n, i)] for k in range(md.receivers)]),
                     scales[i] * sigma_hat) for i in range(n))
 
 
@@ -181,7 +261,7 @@ def build_macro_diversity_transformed(md: MacroDiversity) -> System:
     largest leave-one-out weighted target sum over receivers.
     """
     n, g, sigma_hat = md.n, md.relative, max(md.noise)
-    return _system((_max_of_sums([[md.alphas[m] * g[m][k] for m in _others(n, i)]
+    return System((_max_of_sums([[md.alphas[m] * g[m][k] for m in _others(n, i)]
                                   for k in range(md.receivers)]), sigma_hat) for i in range(n))
 
 
@@ -192,7 +272,7 @@ def build_fixed_assignment(fa: FixedAssignment) -> System:
         own = fa.gains[a][j]
         rules.append((WeightedAbsSum([fa.alphas[j] * fa.gains[a][i] / own for i in _others(fa.n, j)]),
                       fa.alphas[j] * fa.noise[a] / own))
-    return _system(rules)
+    return System(rules)
 
 
 def _mc_bounded_relative_gains(mc: MultiConnection) -> tuple[tuple[float, ...], np.ndarray]:
@@ -215,11 +295,11 @@ def build_multi_connection(mc: MultiConnection, noiseless: bool) -> System:
     """
     n, k = mc.n, mc.receivers
     if noiseless:
-        return _system((MinSelectionRule([[mc.alphas[i] * mc.gains[kk][i] for i in _others(n, j)]
+        return System((MinSelectionRule([[mc.alphas[i] * mc.gains[kk][i] for i in _others(n, j)]
                                           for kk in range(k)],
                                          [row[j] for row in mc.gains], mc.d[j]), 0.0) for j in range(n))
     _, g = _mc_bounded_relative_gains(mc)
-    return _system((_max_of_sums([[mc.alphas[i] * g[kk, i] for i in _others(n, j)] for kk in range(k)]),
+    return System((_max_of_sums([[mc.alphas[i] * g[kk, i] for i in _others(n, j)] for kk in range(k)]),
                     max(mc.noise)) for j in range(n))
 
 

@@ -21,8 +21,8 @@ from powerfeas.capacity import (
 from powerfeas.core import (
     PowerVector,
 )
-from powerfeas.engine import SolveConfig, contraction_modulus, rate_check, solve
-from powerfeas.rules import HolderNorm, WeightedAbsSum, sup_norm
+from powerfeas.engine import SolveConfig, contraction_modulus, solve
+from powerfeas.rules import HolderNorm, WeightedAbsSum
 from powerfeas.scenarios import (
     FixedAssignment,
     MacroDiversity,
@@ -40,6 +40,8 @@ from reference import (
     build_single_cell_transformed,
     linear_oracle,
     mc_exact_rules_in_bounded_coords,
+    rate_check,
+    sup_norm,
 )
 
 SYMMETRIC_GAINS = ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))

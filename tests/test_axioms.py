@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from powerfeas.axioms import (
     AXIOM_NAMES,
     CheckVerdict,
     Counterexample,
+    _pair_stream,
+    _vector_stream,
     check_all,
     check_extended_subhom,
     check_max_monotone,
@@ -19,9 +22,9 @@ from powerfeas.core import (
     EvaluationError,
     InvalidInputError,
 )
-from powerfeas.rules import HolderNorm, WeightedAbsSum, lift_rule
+from powerfeas.rules import HolderNorm, WeightedAbsSum
 from powerfeas.scenarios import MacroDiversity
-from reference import build_macro_diversity_transformed
+from reference import build_macro_diversity_transformed, lift_rule
 
 SEED = 424242
 
@@ -186,6 +189,32 @@ class TestReportMachinery:
     def test_negative_seed_rejected_naming_it(self):
         with pytest.raises(InvalidInputError, match=r"^check_all: seed must be >= 0, got -1$"):
             check_all(squared_l1, 2, samples=10, seed=-1)
+
+
+class TestSampling:
+    def test_corner_cases_take_only_the_unit_vectors_they_use(self):
+        # 12 samples at dim 3000 hold a few dozen 24 kB vectors; a 3000 x 3000 identity is 72 MB
+        check_all(HolderNorm(2), 3000, samples=12, seed=0)  # numpy's first-call caches, outside the count
+        tracemalloc.start()
+        try:
+            check_all(HolderNorm(2), 3000, samples=12, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_corner_cases(self, dim):
+        ones, units = np.ones(dim), [np.eye(dim)[i] for i in range(dim)]
+        huge, mixed = np.zeros(dim), np.ones(dim)
+        huge[0] = mixed[0] = 1e8
+        vectors = [np.zeros(dim), ones, -ones, *(v for e in units[:3] for v in (e, -e)), huge, mixed]
+        pairs = [(np.zeros(dim), np.zeros(dim)), (ones, ones), (ones, -ones), *((e, -e) for e in units[:2]),
+                 (huge, ones)]
+        rng = np.random.default_rng(0)
+        assert [v.tobytes() for v in _vector_stream(dim, len(vectors), rng)] == [v.tobytes() for v in vectors]
+        assert [(x.tobytes(), y.tobytes()) for x, y in _pair_stream(dim, len(pairs), rng)] == \
+            [(x.tobytes(), y.tobytes()) for x, y in pairs]
 
 
 class TestLiftingConsistency:

@@ -951,9 +951,10 @@ def test_module_as_program_with_stdout_closed_exits_as_sys_exit(tmp_path, unbuff
 
 def test_cli_import_loads_only_what_subcommands_run(tmp_path):
     # check, solve and region never call the axiom checker or the rule
-    # objects; check and untraced policy-iteration solve do no array work:
-    # numpy stays unloaded through them, and loads for Picard iteration;
-    # no subcommand, and no name of the package, loads dataclasses
+    # family, and axioms loads no solver; check and untraced policy-iteration
+    # solve do no array work: numpy stays unloaded through them, and loads
+    # for Picard iteration; no subcommand, and no name of the package, loads
+    # dataclasses
     configs = []
     for name, doc in [("sc_t", pair_doc() | {"coordinates": "transformed"}), ("sc_o", pair_doc()),
                       ("md_t", symmetric_doc()), ("md_o", symmetric_doc() | {"coordinates": "original"}),
@@ -994,9 +995,33 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "assert 'dataclasses' not in sys.modules\n"
         "assert {'check_all', 'WeightedAbsSum', 'solve'} <= set(dir(powerfeas))\n"
     )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
-    assert result.returncode == 0, result.stderr
+    axioms_script = (  # a fresh process: the script above has loaded every module
+        "import sys, powerfeas.cli\n"
+        "for spec in ('holder:2', 'holder:inf', 'weighted:1,2,3', 'squared-l1'):\n"
+        "    assert powerfeas.cli.main(['axioms', '--function', spec, '--dim', '3', '--samples', '20'])"
+        " == (2 if spec == 'squared-l1' else 0), spec\n"
+        "assert {'powerfeas.rules', 'powerfeas.axioms'} <= set(sys.modules)\n"
+        "loaded = [m for m in ('powerfeas.engine', 'powerfeas.maps', 'powerfeas.capacity', 'dataclasses')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    for code in (script, axioms_script):
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert result.returncode == 0, result.stderr
+    import powerfeas
+
+    assert sorted(powerfeas.__all__) == [  # a new public name is added here on purpose
+        "AxiomReport", "CheckVerdict", "Counterexample", "EvaluationError", "FeasibilityReport",
+        "FixedAssignment", "HolderNorm", "InfeasibleSystemError", "InvalidInputError", "LeaveOneOutMap",
+        "MacroDiversity", "MultiConnection", "NonConvergenceError", "NormOfNorms", "PowerVector",
+        "RegionCloud", "RegionComparison", "RegionSpec", "SingleCell", "SolveConfig", "SolveRun",
+        "WeightedAbsSum", "check_all", "check_extended_subhom", "check_max_monotone", "check_nonneg",
+        "check_reverse_triangle", "check_subadd", "check_subhom_at_one", "compare_regions",
+        "contraction_modulus", "evaluate_predicate", "export_cloud", "export_inequalities",
+        "feasibility_formula", "hanly", "leave_one_out_map", "region_inequalities", "sample_region",
+        "solve", "write_trace_csv",
+    ]
 
 
 KERNELS = {"_point_sums", "_loo_sums", "_loo", "_sums", "_reduce", "_certify", "_coefficients"}

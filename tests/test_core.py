@@ -18,17 +18,17 @@ from powerfeas.core import (
 )
 from powerfeas.engine import SolveRun
 from powerfeas.maps import LeaveOneOutMap, leave_one_out_map
-from powerfeas.rules import (
+from powerfeas.rules import HolderNorm, NormOfNorms, WeightedAbsSum
+from powerfeas.scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
+from reference import (
     AdjustmentRule,
-    HolderNorm,
-    NormOfNorms,
+    DominationBound,
+    MinSelectionRule,
     System,
-    WeightedAbsSum,
+    insert_component,
     remove_component,
     sup_norm,
 )
-from powerfeas.scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
-from reference import insert_component
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=8)
@@ -101,7 +101,7 @@ def macro(gains, noise=(1.0, 1.0)):
     return MacroDiversity((0.5,) * len(gains), gains, noise)
 
 
-class TestQosVector:
+class TestScenarioTargets:
     """The targets a scenario takes: at least two, each finite and > 0, stored as floats."""
 
     def test_valid(self):
@@ -115,7 +115,7 @@ class TestQosVector:
             pair_cell(bad)
 
 
-class TestGainMatrix:
+class TestMacroDiversityGains:
     """Macro diversity's terminal-major gains, with their row sums and relative gains."""
 
     def test_relative_rows_sum_to_one(self):
@@ -176,7 +176,6 @@ class TestNoiseAndPower:
         assert macro(((1.0, 1.0),) * 2, noise=(-0.0, 1.0)).noise == (-0.0, 1.0)
 
     def test_power_constructors(self):
-        assert PowerVector.zeros(3).p == (0.0, 0.0, 0.0)
         assert PowerVector.full(2, 100.0).p == (100.0, 100.0)
 
 
@@ -195,11 +194,11 @@ class TestFeasibilityReport:
 
 
 def value_types() -> list[type]:
-    """Every subclass of ``core._Frozen`` the package defines, by name."""
+    """Every subclass of ``core._Frozen`` the package and ``reference`` define, by name."""
     found, todo = set(), [_Frozen]
     while todo:
         for sub in todo.pop().__subclasses__():
-            if sub.__module__.startswith("powerfeas.") and sub not in found:
+            if sub.__module__.split(".")[0] in ("powerfeas", "reference") and sub not in found:
                 found.add(sub)
                 todo.append(sub)
     return sorted(found, key=lambda cls: cls.__name__)
@@ -212,7 +211,7 @@ def value_examples() -> dict:
     """
     q, gains = (0.2, 0.3), ((1.0, 0.5), (0.5, 1.0))
     noise, w = (1.0, 2.0), WeightedAbsSum((0.5,))
-    rules = (AdjustmentRule(w, 1.0, 0), AdjustmentRule(w, 1.0, 1))
+    rules = ((w, 1.0), (w, 1.0))
     md = MacroDiversity(q, gains, noise)
     cloud = sample_region(RegionSpec(md, resolution=2, alpha_max=1.0))
     flipped = ~cloud.feasible
@@ -235,8 +234,10 @@ def value_examples() -> dict:
         RegionCloud: ((cloud.spec, cloud.alphas, cloud.feasible), (cloud.spec, cloud.alphas, flipped)),
         RegionComparison: (((0.5, 0.5), None), (None, None)),
         SolveRun: (((0.5, 0.1), True, 0.2, True, "policy"), ((0.5, 0.15), True, 0.2, True, "policy")),
-        AdjustmentRule: ((w, 1.0, 0), (w, 2.0, 0)),
-        System: ((rules,), ((AdjustmentRule(w, 2.0, 0), rules[1]),)),
+        AdjustmentRule: ((w, 1.0), (w, 2.0)),
+        System: ((rules,), (((w, 2.0), rules[1]),)),
+        MinSelectionRule: ((gains, (1.0, 2.0), 1), (gains, (1.0, 2.0), 2)),
+        DominationBound: ((1.5, 2), (1.5, 3)),
         WeightedAbsSum: (((0.5,),), ((0.6,),)),
         HolderNorm: ((2.0,), (3.0,)),
         NormOfNorms: (((w,),), ((w,), HolderNorm(2.0))),
@@ -245,7 +246,7 @@ def value_examples() -> dict:
 
 def test_every_value_type_has_an_example():
     assert value_types() == sorted(value_examples(), key=lambda cls: cls.__name__)
-    assert len(value_types()) == 20
+    assert len(value_types()) == 22
 
 
 def construct(cls, args):

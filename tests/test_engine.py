@@ -13,7 +13,6 @@ import pytest
 from powerfeas.core import (
     FeasibilityReport,
     InfeasibleSystemError,
-    InvalidFunctionError,
     InvalidInputError,
     NonConvergenceError,
     PowerVector,
@@ -24,19 +23,22 @@ from powerfeas.engine import (
     SolveConfig,
     SolveRun,
     contraction_modulus,
-    rate_check,
     solve,
     write_trace_csv,
 )
 from powerfeas.maps import leave_one_out_map
-from powerfeas.rules import AdjustmentRule, System, WeightedAbsSum, sup_norm
+from powerfeas.rules import WeightedAbsSum
 from powerfeas.scenarios import MacroDiversity, SingleCell
 from reference import (
+    InvalidFunctionError,
+    System,
     affine_parts,
     build_macro_diversity_transformed,
     build_single_cell_received,
     build_single_cell_transformed,
     linear_oracle,
+    rate_check,
+    sup_norm,
 )
 
 # Exact fixed point of P1 = 0.3*(P2 + 1), P2 = 0.4*(P1 + 1) by elimination:
@@ -55,12 +57,7 @@ def symmetric_3x2(alpha):
 
 
 def constant_system(offsets):
-    n = len(offsets)
-    rules = tuple(
-        AdjustmentRule(f=WeightedAbsSum((0.0,) * (n - 1)), offset=c, terminal_index=i)
-        for i, c in enumerate(offsets)
-    )
-    return System(rules)
+    return System((WeightedAbsSum((0.0,) * (len(offsets) - 1)), c) for c in offsets)
 
 
 class TestContractionModulus:
@@ -82,9 +79,8 @@ class TestContractionModulus:
         assert not report.feasible
 
     def test_non_finite_rule_rejected(self):
-        bad = AdjustmentRule(f=lambda x: math.inf, offset=0.0, terminal_index=0)
-        ok = AdjustmentRule(f=WeightedAbsSum((0.5,)), offset=0.0, terminal_index=1)
-        with pytest.raises(InvalidFunctionError):
+        bad, ok = (lambda x: math.inf, 0.0), (WeightedAbsSum((0.5,)), 0.0)
+        with pytest.raises(InvalidFunctionError, match="rule for terminal 1 is inf"):
             contraction_modulus(System((bad, ok)))
 
 
@@ -151,7 +147,7 @@ class TestSolve:
     def test_initial_dimension_checked(self):
         system = build_single_cell_received(PAIR_CELL)
         with pytest.raises(InvalidInputError):
-            solve(system, SolveConfig(initial=PowerVector.zeros(3)))
+            solve(system, SolveConfig(initial=PowerVector((0.0,) * 3)))
 
 
 class TestLinearOracle:
@@ -172,14 +168,7 @@ class TestLinearOracle:
         c = np.ones(n)
         direct = linear_oracle(A, c).as_array()
         assert np.all(direct > 0.0)
-        rules = tuple(
-            AdjustmentRule(
-                f=WeightedAbsSum(tuple(A[i, j] for j in range(n) if j != i)),
-                offset=1.0,
-                terminal_index=i,
-            )
-            for i in range(n)
-        )
+        rules = ((WeightedAbsSum(tuple(A[i, j] for j in range(n) if j != i)), 1.0) for i in range(n))
         iterated, _ = solve(System(rules), SolveConfig(tolerance=1e-12))
         assert sup_norm(iterated.as_array() - direct) <= 1e-9
 
@@ -417,10 +406,10 @@ class TestTraceCsv:
 class TestSolveRun:
     def test_delta_length_enforced(self):
         with pytest.raises(InvalidInputError):
-            SolveRun((0.1,), False, 1e-10, True, "picard", iterates=(PowerVector.zeros(2),))
+            SolveRun((0.1,), False, 1e-10, True, "picard", iterates=(PowerVector((0.0,) * 2),))
 
     def test_converged_requires_final_delta_within_tolerance(self):
-        for iterates in ((PowerVector.zeros(2), PowerVector.full(2, 1.0)), None):
+        for iterates in ((PowerVector((0.0,) * 2), PowerVector.full(2, 1.0)), None):
             with pytest.raises(InvalidInputError):
                 SolveRun((1.0,), True, 1e-10, True, "picard", iterates)
 
@@ -449,7 +438,7 @@ class TestTraceArray:
         assert not trace.iterates.flags.writeable
         with pytest.raises(ValueError):
             trace.iterates[0, 0] = 1.0
-        assert trace.final == fixed_point
+        assert PowerVector(tuple(trace.iterates[-1])) == fixed_point
         assert fixed_point.p == tuple(trace.iterates[-1].tolist())
 
     def test_nan_step_ends_with_partial_trace(self):
@@ -468,24 +457,16 @@ class TestTraceArray:
         assert trace.deltas == (1.0,) and trace.iterates.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
     def test_negative_rule_output_rejected(self):
-        ok = AdjustmentRule(f=WeightedAbsSum((0.5,)), offset=1.0, terminal_index=0)
-        negative = AdjustmentRule(f=lambda x: 0.5 - float(x[0]), offset=0.0, terminal_index=1)
+        ok, negative = (WeightedAbsSum((0.5,)), 1.0), (lambda x: 0.5 - float(x[0]), 0.0)
         with pytest.raises(InvalidInputError, match="terminal 2"):
             solve(System((ok, negative)))
 
 
 class TestSystemValidation:
-    def test_rule_order_enforced(self):
-        r0 = AdjustmentRule(f=WeightedAbsSum((0.1,)), offset=0.0, terminal_index=1)
-        r1 = AdjustmentRule(f=WeightedAbsSum((0.1,)), offset=0.0, terminal_index=0)
-        with pytest.raises(InvalidInputError):
-            System((r0, r1))
-
     def test_rule_dimension_enforced(self):
-        r0 = AdjustmentRule(f=WeightedAbsSum((0.1, 0.2)), offset=0.0, terminal_index=0)
-        r1 = AdjustmentRule(f=WeightedAbsSum((0.1, 0.2)), offset=0.0, terminal_index=1)
-        with pytest.raises(InvalidInputError):
-            System((r0, r1))
+        rule = (WeightedAbsSum((0.1, 0.2)), 0.0)
+        with pytest.raises(InvalidInputError, match="^System: rule 1 consumes 2 powers, expected 1$"):
+            System((rule, rule))
 
 
 def test_lambda_sweep_script_runs_both_solvers():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from powerfeas.axioms import check_all
-from powerfeas.core import InvalidFunctionError, InvalidInputError
+from powerfeas.core import InvalidInputError
 from powerfeas.rules import HolderNorm, NormOfNorms, WeightedAbsSum
-from reference import DominationBound, MinSelectionRule, dominate
+from reference import DominationBound, InvalidFunctionError, MinSelectionRule, System, dominate
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 
@@ -84,7 +84,7 @@ class TestNormOfNorms:
         ones = np.ones(2)
         direct = max(sum(alphas[n] * g[n][k] for n in others) for k in range(2))
         assert f(ones) == pytest.approx(direct, abs=1e-15)
-        assert f.binding_inner(ones) == int(
+        assert System([(f, 0.0)] * 3).certificate().binding_receiver == int(
             np.argmax([sum(alphas[n] * g[n][k] for n in others) for k in range(2)])
         )
 
@@ -105,7 +105,7 @@ class TestNormOfNorms:
             outer=HolderNorm(2),
         )
         assert f((1.0, 1.0)) == pytest.approx(math.sqrt(2 * 1.5**2))
-        assert f.binding_inner((1.0, 1.0)) is None  # only the sup outer reports one
+        assert System([(f, 0.0)] * 3).certificate().binding_receiver is None  # only the sup outer names one
 
 
 class TestDominate:

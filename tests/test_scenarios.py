@@ -14,7 +14,6 @@ from powerfeas.core import (
 from powerfeas.capacity import hanly as hanly_verdicts
 from powerfeas.engine import SolveConfig, contraction_modulus, solve
 from powerfeas.maps import LeaveOneOutMap, leave_one_out_map
-from powerfeas.rules import sup_norm
 from powerfeas.scenarios import (
     FixedAssignment,
     MacroDiversity,
@@ -36,6 +35,7 @@ from reference import (
     linear_oracle,
     macro_diversity_exact_update,
     mc_exact_rules_in_bounded_coords,
+    sup_norm,
 )
 from powerfeas.maps import _loo_sums, _reduce, _sums
 from powerfeas.scenarios import _coefficients, _point_sums
