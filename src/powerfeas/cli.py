@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import math
 import os
 import sys
 from functools import partial
@@ -35,7 +34,7 @@ from .core import (
     NonConvergenceError,
     PowerVector,
     SolveConfig,
-    np,
+    _read_json,
 )
 from .scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell, feasibility_formula
 
@@ -201,74 +200,47 @@ class ScenarioConfig:
         return leave_one_out_map(self.scenario(), **self._map_options())
 
 
-def _read_json(path, what: str) -> dict:
-    """The JSON object in file ``path``; each error starts with ``what``, which names the file."""
-    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259, 8.1), whatever the locale
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(
-                f"{what}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{what}: {exc}") from None
-        except RecursionError:
-            raise InvalidInputError(f"{what}: arrays or objects nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{what}: top level must be an object")
-    return doc
-
-
 def load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(_read_json(path, f"config {path}"))
 
 
-def _print_report(config: ScenarioConfig, report: FeasibilityReport, receivers: int) -> None:
+def _show_report(config: ScenarioConfig, report: FeasibilityReport, receivers: int, as_json: bool) -> None:
+    """Print a certificate: ``check --json``'s line when ``as_json``, else ``check``'s table."""
+    term, recv = report.binding
+    if as_json:
+        print(json.dumps({
+            "per_terminal_modulus": list(report.per_terminal_modulus),
+            "modulus": report.modulus,
+            "feasible": report.feasible,
+            "binding": {"terminal": term + 1, "receiver": None if recv is None else recv + 1},
+        }))
+        return
     option = "".join(f", {value} {name}" for name, value in config.options.items())
     print(f"scenario: {config.kind} (N={len(report.per_terminal_modulus)}, K={receivers}){option}")
     print("terminal  modulus")
     for i, m in enumerate(report.per_terminal_modulus):
         print(f"{i + 1:>8}  {_fmt(m)}")
     print(f"contraction modulus lambda = {_fmt(report.modulus)}")
-    term, recv = report.binding
-    where = f"terminal {term + 1}"
-    if recv is not None:
-        where += f", receiver {recv + 1}"
+    where = f"terminal {term + 1}" + ("" if recv is None else f", receiver {recv + 1}")
     value = report.per_terminal_modulus[term]
     print(f"binding: {where}; leave-one-out weighted sum = {_fmt(value)} (must stay < 1)")
     print(f"verdict: {'FEASIBLE' if report.feasible else 'INFEASIBLE'}")
-
-
-def _report_json(report: FeasibilityReport) -> dict:
-    term, recv = report.binding
-    return {
-        "per_terminal_modulus": list(report.per_terminal_modulus),
-        "modulus": report.modulus,
-        "feasible": report.feasible,
-        "binding": {
-            "terminal": term + 1,
-            "receiver": None if recv is None else recv + 1,
-        },
-    }
 
 
 def cmd_check(args) -> int:
     config = load_config(args.config)
     scenario = config.scenario()
     report = feasibility_formula(scenario, **config._map_options())
-    if args.json:
-        print(json.dumps(_report_json(report)))
-    else:
-        _print_report(config, report, scenario.receivers)
-        mode = config.options.get("mode")
-        if mode:  # multi-connection: report the other mode's condition too
-            other_mode = "bounded" if mode == "exact_noiseless" else "exact_noiseless"
-            other = feasibility_formula(scenario, noiseless=other_mode == "exact_noiseless")
-            agree = "agrees" if other.feasible == report.feasible else "DISAGREES"
-            print(
-                f"note: {other_mode} condition gives modulus {_fmt(other.modulus)} "
-                f"({'feasible' if other.feasible else 'infeasible'}); {agree} with {mode}"
-            )
+    _show_report(config, report, scenario.receivers, args.json)
+    mode = config.options.get("mode")
+    if mode and not args.json:  # multi-connection: report the other mode's condition too
+        other_mode = "bounded" if mode == "exact_noiseless" else "exact_noiseless"
+        other = feasibility_formula(scenario, noiseless=other_mode == "exact_noiseless")
+        agree = "agrees" if other.feasible == report.feasible else "DISAGREES"
+        print(
+            f"note: {other_mode} condition gives modulus {_fmt(other.modulus)} "
+            f"({'feasible' if other.feasible else 'infeasible'}); {agree} with {mode}"
+        )
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
@@ -288,14 +260,10 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     system = config.build()
     report = contraction_modulus(system)
-    if not report.feasible and not args.force:
-        refusal = "refusing to iterate an uncertified system (use --force to override)"
-        if args.json:  # check --json's line: the certificate is the one check reports
-            print(json.dumps(_report_json(report)))
-            print(refusal, file=sys.stderr)
-        else:
-            _print_report(config, report, len(system.G))
-            print(refusal)
+    if not report.feasible and not args.force:  # the certificate check reports, as check shows it
+        _show_report(config, report, len(system.G), args.json)
+        print("refusing to iterate an uncertified system (use --force to override)",
+              file=sys.stderr if args.json else sys.stdout)
         return EXIT_INFEASIBLE
 
     solve_config = config.solver
@@ -369,60 +337,6 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _squared_l1(x: np.ndarray) -> float:
-    return float(np.abs(np.asarray(x, dtype=float)).sum() ** 2)
-
-
-def _parse_function_spec(spec: str, dim: Optional[int]):
-    """Returns (callable, dim, label) for the axiom checker."""
-    from .rules import HolderNorm, NormOfNorms, WeightedAbsSum
-
-    def number(field: str, raw: str) -> float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise InvalidInputError(f"axioms: --function {spec!r}: {field} {raw!r} is not a number") from None
-    if spec == "squared-l1":
-        if dim is None:
-            raise InvalidInputError("axioms: --dim is required for squared-l1")
-        return _squared_l1, dim, "squared-l1"
-    if spec.startswith("holder:"):
-        p = number("p", spec.split(":", 1)[1])  # float() reads "inf" and "infinity" too
-        if dim is None:
-            raise InvalidInputError("axioms: --dim is required for holder norms")
-        return HolderNorm(p), dim, spec
-    if spec.startswith("weighted:"):
-        weights = tuple(number("weight", v) for v in spec.split(":", 1)[1].split(","))
-        f = WeightedAbsSum(weights)
-        if dim is not None and dim != f.dim:
-            raise InvalidInputError(f"axioms: --dim {dim} does not match {f.dim} weights")
-        return f, f.dim, spec
-    if spec.startswith("norm-of-norms:"):
-        path = spec.split(":", 1)[1]
-        what = f"norm-of-norms file {path}"
-        doc = _read_json(path, what)
-        if "inner" not in doc:
-            raise InvalidInputError(f"{what}: inner is required")
-        rows, outer = doc["inner"], doc.get("outer", "inf")
-        if not (isinstance(rows, list) and rows and all(
-                isinstance(row, list) and row and not set(map(type, row)) - {int, float} for row in rows)):
-            raise InvalidInputError(f"{what}: inner must be a non-empty list of non-empty rows of numbers")
-        if outer not in ("inf", "infinity") and type(outer) not in (int, float):
-            raise InvalidInputError(f"{what}: outer must be a number or \"inf\", got {json.dumps(outer)}")
-        try:
-            p = math.inf if outer in ("inf", "infinity") else float(outer)
-            f = NormOfNorms(inner=tuple(map(WeightedAbsSum, rows)), outer=HolderNorm(p))
-        except (InvalidInputError, OverflowError) as exc:  # OverflowError: an int beyond float
-            raise InvalidInputError(f"{what}: {exc}") from exc
-        if dim is not None and dim != f.dim:
-            raise InvalidInputError(f"axioms: --dim {dim} does not match inner dimension {f.dim}")
-        return f, f.dim, f"norm-of-norms:{path}"
-    raise InvalidInputError(
-        f"axioms: unknown function spec {spec!r} "
-        "(use holder:p, weighted:a1,a2,..., norm-of-norms:file.json or squared-l1)"
-    )
-
-
 def _fmt_witness(counterexample) -> str:
     parts = ("(" + ", ".join(map(_fmt, item)) + ")" if isinstance(item, tuple) else _fmt(item)
              for item in counterexample.inputs)
@@ -434,11 +348,12 @@ def _fmt_witness(counterexample) -> str:
 
 def cmd_axioms(args) -> int:
     from . import axioms
+    from .rules import _parse_function_spec
 
-    f, dim, label = _parse_function_spec(args.function, args.dim)
+    f, dim = _parse_function_spec(args.function, args.dim)
     samples = axioms.DEFAULT_SAMPLES if args.samples is None else args.samples
     report = axioms.check_all(f, dim, samples=samples, seed=args.seed)
-    print(f"function: {label} (dim {dim}, samples {samples}, seed {args.seed})")
+    print(f"function: {args.function} (dim {dim}, samples {samples}, seed {args.seed})")
     print(f"{'axiom':<22}verdict")
     for verdict in report.results:
         line = f"{verdict.axiom:<22}{'PASS' if verdict.passed else 'FAIL'}"
@@ -506,7 +421,7 @@ def main(argv=None) -> int:
     except InfeasibleSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:

@@ -9,7 +9,8 @@ with one has no hash); ``repr`` lists the fields in constructor order.
 Algorithms live in the scenarios, maps, engine and capacity modules; this module
 defines the vocabulary they exchange (powers, reports, errors and
 ``engine.solve``'s :class:`SolveConfig`) and the entry checks the scenario
-types run on their plain sequences (:func:`_entries`, :func:`_matrix_rows`).
+types run on their plain sequences (:func:`_entries`, :func:`_matrix_rows`)
+and the JSON file reader of configs and norm-of-norms files (:func:`_read_json`).
 
 Indexing is 0-based throughout the library; user-facing output (CLI,
 reports) converts to 1-based terminal/receiver numbering.
@@ -19,6 +20,7 @@ reports) converts to 1-based terminal/receiver numbering.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import types
@@ -152,6 +154,24 @@ def _matrix_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
             raise InvalidInputError(f"{what}: row {r + 1} has length {len(row)}, expected {width}")
     _check_entries(list(chain.from_iterable(out)), f"{what}: entry", width=width)
     return out
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in file ``path``; each error starts with ``what``, which names the file."""
+    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259, 8.1), whatever the locale
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(
+                f"{what}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{what}: {exc}") from None
+        except RecursionError:
+            raise InvalidInputError(f"{what}: arrays or objects nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{what}: top level must be an object")
+    return doc
 
 
 class PowerVector(_Frozen):

@@ -2,20 +2,23 @@
 
 The functions are closed data (weights plus a combinator tree), not opaque
 callables; all of them evaluate through ``__call__`` on a plain vector.
-The ``axioms`` command checks them. No other command loads this module:
-the commands solve ``maps.LeaveOneOutMap``, the one update map of the
-package, whose certificate is these functions' value at the all-ones vector
-in closed form.
+The ``axioms`` command checks them, built from its ``--function`` spec by
+:func:`_parse_function_spec`. No other command loads this module: the
+commands solve ``maps.LeaveOneOutMap``, the one update map of the package,
+whose certificate is these functions' value at the all-ones vector in
+closed form.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from .core import InvalidInputError, Vector, _Frozen
+from .core import InvalidInputError, Vector, _Frozen, _read_json
 
 
 def _check_dim(x: np.ndarray, dim: int, what: str) -> None:
@@ -70,8 +73,6 @@ class HolderNorm(_Frozen):
             raise InvalidInputError("HolderNorm: empty vector")
         if math.isinf(self.p):
             return float(arr.max())
-        if self.p == 1.0:
-            return float(arr.sum())
         if self.p == 2.0:
             return float(math.sqrt(float(arr @ arr)))
         return float(np.power(np.power(arr, self.p).sum(), 1.0 / self.p))
@@ -112,3 +113,61 @@ class NormOfNorms(_Frozen):
 
     def __call__(self, x: Vector) -> float:
         return float(self.outer(self.inner_values(x)))
+
+
+def _squared_l1(x: np.ndarray) -> float:
+    return float(np.abs(np.asarray(x, dtype=float)).sum() ** 2)
+
+
+def _parse_function_spec(spec: str, dim: Optional[int]):
+    """The function an ``axioms --function`` spec names, and the dimension to check it in.
+
+    ``holder:p`` and ``squared-l1`` take any dimension, so ``dim`` is required;
+    ``weighted:`` and ``norm-of-norms:`` fix their own, which ``dim``, if given, must match.
+    """
+    def number(field: str, raw: str) -> float:
+        try:
+            return float(raw)
+        except ValueError:
+            raise InvalidInputError(f"axioms: --function {spec!r}: {field} {raw!r} is not a number") from None
+    rest = spec.partition(":")[2]
+    if spec == "squared-l1":
+        f, subject = _squared_l1, "squared-l1"
+    elif spec.startswith("holder:"):  # float() reads "inf" and "infinity" too
+        f, subject = HolderNorm(number("p", rest)), "holder norms"
+    elif spec.startswith("weighted:"):
+        f = WeightedAbsSum(tuple(number("weight", v) for v in rest.split(",")))
+        subject = f"{f.dim} weights"
+    elif spec.startswith("norm-of-norms:"):
+        f = _read_norm_of_norms(rest)
+        subject = f"inner dimension {f.dim}"
+    else:
+        raise InvalidInputError(
+            f"axioms: unknown function spec {spec!r} "
+            "(use holder:p, weighted:a1,a2,..., norm-of-norms:file.json or squared-l1)"
+        )
+    own = getattr(f, "dim", None)  # None: any dimension
+    if own is None and dim is None:
+        raise InvalidInputError(f"axioms: --dim is required for {subject}")
+    if own is not None and dim not in (None, own):
+        raise InvalidInputError(f"axioms: --dim {dim} does not match {subject}")
+    return f, dim if own is None else own
+
+
+def _read_norm_of_norms(path: str) -> NormOfNorms:
+    """The :class:`NormOfNorms` in a JSON file: ``inner`` weight rows, ``outer`` Holder p (default inf)."""
+    what = f"norm-of-norms file {path}"
+    doc = _read_json(path, what)
+    if "inner" not in doc:
+        raise InvalidInputError(f"{what}: inner is required")
+    rows, outer = doc["inner"], doc.get("outer", "inf")
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and row and not set(map(type, row)) - {int, float} for row in rows)):
+        raise InvalidInputError(f"{what}: inner must be a non-empty list of non-empty rows of numbers")
+    if outer not in ("inf", "infinity") and type(outer) not in (int, float):
+        raise InvalidInputError(f"{what}: outer must be a number or \"inf\", got {json.dumps(outer)}")
+    try:
+        p = math.inf if outer in ("inf", "infinity") else float(outer)
+        return NormOfNorms(inner=tuple(map(WeightedAbsSum, rows)), outer=HolderNorm(p))
+    except (InvalidInputError, OverflowError) as exc:  # OverflowError: an int beyond float
+        raise InvalidInputError(f"{what}: {exc}") from exc

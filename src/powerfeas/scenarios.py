@@ -68,7 +68,19 @@ def _reference_gains(gains, d) -> list[float]:
     return ref
 
 
-class SingleCell(_Frozen):
+class _Scenario(_Frozen):
+    """Base of the scenario types: ``n`` targets and, for receiver-major ``gains``, ``receivers``."""
+
+    @property
+    def n(self) -> int:
+        return len(self.alphas)
+
+    @property
+    def receivers(self) -> int:
+        return len(self.gains)
+
+
+class SingleCell(_Scenario):
     """One receiver; every terminal interferes with every other.
 
     Takes one target and one positive gain per terminal and a noise power ``sigma``.
@@ -85,15 +97,11 @@ class SingleCell(_Frozen):
             raise InvalidInputError("SingleCell: sigma must be finite and >= 0")
 
     @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-    @property
     def receivers(self) -> int:
         return 1
 
 
-class MacroDiversity(_Frozen):
+class MacroDiversity(_Scenario):
     """All receivers jointly decode every terminal; no cell boundaries.
 
     ``gains`` is terminal-major (N rows by K columns): an entry may be zero,
@@ -126,15 +134,11 @@ class MacroDiversity(_Frozen):
             raise InvalidInputError("MacroDiversity: one noise power per receiver required")
 
     @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-    @property
     def receivers(self) -> int:
         return len(self.gains[0])
 
 
-class FixedAssignment(_Frozen):
+class FixedAssignment(_Scenario):
     """Each terminal is decoded only by its assigned receiver.
 
     ``gains`` is receiver-major (K rows by N columns); ``assignment[j]`` is
@@ -166,16 +170,8 @@ class FixedAssignment(_Frozen):
                     f"FixedAssignment: terminal {j + 1} has zero gain to its assigned receiver {a + 1}"
                 )
 
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
 
-    @property
-    def receivers(self) -> int:
-        return len(self.gains)
-
-
-class MultiConnection(_Frozen):
+class MultiConnection(_Scenario):
     """Each terminal must meet its SIR target at its d_j best receivers.
 
     ``gains`` is receiver-major (K rows by N columns); ``noise`` holds one
@@ -196,14 +192,6 @@ class MultiConnection(_Frozen):
         if len(noise) != k:
             raise InvalidInputError("MultiConnection: one noise power per receiver required")
         object.__setattr__(self, "reference_gains", tuple(_reference_gains(gains, d)))  # derived: not compared
-
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def receivers(self) -> int:
-        return len(self.gains)
 
 
 def _point_sums(G, x) -> list[list[float]]:
@@ -252,7 +240,7 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
     """
     if coordinates not in ("original", "transformed"):
         raise InvalidInputError(f"leave_one_out_map: unknown coordinates {coordinates!r}")
-    if not isinstance(scenario, (SingleCell, MacroDiversity, FixedAssignment, MultiConnection)):
+    if not isinstance(scenario, _Scenario):
         raise InvalidInputError(
             f"leave_one_out_map: unsupported scenario {type(scenario).__name__}"
         )
@@ -290,13 +278,14 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
         ref = scenario.reference_gains
         G = [[g / h * a for g, h, a in zip(row, ref, alphas)] for row in scenario.gains]
         c = [max(scenario.noise)] * n
+    if isinstance(scenario, MultiConnection) and max(map(max, G)) == math.inf:
+        raise InvalidInputError("leave_one_out_map: a target times a gain exceeds the float64 range")
     if D is not None:  # macro diversity's K divisor rows are one list: divide it once
         first = list(map(truediv, alphas, D[0]))
         W = [first if row is D[0] else list(map(truediv, alphas, row)) for row in D]
     if W is not None and max(map(max, W)) == math.inf:  # inf * 0 would be NaN, not 0
         raise InvalidInputError("leave_one_out_map: a weight over a gain exceeds the float64 range")
     return G, c, W, order, isinstance(scenario, (MacroDiversity, MultiConnection)), D
-
 
 
 def feasibility_formula(scenario, *, coordinates: str = "transformed",

@@ -176,6 +176,14 @@ class TestReportMachinery:
         with pytest.raises(EvaluationError):
             check_nonneg(lambda x: math.nan, 2, seed=SEED)
 
+    def test_overflow_is_reported_as_the_value_at_plain_float_inputs(self):
+        # check_all silences numpy's overflow warning: the inf it leads to is the error
+        with pytest.raises(EvaluationError, match=r"^candidate function returned inf on input \(1\.0, 1\.0\)$") \
+                as excinfo:
+            check_all(WeightedAbsSum((1e308, 1e308)), 2, samples=50, seed=SEED)
+        assert excinfo.value.bad_input == (1.0, 1.0)
+        assert all(type(v) is float for v in excinfo.value.bad_input)
+
     def test_all_passed_flag(self):
         assert check_all(HolderNorm(2), 3, samples=300, seed=1).all_passed
         assert not check_all(squared_l1, 2, samples=300, seed=1).all_passed

@@ -747,6 +747,26 @@ class TestRegion:
         assert main(["check", path]) == 1
 
 
+@pytest.mark.parametrize("command", ["check --json", "solve", "region"])
+def test_overflowing_multi_connection_coefficient_exits_one(tmp_path, capsys, command):
+    # g / h * alpha = 1e300 / 1e-300 * 0.5 overflows: one line, no file, on every command
+    path = write_config(tmp_path, {"scenario": "multi_connection", "alphas": [0.5, 0.5],
+                                   "gains": [[1e300, 1e-300], [1e-300, 1.0]], "d": [2, 1], "sigma": [1, 1]})
+    argv = command.split() + [path] + (["--out", str(tmp_path / "c.csv")] if command == "region" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: leave_one_out_map: a target times a gain exceeds the float64 range\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def two_by_two_norm_of_norms(tmp_path):
+    """A norm-of-norms file of two inner functions of dimension 2."""
+    path = tmp_path / "nn.json"
+    path.write_text(json.dumps({"inner": [[1, 2], [0.5, 0.25]]}))
+    return path
+
+
 class TestAxioms:
     def test_holder_all_pass(self, capsys):
         code = main(["axioms", "--function", "holder:2", "--dim", "3", "--seed", "7"])
@@ -809,6 +829,39 @@ class TestAxioms:
     def test_unknown_spec(self):
         assert main(["axioms", "--function", "mystery", "--dim", "2"]) == 1
 
+    @pytest.mark.parametrize("spec, dim, message", [
+        ("holder:2", None, "--dim is required for holder norms"),
+        ("squared-l1", None, "--dim is required for squared-l1"),
+        ("weighted:1,2", "3", "--dim 3 does not match 2 weights"),
+        ("norm-of-norms:{nn}", "3", "--dim 3 does not match inner dimension 2"),
+    ], ids=["holder", "squared_l1", "weighted", "norm_of_norms"])
+    def test_dim_errors_name_the_spec_kind(self, tmp_path, capsys, spec, dim, message):
+        argv = ["axioms", "--function", spec.format(nn=two_by_two_norm_of_norms(tmp_path))] + (["--dim", dim] if dim else [])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: axioms: {message}\n")
+
+    @pytest.mark.parametrize("spec, dim, checked_dim", [
+        ("holder:inf", "2", 2), ("squared-l1", "4", 4), ("weighted:1,2,3", None, 3),
+        ("weighted:1,2,3", "3", 3), ("norm-of-norms:{nn}", None, 2),
+    ], ids=["holder", "squared_l1", "weighted", "weighted_matching_dim", "norm_of_norms"])
+    def test_header_names_the_spec_and_the_dimension_checked(self, tmp_path, capsys, spec, dim, checked_dim):
+        spec = spec.format(nn=two_by_two_norm_of_norms(tmp_path))
+        argv = ["axioms", "--function", spec, "--samples", "20", "--seed", "5"] + (["--dim", dim] if dim else [])
+        assert main(argv) in (0, 2)
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"function: {spec} (dim {checked_dim}, samples 20, seed 5)"
+
+    @pytest.mark.parametrize("flags, point", [
+        (["--function", "weighted:1e308,1e308", "--samples", "50"], "(1.0, 1.0)"),
+        (["--function", "holder:1e308", "--dim", "2"], "(100000000.0, 0.0)"),
+    ], ids=["weighted", "holder"])
+    def test_overflowing_candidate_exits_one_with_one_line(self, flags, point):
+        # numpy's overflow warnings would reach stderr from a plain program run: run one
+        result = subprocess.run([sys.executable, "-m", "powerfeas.cli", "axioms", *flags],
+                                env=program_env(False), capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", f"error: candidate function returned inf on input {point}\n")
+
     @pytest.mark.parametrize("flags", [
         ["--dim", "1", "--samples", "0"],
         ["--dim", "1", "--samples", "-5"],
@@ -836,6 +889,102 @@ def test_shipped_configs_check(name, capsys):
     code = main(["check", str(REPO_CONFIGS / name), "--json"])
     assert code in (0, 2)
     assert json.loads(capsys.readouterr().out)["feasible"] == (code == 0)
+
+
+# Per shipped config: the output of check, check --json and solve --json
+SHIPPED_OUTPUT = {
+    "asymmetric_3x2.json": (
+        "scenario: macro_diversity (N=3, K=2), transformed coordinates\n"
+        "terminal  modulus\n"
+        "       1  0.99\n"
+        "       2  0.99\n"
+        "       3  0.9899999999999999\n"
+        "contraction modulus lambda = 0.99\n"
+        "binding: terminal 1, receiver 2; leave-one-out weighted sum = 0.99 (must stay < 1)\n"
+        "verdict: FEASIBLE\n",
+        '{"per_terminal_modulus": [0.99, 0.99, 0.9899999999999999], "modulus": 0.99, "feasible": true, '
+        '"binding": {"terminal": 1, "receiver": 2}}\n',
+        '{"powers": [99.99999999999805, 99.99999999999802, 99.99999999999805], "iterations": 2, '
+        '"converged": true, "certified": true}\n',
+    ),
+    "degenerate_3x3.json": (
+        "scenario: macro_diversity (N=3, K=3), transformed coordinates\n"
+        "terminal  modulus\n"
+        "       1  0.5\n"
+        "       2  0.5\n"
+        "       3  0.9\n"
+        "contraction modulus lambda = 0.9\n"
+        "binding: terminal 3, receiver 1; leave-one-out weighted sum = 0.9 (must stay < 1)\n"
+        "verdict: FEASIBLE\n",
+        '{"per_terminal_modulus": [0.5, 0.5, 0.9], "modulus": 0.9, "feasible": true, '
+        '"binding": {"terminal": 3, "receiver": 1}}\n',
+        '{"powers": [2.0792079207920793, 2.0792079207920793, 2.8712871287128707], "iterations": 1, '
+        '"converged": true, "certified": true}\n',
+    ),
+    "fixed_assignment_2cell.json": (
+        "scenario: fixed_assignment (N=2, K=2)\n"
+        "terminal  modulus\n"
+        "       1  0.125\n"
+        "       2  0.1\n"
+        "contraction modulus lambda = 0.125\n"
+        "binding: terminal 1; leave-one-out weighted sum = 0.125 (must stay < 1)\n"
+        "verdict: FEASIBLE\n",
+        '{"per_terminal_modulus": [0.125, 0.1], "modulus": 0.125, "feasible": true, '
+        '"binding": {"terminal": 1, "receiver": null}}\n',
+        '{"powers": [0.28481012658227844, 0.2784810126582279], "iterations": 1, '
+        '"converged": true, "certified": true}\n',
+    ),
+    "multi_connection.json": (
+        "scenario: multi_connection (N=3, K=2), bounded mode\n"
+        "terminal  modulus\n"
+        "       1  0.25\n"
+        "       2  0.6333333333333333\n"
+        "       3  0.5625\n"
+        "contraction modulus lambda = 0.6333333333333333\n"
+        "binding: terminal 2, receiver 1; leave-one-out weighted sum = 0.6333333333333333 (must stay < 1)\n"
+        "verdict: FEASIBLE\n"
+        "note: exact_noiseless condition gives modulus 0.6 (feasible); agrees with bounded\n",
+        '{"per_terminal_modulus": [0.25, 0.6333333333333333, 0.5625], "modulus": 0.6333333333333333, '
+        '"feasible": true, "binding": {"terminal": 2, "receiver": 1}}\n',
+        '{"powers": [1.4854771784232366, 1.991701244813278, 1.8672199170124482], "iterations": 2, '
+        '"converged": true, "certified": true}\n',
+    ),
+    "single_cell_pair.json": (
+        "scenario: single_cell (N=2, K=1), original coordinates\n"
+        "terminal  modulus\n"
+        "       1  0.3\n"
+        "       2  0.4\n"
+        "contraction modulus lambda = 0.4\n"
+        "binding: terminal 2; leave-one-out weighted sum = 0.4 (must stay < 1)\n"
+        "verdict: FEASIBLE\n",
+        '{"per_terminal_modulus": [0.3, 0.4], "modulus": 0.4, "feasible": true, '
+        '"binding": {"terminal": 2, "receiver": null}}\n',
+        '{"powers": [0.4772727272727273, 0.590909090909091], "iterations": 1, '
+        '"converged": true, "certified": true}\n',
+    ),
+    "symmetric_3x2.json": (
+        "scenario: macro_diversity (N=3, K=2), transformed coordinates\n"
+        "terminal  modulus\n"
+        "       1  0.99\n"
+        "       2  0.99\n"
+        "       3  0.99\n"
+        "contraction modulus lambda = 0.99\n"
+        "binding: terminal 1, receiver 1; leave-one-out weighted sum = 0.99 (must stay < 1)\n"
+        "verdict: FEASIBLE\n",
+        '{"per_terminal_modulus": [0.99, 0.99, 0.99], "modulus": 0.99, "feasible": true, '
+        '"binding": {"terminal": 1, "receiver": 1}}\n',
+        '{"powers": [100.00000000000007, 100.00000000000007, 100.00000000000007], "iterations": 1, '
+        '"converged": true, "certified": true}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "check --json", "solve --json"])
+@pytest.mark.parametrize("name", sorted(path.name for path in REPO_CONFIGS.glob("*.json")))
+def test_shipped_configs_print_pinned_output(name, command, capsys):
+    assert main([*command.split(), str(REPO_CONFIGS / name)]) == 0
+    expected = SHIPPED_OUTPUT[name][["check", "check --json", "solve --json"].index(command)]
+    assert capsys.readouterr() == (expected, "")
 
 
 class TestFileErrors:

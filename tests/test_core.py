@@ -194,14 +194,17 @@ class TestFeasibilityReport:
 
 
 def value_types() -> list[type]:
-    """Every subclass of ``core._Frozen`` the package and ``reference`` define, by name."""
+    """Every subclass of ``core._Frozen`` the package and ``reference`` define, by name.
+
+    A private base (``scenarios._Scenario``) holds no fields: its subclasses are the values.
+    """
     found, todo = set(), [_Frozen]
     while todo:
         for sub in todo.pop().__subclasses__():
             if sub.__module__.split(".")[0] in ("powerfeas", "reference") and sub not in found:
                 found.add(sub)
                 todo.append(sub)
-    return sorted(found, key=lambda cls: cls.__name__)
+    return sorted((cls for cls in found if not cls.__name__.startswith("_")), key=lambda cls: cls.__name__)
 
 
 def value_examples() -> dict:

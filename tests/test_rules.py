@@ -42,6 +42,11 @@ class TestHolderNorm:
     def test_one_norm(self):
         assert HolderNorm(1)((1.0, -2.0, 3.0)) == 6.0
 
+    @given(x=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=8))
+    def test_one_norm_is_the_abs_sum_bit_for_bit(self, x):
+        # p = 1 takes the general branch: x ** 1.0 and s ** 1.0 are exact
+        assert HolderNorm(1)(x) == float(np.abs(np.asarray(x, dtype=float)).sum())
+
     def test_infinity_is_sup(self):
         assert HolderNorm(math.inf)((1.0, -7.0, 2.0)) == 7.0
 
