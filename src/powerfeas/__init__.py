@@ -17,14 +17,13 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "EvaluationError", "FeasibilityReport", "InfeasibleSystemError", "InvalidInputError",
-        "NonConvergenceError", "PowerVector", "SolveConfig",
+        "FeasibilityReport", "InfeasibleSystemError", "InvalidInputError", "NonConvergenceError",
+        "PowerVector", "SolveConfig",
     ),
-    "rules": ("HolderNorm", "NormOfNorms", "WeightedAbsSum"),
     "axioms": (
-        "AxiomReport", "CheckVerdict", "Counterexample", "check_all", "check_extended_subhom",
-        "check_max_monotone", "check_nonneg", "check_reverse_triangle", "check_subadd",
-        "check_subhom_at_one",
+        "AxiomReport", "CheckVerdict", "Counterexample", "EvaluationError", "HolderNorm", "NormOfNorms",
+        "WeightedAbsSum", "check_all", "check_extended_subhom", "check_max_monotone", "check_nonneg",
+        "check_reverse_triangle", "check_subadd", "check_subhom_at_one",
     ),
     "engine": ("SolveRun", "contraction_modulus", "solve", "write_trace_csv"),
     "scenarios": (

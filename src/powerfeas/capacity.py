@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .core import InvalidInputError, _CSV_CELLS, _Frozen, np
 from .maps import _loo, _loo_sums
-from .scenarios import _coefficients, _point_sums
+from .scenarios import _certify, _coefficients, _point_sums
 
 MAX_GRID_DIM = 4
 
@@ -39,7 +39,8 @@ class RegionSpec(_Frozen):
     coefficients at unit targets; ``receivers`` is the map's row count K.
     ``_kernel`` is (G, W, order, None) when the targets scale G, and (s, None,
     None, D) when they enter W, s the sums of G at the all-ones vector. Both
-    are derived once here, and equality does not compare them.
+    are derived once here, and equality does not compare them. The moduli grow
+    with the targets: where ``check`` refuses them at the largest grid point, the spec does too.
     """
 
     def __init__(self, scenario, *, coordinates: str = "transformed", noiseless: bool = False,
@@ -50,7 +51,9 @@ class RegionSpec(_Frozen):
             raise InvalidInputError("RegionSpec: resolution must be >= 2")
         if not math.isfinite(self.alpha_max) or self.alpha_max <= 0.0:
             raise InvalidInputError(f"RegionSpec: alpha_max must be finite and > 0, got {self.alpha_max}")
-        G, _, W, order, _, D = _coefficients(scenario, coordinates, noiseless, unit_targets=True)
+        G, _, W, order, _, D = _coefficients(scenario, coordinates, noiseless, target=1.0)
+        G_max, _, W_max = _coefficients(scenario, coordinates, noiseless, target=self.alpha_max)[:3]
+        _certify(G_max, W_max, order)  # at alpha_max on every axis: raises if a modulus overflows
         if D is not None:
             G = _point_sums(G, [1.0] * self.n)
         object.__setattr__(self, "receivers", len(G))  # derived: not compared
@@ -63,8 +66,9 @@ class RegionSpec(_Frozen):
     def moduli(self, pts: np.ndarray) -> np.ndarray:
         """Per-terminal moduli (P x N) at points (P x N): ``check``'s at those targets."""
         G, W, order, D = self._kernel
-        if D is None:
-            return _loo(G, pts, W, order)
+        if D is None:  # an overflow is inf, as in check's floats; in a modulus, __init__ refused it
+            with np.errstate(over="ignore"):
+                return _loo(G, pts, W, order)
         values = np.zeros_like(pts)
         for d, s in zip(D, G):  # G holds s; a weight of 0 adds 0, as in the certificate
             w = pts / d

@@ -27,7 +27,6 @@ from functools import partial
 from typing import Optional
 
 from .core import (
-    EvaluationError,
     FeasibilityReport,
     InfeasibleSystemError,
     InvalidInputError,
@@ -348,9 +347,8 @@ def _fmt_witness(counterexample) -> str:
 
 def cmd_axioms(args) -> int:
     from . import axioms
-    from .rules import _parse_function_spec
 
-    f, dim = _parse_function_spec(args.function, args.dim)
+    f, dim = axioms._parse_function_spec(args.function, args.dim)
     samples = axioms.DEFAULT_SAMPLES if args.samples is None else args.samples
     report = axioms.check_all(f, dim, samples=samples, seed=args.seed)
     print(f"function: {args.function} (dim {dim}, samples {samples}, seed {args.seed})")
@@ -415,7 +413,7 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvalidInputError, EvaluationError, OSError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InfeasibleSystemError as exc:

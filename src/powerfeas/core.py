@@ -50,14 +50,6 @@ class InvalidInputError(ValueError):
     """A value violates a documented precondition or type invariant."""
 
 
-class EvaluationError(RuntimeError):
-    """A candidate function raised or returned a non-finite value."""
-
-    def __init__(self, message: str, bad_input=None):
-        super().__init__(message)
-        self.bad_input = bad_input
-
-
 class InfeasibleSystemError(RuntimeError):
     """A computation that needs a feasibility certificate does not have one."""
 

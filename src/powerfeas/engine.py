@@ -185,7 +185,7 @@ def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfi
 
     ``system`` exposes ``G``, ``c`` and ``receiver_weights`` W as sequences
     (``maps.LeaveOneOutMap``). A policy pi picks one receiver with
-    ``W[k][j] > 0`` per terminal; it starts greedy at ``x0`` and each
+    ``W[k][j] > 0`` per terminal; it starts greedy at ``T(x0)`` and each
     evaluation solves ``x = A_pi x + c`` exactly (:func:`_policy_point`).
     A terminal switches receiver only when another one is strictly larger
     at the current point (:func:`_policy_values`), so in exact arithmetic no
@@ -203,7 +203,8 @@ def policy_iteration(system, x0: Sequence[float], lam: float, config: SolveConfi
     threshold = config.tolerance * (1.0 - lam)
     G, c, weights = system.G, system.c, system.receiver_weights
     masks = [[0.0 if w > 0.0 else -math.inf for w in row] for row in weights]
-    values = _policy_values(G, weights, masks, x0)
+    tx0 = list(map(add, map(max, _policy_values(G, weights, masks, x0)), c))  # at x0 = 0 every value ties
+    values = _policy_values(G, weights, masks, tx0)
     policy = list(map(tuple.index, values, map(max, values)))
     seen = {tuple(policy)}
     improving = True

@@ -220,19 +220,22 @@ def _certify(G, W=None, order=None, names_receiver=True) -> FeasibilityReport:
     by_terminal = list(zip(*sums))
     moduli = (list(map(max, by_terminal)) if order is None else
               [sorted(values)[rank - 1] for values, rank in zip(by_terminal, order)])
-    term = moduli.index(max(moduli))
+    top = max(moduli)
+    if top == math.inf:
+        raise InvalidInputError("admission test: a weighted leave-one-out sum exceeds the float64 range")
+    term = moduli.index(top)
     receiver = by_terminal[term].index(moduli[term]) if order is None and names_receiver else None
     return FeasibilityReport(moduli, receiver)
 
 
 def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = False,
-                  unit_targets: bool = False):
+                  target: float | None = None):
     """The fields (G, c, W, order, names_receiver) of a scenario's map, as lists, then D.
 
     ``W`` None means unit weights, ``order`` None the max. ``coordinates``
     selects the original or transformed single-cell and macro-diversity map,
-    ``noiseless`` the exact or bounded multi-connection map; ``unit_targets``
-    puts 1 in place of every target. This is the one place that decides
+    ``noiseless`` the exact or bounded multi-connection map; ``target``, if
+    given, takes the place of every target. This is the one place that decides
     where the targets enter the map. In the transformed maps and
     multi-connection they scale G's columns, and D is None. In the original
     maps and fixed assignment G does not depend on them and W[k][j] =
@@ -248,7 +251,7 @@ def _coefficients(scenario, coordinates: str = "transformed", noiseless: bool = 
     # Coefficients fold the targets in as G[k][n] * alpha_n, the product the
     # batch kernel forms at x = alpha, so the certificate at x = 1 rounds alike.
     n = scenario.n
-    alphas = (1.0,) * n if unit_targets else scenario.alphas
+    alphas = scenario.alphas if target is None else (target,) * n
     transformed = coordinates == "transformed"
     W = D = order = None
     if isinstance(scenario, SingleCell):

@@ -1,7 +1,7 @@
 """The rule-object reference: each scenario's update map written out again, one rule per terminal.
 
 A :class:`System` holds one :class:`AdjustmentRule` per terminal: a
-function of the other terminals' powers, such as a ``powerfeas.rules``
+function of the other terminals' powers, such as a ``powerfeas.axioms``
 norm, plus an offset. Its ``n``, ``step`` and ``certificate`` make it an
 update map that ``engine.solve`` and ``engine.contraction_modulus`` accept,
 as they accept the package's own ``maps.LeaveOneOutMap``. Each builder
@@ -33,7 +33,7 @@ from powerfeas.core import (
     _Frozen,
     _matrix_rows,
 )
-from powerfeas.rules import HolderNorm, NormOfNorms, WeightedAbsSum
+from powerfeas.axioms import HolderNorm, NormOfNorms, WeightedAbsSum
 from powerfeas.scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
 
 

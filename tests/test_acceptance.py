@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from powerfeas.axioms import check_all, check_subadd
+from powerfeas.axioms import HolderNorm, WeightedAbsSum, check_all, check_subadd
 from powerfeas.capacity import (
     RegionSpec,
     compare_regions,
@@ -22,7 +22,6 @@ from powerfeas.core import (
     PowerVector,
 )
 from powerfeas.engine import SolveConfig, contraction_modulus, solve
-from powerfeas.rules import HolderNorm, WeightedAbsSum
 from powerfeas.scenarios import (
     FixedAssignment,
     MacroDiversity,

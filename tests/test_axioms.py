@@ -8,6 +8,9 @@ from powerfeas.axioms import (
     AXIOM_NAMES,
     CheckVerdict,
     Counterexample,
+    EvaluationError,
+    HolderNorm,
+    WeightedAbsSum,
     _pair_stream,
     _vector_stream,
     check_all,
@@ -18,11 +21,7 @@ from powerfeas.axioms import (
     check_subadd,
     check_subhom_at_one,
 )
-from powerfeas.core import (
-    EvaluationError,
-    InvalidInputError,
-)
-from powerfeas.rules import HolderNorm, WeightedAbsSum
+from powerfeas.core import InvalidInputError
 from powerfeas.scenarios import MacroDiversity
 from reference import build_macro_diversity_transformed, lift_rule
 

@@ -246,9 +246,20 @@ def test_one_terminal_exit_one(tmp_path, capsys, kind):
     (dict(multi_connection_doc(), gains=[[1.0, 0.5, 0.2], [0.3, 1.0]]),
      "MultiConnection gains: row 2 has length 2, expected 3"),
     (dict(multi_connection_doc(), sigma=[1.0]), "MultiConnection: one noise power per receiver required"),
+    (dict(multi_connection_doc(), d=[1, 2]), "MultiConnection: one diversity order per terminal required"),
+    (dict(fixed_assignment_doc(), sigma=[1.0]), "FixedAssignment: one noise power per receiver required"),
+    (dict(fixed_assignment_doc(), assignment=[1, 3, 2]),
+     "FixedAssignment: terminal 2 assigned to receiver 3, but only 2 receivers exist"),
+    # each modulus is exactly 1.0, but the float sum 1e308 + 1e308 is inf (check --json printed Infinity)
+    (dict(fixed_assignment_doc(), alphas=[0.5] * 3, gains=[[1e308] * 3, [1] * 3], assignment=[1] * 3),
+     "admission test: a weighted leave-one-out sum exceeds the float64 range"),
+    # 1e308 passes at region's unit targets; its largest grid point, alpha_max 3, overflows
+    (dict(multi_connection_doc("exact_noiseless"), alphas=[2, 2], gains=[[1e308, 1], [1, 1]], d=[1, 1]),
+     "leave_one_out_map: a target times a gain exceeds the float64 range"),
 ], ids=["sc_zero_gain", "sc_negative_sigma", "sc_gain_count", "negative_target", "zero_target",
         "md_nan_noise", "md_short_sigma", "md_gain_rows", "md_row_sum_overflow", "mc_ragged_gains",
-        "mc_short_sigma"])
+        "mc_short_sigma", "mc_short_d", "fa_short_sigma", "fa_assignment_beyond_k", "certificate_sum_overflow",
+        "region_top_point_overflow"])
 def test_malformed_configs_fail_alike_on_every_command(tmp_path, capsys, doc, message):
     # the scenario types check every command's input: region once skipped them
     path = write_config(tmp_path, doc)
@@ -284,9 +295,12 @@ def without(doc, key):
     (dict(symmetric_doc(), k=3), "config: k=3 but macro_diversity gains give K=2"),
     (dict(pair_doc(), k=2), "config: k=2 but single_cell gains give K=1"),
     (dict(fixed_assignment_doc(), k=3), "config: k=3 but fixed_assignment gains give K=2"),
+    (dict(symmetric_doc(), solver={"tol": 1e-9}), "config: unknown solver keys ['tol']"),
+    (dict(symmetric_doc(), solver={"initial": [1.0, 1.0]}), "config: solver.initial needs one power per terminal"),
 ], ids=["md_assignment", "fa_d", "sc_mode", "fa_coordinates", "sc_no_gains", "md_no_sigma",
         "fa_no_assignment", "mc_no_d", "mc_no_alphas", "sc_bad_coordinates", "mc_bad_mode",
-        "unknown_scenario", "n_mismatch", "md_k_mismatch", "sc_k_mismatch", "fa_k_mismatch"])
+        "unknown_scenario", "n_mismatch", "md_k_mismatch", "sc_k_mismatch", "fa_k_mismatch",
+        "unknown_solver_key", "initial_length"])
 def test_loader_messages_name_the_key_alike_on_every_command(tmp_path, capsys, doc, message):
     path = write_config(tmp_path, doc)
     cloud = tmp_path / "cloud.csv"
@@ -294,6 +308,26 @@ def test_loader_messages_name_the_key_alike_on_every_command(tmp_path, capsys, d
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+    assert not cloud.exists()
+
+
+# Three policy evaluations at the all-zeros start: the first greedy policy is not yet optimal.
+THREE_EVALUATIONS = {"scenario": "macro_diversity", "alphas": [0.4, 0.2, 0.3], "gains": [[3, 1], [2, 3], [0.5, 1]],
+                     "sigma": [1, 1], "coordinates": "original", "solver": {"max_iter": 1}}
+
+
+@pytest.mark.parametrize("doc, flags, code, message", [
+    (symmetric_doc(0.5), ["solve", "--init", "abc"], 1, "--init: expected numbers, got 'abc'"),
+    (symmetric_doc(0.5), ["solve", "--init", "1,2"], 1, "--init: expected 1 or 3 values, got 2"),
+    (symmetric_doc(0.5), ["region", "--resolution", "1"], 1, "RegionSpec: resolution must be >= 2"),
+    (THREE_EVALUATIONS, ["solve", "--json"], 3, "solve: no convergence within 1 iterations"),
+], ids=["init_not_numbers", "init_count", "region_resolution", "policy_max_iter"])
+def test_command_option_messages(tmp_path, capsys, doc, flags, code, message):
+    cloud = tmp_path / "cloud.csv"
+    argv = [flags[0], write_config(tmp_path, doc), *flags[1:]]
+    assert main(argv + (["--out", str(cloud)] if flags[0] == "region" else [])) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not cloud.exists()
 
 
@@ -760,6 +794,22 @@ def test_overflowing_multi_connection_coefficient_exits_one(tmp_path, capsys, co
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_region_overflow_at_an_unselected_receiver_keeps_check_verdicts(tmp_path, capsys):
+    # 1e10 / 1e-300 overflows at receiver 1, which the d = 1 smallest never selects: no warning
+    doc = {"scenario": "multi_connection", "mode": "exact_noiseless", "alphas": [0.5, 0.5],
+           "gains": [[1e-300, 1e10], [1, 1]], "d": [1, 1], "sigma": [1, 1]}
+    cloud = tmp_path / "c.csv"
+    assert main(["region", write_config(tmp_path, doc), "--alpha-max", "1", "--resolution", "3",
+                 "--out", str(cloud)]) == 0
+    verdicts = {tuple(map(float, row[:2])): row[2] for row in
+                (line.split(",") for line in cloud.read_text().splitlines()[1:])}
+    for point, verdict in verdicts.items():
+        if min(point) > 0.0:
+            code = main(["check", write_config(tmp_path, dict(doc, alphas=list(point)))])
+            assert verdict == ("1" if code == 0 else "0"), point
+    assert capsys.readouterr().err == ""
+
+
 def two_by_two_norm_of_norms(tmp_path):
     """A norm-of-norms file of two inner functions of dimension 2."""
     path = tmp_path / "nn.json"
@@ -904,7 +954,7 @@ SHIPPED_OUTPUT = {
         "verdict: FEASIBLE\n",
         '{"per_terminal_modulus": [0.99, 0.99, 0.9899999999999999], "modulus": 0.99, "feasible": true, '
         '"binding": {"terminal": 1, "receiver": 2}}\n',
-        '{"powers": [99.99999999999805, 99.99999999999802, 99.99999999999805], "iterations": 2, '
+        '{"powers": [99.99999999999773, 99.99999999999773, 99.99999999999773], "iterations": 1, '
         '"converged": true, "certified": true}\n',
     ),
     "degenerate_3x3.json": (
@@ -946,7 +996,7 @@ SHIPPED_OUTPUT = {
         "note: exact_noiseless condition gives modulus 0.6 (feasible); agrees with bounded\n",
         '{"per_terminal_modulus": [0.25, 0.6333333333333333, 0.5625], "modulus": 0.6333333333333333, '
         '"feasible": true, "binding": {"terminal": 2, "receiver": 1}}\n',
-        '{"powers": [1.4854771784232366, 1.991701244813278, 1.8672199170124482], "iterations": 2, '
+        '{"powers": [1.4854771784232366, 1.991701244813278, 1.8672199170124482], "iterations": 1, '
         '"converged": true, "certified": true}\n',
     ),
     "single_cell_pair.json": (
@@ -1099,8 +1149,8 @@ def test_module_as_program_with_stdout_closed_exits_as_sys_exit(tmp_path, unbuff
 
 
 def test_cli_import_loads_only_what_subcommands_run(tmp_path):
-    # check, solve and region never call the axiom checker or the rule
-    # family, and axioms loads no solver; check and untraced policy-iteration
+    # check, solve and region never load the rule family and its axiom
+    # checks, and axioms loads no solver; check and untraced policy-iteration
     # solve do no array work: numpy stays unloaded through them, and loads
     # for Picard iteration; no subcommand, and no name of the package, loads
     # dataclasses
@@ -1112,15 +1162,13 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         configs.append(write_config(tmp_path, doc, f"{name}.json"))
     script = (
         "import sys, powerfeas.cli\n"
-        "loaded = sorted(m for m in ('powerfeas.axioms', 'powerfeas.rules') if m in sys.modules)\n"
-        "assert not loaded, loaded\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert 'powerfeas.axioms' not in sys.modules and 'numpy' not in sys.modules\n"
         f"for path in {configs!r}:\n"
         "    for flags in (['--json'], []):\n"
         "        assert powerfeas.cli.main(['check', path, *flags]) == 0, path\n"
         "        assert 'numpy' not in sys.modules, path\n"
-        "unused = ('powerfeas.maps', 'powerfeas.engine', 'powerfeas.capacity', 'powerfeas.rules',"
-        " 'powerfeas.axioms', 'dataclasses')\n"
+        "unused = ('powerfeas.maps', 'powerfeas.engine', 'powerfeas.capacity', 'powerfeas.axioms',"
+        " 'dataclasses')\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         f"for path in {configs[:-1]!r}:\n"
@@ -1128,7 +1176,7 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "        assert powerfeas.cli.main(['solve', path, *flags]) == 0, (path, flags)\n"
         "        assert 'numpy' not in sys.modules, (path, flags)\n"
         "assert 'powerfeas.maps' in sys.modules\n"
-        "unused = ('powerfeas.capacity', 'powerfeas.rules', 'powerfeas.axioms', 'dataclasses', 'inspect')\n"
+        "unused = ('powerfeas.capacity', 'powerfeas.axioms', 'dataclasses', 'inspect')\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         f"assert powerfeas.cli.main(['solve', {configs[0]!r}, '--trace', {str(tmp_path / 't.csv')!r}]) == 0\n"
@@ -1136,7 +1184,7 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         f"assert powerfeas.cli.main(['solve', {configs[-1]!r}, '--json']) == 0\n"
         f"assert powerfeas.cli.main(['region', {configs[2]!r}, '--resolution', '3', '--compare', 'hanly',"
         f" '--out', {str(tmp_path / 'c.csv')!r}, '--inequalities', {str(tmp_path / 'i.csv')!r}]) == 0\n"
-        "loaded = [m for m in ('powerfeas.rules', 'powerfeas.axioms', 'dataclasses') if m in sys.modules]\n"
+        "loaded = [m for m in ('powerfeas.axioms', 'dataclasses') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "import powerfeas\n"
         "missing = [n for n in powerfeas.__all__ if getattr(powerfeas, n, None) is None]\n"
@@ -1149,7 +1197,7 @@ def test_cli_import_loads_only_what_subcommands_run(tmp_path):
         "for spec in ('holder:2', 'holder:inf', 'weighted:1,2,3', 'squared-l1'):\n"
         "    assert powerfeas.cli.main(['axioms', '--function', spec, '--dim', '3', '--samples', '20'])"
         " == (2 if spec == 'squared-l1' else 0), spec\n"
-        "assert {'powerfeas.rules', 'powerfeas.axioms'} <= set(sys.modules)\n"
+        "assert 'powerfeas.axioms' in sys.modules\n"
         "loaded = [m for m in ('powerfeas.engine', 'powerfeas.maps', 'powerfeas.capacity', 'dataclasses')"
         " if m in sys.modules]\n"
         "assert not loaded, loaded\n"
@@ -1197,7 +1245,7 @@ def test_reference_stays_independent_of_the_production_kernels():
             assert module.split(".")[0] != "dataclasses", path.name  # one value-type idiom: core._Frozen
     # the solver module holds only what solve runs: no rule objects
     for module, names in imported(ast.parse((package / "engine.py").read_text())):
-        assert "rules" not in set(module.split(".")) | names, (module, names)
+        assert "axioms" not in set(module.split(".")) | names, (module, names)
 
 
 def test_every_name_the_benchmark_wraps_is_in_cli():

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from powerfeas.axioms import AXIOM_NAMES, AxiomReport, CheckVerdict, Counterexample
+from powerfeas.axioms import (
+    AXIOM_NAMES,
+    AxiomReport,
+    CheckVerdict,
+    Counterexample,
+    HolderNorm,
+    NormOfNorms,
+    WeightedAbsSum,
+)
 from powerfeas.capacity import RegionCloud, RegionComparison, RegionSpec, sample_region
 from powerfeas.core import (
     FeasibilityReport,
@@ -18,7 +26,6 @@ from powerfeas.core import (
 )
 from powerfeas.engine import SolveRun
 from powerfeas.maps import LeaveOneOutMap, leave_one_out_map
-from powerfeas.rules import HolderNorm, NormOfNorms, WeightedAbsSum
 from powerfeas.scenarios import FixedAssignment, MacroDiversity, MultiConnection, SingleCell
 from reference import (
     AdjustmentRule,

@@ -18,6 +18,7 @@ from powerfeas.core import (
     PowerVector,
 )
 from powerfeas import engine
+from powerfeas.axioms import WeightedAbsSum
 from powerfeas.engine import (
     _FORK_CELLS,
     SolveConfig,
@@ -27,7 +28,6 @@ from powerfeas.engine import (
     write_trace_csv,
 )
 from powerfeas.maps import leave_one_out_map
-from powerfeas.rules import WeightedAbsSum
 from powerfeas.scenarios import MacroDiversity, SingleCell
 from reference import (
     InvalidFunctionError,

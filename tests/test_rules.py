@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from powerfeas.axioms import check_all
+from powerfeas.axioms import HolderNorm, NormOfNorms, WeightedAbsSum, check_all
 from powerfeas.core import InvalidInputError
-from powerfeas.rules import HolderNorm, NormOfNorms, WeightedAbsSum
 from reference import DominationBound, InvalidFunctionError, MinSelectionRule, System, dominate
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)

@@ -883,6 +883,15 @@ class TestPolicyIteration:
         assert leave_one_out_map(random_mc(np.random.default_rng(1), 0.5),
                                  noiseless=True).receiver_weights is None
 
+    def test_greedy_start_at_the_first_step(self):
+        # at p = 0 every receiver ties; at T(0) = c the greedy policy is already the optimal one
+        md = MacroDiversity((0.2, 0.4, 0.6, 0.5), ((3, 1, 2), (1, 1, 3), (2, 0.5, 3), (0.5, 1, 2)), (1, 1, 1))
+        array_map = leave_one_out_map(md)
+        p, run = solve(array_map, self.config, trace=False)
+        assert run.solver == "policy" and run.iterations_used == 1
+        picard, _ = solve(array_map, self.config, force=True)
+        np.testing.assert_allclose(p.as_array(), picard.as_array(), rtol=0.0, atol=2 * self.config.tolerance)
+
     def test_untraced_divergence_keeps_no_iterates(self):
         array_map = leave_one_out_map(symmetric_md(1.5))
         with pytest.raises(NonConvergenceError) as excinfo:
