@@ -311,16 +311,16 @@ def test_loader_messages_name_the_key_alike_on_every_command(tmp_path, capsys, d
     assert not cloud.exists()
 
 
-# Three policy evaluations at the all-zeros start: the first greedy policy is not yet optimal.
-THREE_EVALUATIONS = {"scenario": "macro_diversity", "alphas": [0.4, 0.2, 0.3], "gains": [[3, 1], [2, 3], [0.5, 1]],
-                     "sigma": [1, 1], "coordinates": "original", "solver": {"max_iter": 1}}
+# Policy iteration needs two evaluations on this map, more than its max_iter of 1 allows.
+TWO_EVALUATIONS = {"scenario": "macro_diversity", "alphas": [0.4, 0.2, 0.3], "gains": [[3, 1], [2, 3], [0.5, 1]],
+                   "sigma": [1, 1], "coordinates": "original", "solver": {"max_iter": 1}}
 
 
 @pytest.mark.parametrize("doc, flags, code, message", [
     (symmetric_doc(0.5), ["solve", "--init", "abc"], 1, "--init: expected numbers, got 'abc'"),
     (symmetric_doc(0.5), ["solve", "--init", "1,2"], 1, "--init: expected 1 or 3 values, got 2"),
     (symmetric_doc(0.5), ["region", "--resolution", "1"], 1, "RegionSpec: resolution must be >= 2"),
-    (THREE_EVALUATIONS, ["solve", "--json"], 3, "solve: no convergence within 1 iterations"),
+    (TWO_EVALUATIONS, ["solve", "--json"], 3, "solve: no convergence within 1 iterations"),
 ], ids=["init_not_numbers", "init_count", "region_resolution", "policy_max_iter"])
 def test_command_option_messages(tmp_path, capsys, doc, flags, code, message):
     cloud = tmp_path / "cloud.csv"
